@@ -1,10 +1,16 @@
 """Reversible gate-list circuits over x, cx, ccx, mcx, swap, cswap, h.
 
-Circuits here are flat gate lists plus named registers.  Basis-state
-simulation compiles the list once into mask programs (one tuple per
-gate) and then runs any number of inputs through it; the sparse mode
-additionally follows h gates by splitting amplitudes.  The text form is
-line oriented and round-trips exactly.
+Circuits here are flat gate lists plus named registers.  Simulation
+compiles the list once, in one pass, into a fused mask program and then
+runs any number of inputs through it.  Consecutive X-family gates under
+one condition fuse into one XOR of their targets, and the cascades that
+increment or decrement a field of contiguous qubits (the widening-control
+ladders of blocks.increment and blocks.decrement, also replayed reversed)
+fuse into one conditional add of +1 or -1 on that field; any other gate
+stays an entry of its own.  Basis and sparse simulation run the same
+program, the sparse mode additionally following h gates by splitting
+amplitudes.  Gate lists, resource counts and the text form never see the
+fusion.  The text form is line oriented and round-trips exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 X_KINDS = ("x", "cx", "ccx", "mcx")
+# ops of the compiled program's entries, see Circuit._compile
+_XOR, _ADD, _SWAP, _H = 0, 1, 2, 3
 ROLES = ("input", "output", "ancilla-clean", "garbage")
 
 
@@ -152,23 +160,68 @@ class Circuit:
     # ------------------------------------------------------------- running
 
     def _compile(self):
+        """Fuse the gate list, in one pass, into entries
+        (cm, cv, op, mask, step) that act when s & cm == cv.
+
+        A run of X-family gates under one condition is one _XOR entry
+        whose mask is the XOR of the targets; XOR, not OR, because two
+        equal gates cancel.  A cascade in which each gate's controls are
+        the next gate's plus that gate's target, positive, and each
+        target is one qubit below the last, increments the field mask of
+        qubits lo..lo+w-1 under the last gate's condition: an _ADD entry
+        with step 2^lo, run as v = s & mask; s ^= (v ^ (v + step)) & mask.
+        The mirror cascade, each target one qubit above the last and
+        added to the next gate's controls, decrements the field under
+        the first gate's condition: step -2^lo.  Targets never lie in
+        the condition, so it holds or fails for the whole entry.  Any
+        other gate (swap, cswap, h, or an X off both patterns) is an
+        entry of its own.
+        """
         if self._program is not None:
             return self._program
         prog = []
+        bit = [1 << q for q in range(self.n_qubits)].__getitem__
+        # the open X-family entry (op is None when none is open) and the
+        # condition and target of its last gate, which a cascade goes on
+        # from; lt is 0 once a run holds two gates under one condition
+        op = cm = cv = mask = step = lcm = lcv = lt = None
         for g in self.gates:
-            cm = cv = 0
-            for i, q in enumerate(g.controls):
-                b = 1 << q
-                cm |= b
-                if not (g.neg_mask >> i) & 1:
-                    cv |= b
-            if g.kind in X_KINDS:
-                prog.append((cm, cv, 1 << g.targets[0], 0, 0))
-            elif g.kind in ("swap", "cswap"):
-                mi, mj = 1 << g.targets[0], 1 << g.targets[1]
-                prog.append((cm, cv, mi | mj, mi, mj))
-            else:  # h
-                prog.append((0, 0, 1 << g.targets[0], -1, -1))
+            gcm = gcv = sum(map(bit, g.controls))
+            neg = g.neg_mask
+            while neg:
+                low = neg & -neg
+                gcv -= bit(g.controls[low.bit_length() - 1])
+                neg ^= low
+            t = bit(g.targets[0])
+            if g.kind not in X_KINDS:
+                if op is not None:
+                    prog.append((cm, cv, op, mask, step))
+                    op = None
+                if g.kind == "h":
+                    prog.append((0, 0, _H, t, 0))
+                else:
+                    prog.append((gcm, gcv, _SWAP, t | bit(g.targets[1]), 0))
+                continue
+            if op is not None:
+                if step == 0 and gcm == cm and gcv == cv:
+                    mask ^= t
+                    lt = 0
+                    continue
+                if step >= 0 and t == lt >> 1 and lcm == gcm | t and lcv == gcv | t:
+                    # increment: the condition shrinks to this gate's
+                    op, cm, cv, mask, step = _ADD, gcm, gcv, mask | t, t
+                    lcm, lcv, lt = gcm, gcv, t
+                    continue
+                if step <= 0 and t == lt << 1 and gcm == lcm | lt and gcv == lcv | lt:
+                    # decrement: the condition stays the first gate's
+                    op, mask, step = _ADD, mask | t, -(mask & -mask)
+                    lcm, lcv, lt = gcm, gcv, t
+                    continue
+                prog.append((cm, cv, op, mask, step))
+            op, cm, cv, mask, step = _XOR, gcm, gcv, t, 0
+            lcm, lcv, lt = gcm, gcv, t
+        if op is not None:
+            prog.append((cm, cv, op, mask, step))
         self._program = prog
         return prog
 
@@ -177,15 +230,19 @@ class Circuit:
         if not 0 <= state < (1 << self.n_qubits):
             raise CircuitError("state outside the register file")
         s = state
-        for cm, cv, flip, mi, mj in self._compile():
-            if mi == -1:
-                raise CircuitError("h gate present, use simulate_sparse")
+        for cm, cv, op, mask, step in self._compile():
             if s & cm == cv:
-                if mi:
-                    if ((s & mi) == 0) != ((s & mj) == 0):
-                        s ^= flip
-                else:
-                    s ^= flip
+                if op == _XOR:
+                    s ^= mask
+                elif op == _ADD:
+                    v = s & mask
+                    s ^= (v ^ (v + step)) & mask
+                elif op == _SWAP:
+                    v = s & mask
+                    if v and v != mask:
+                        s ^= mask
+                else:  # an h entry always fires
+                    raise CircuitError("h gate present, use simulate_sparse")
         return s
 
     def simulate_sparse(self, state, cap: int = 1 << 20) -> dict[int, complex]:
@@ -195,25 +252,29 @@ class Circuit:
         else:
             amps = dict(state)
         inv_sqrt2 = 2 ** -0.5
-        for cm, cv, flip, mi, mj in self._compile():
-            if mi == -1:
+        for cm, cv, op, mask, step in self._compile():
+            if op == _H:
                 nxt: dict[int, complex] = {}
                 for s, a in amps.items():
-                    lo = s & ~flip
-                    hi = s | flip
+                    lo = s & ~mask
+                    hi = s | mask
                     w = a * inv_sqrt2
                     nxt[lo] = nxt.get(lo, 0j) + w
-                    nxt[hi] = nxt.get(hi, 0j) + (w if not s & flip else -w)
+                    nxt[hi] = nxt.get(hi, 0j) + (w if not s & mask else -w)
                 amps = {s: a for s, a in nxt.items() if a != 0}
             else:
                 nxt = {}
                 for s, a in amps.items():
                     if s & cm == cv:
-                        if mi:
-                            if ((s & mi) == 0) != ((s & mj) == 0):
-                                s ^= flip
+                        if op == _XOR:
+                            s ^= mask
+                        elif op == _ADD:
+                            v = s & mask
+                            s ^= (v ^ (v + step)) & mask
                         else:
-                            s ^= flip
+                            v = s & mask
+                            if v and v != mask:
+                                s ^= mask
                     nxt[s] = nxt.get(s, 0j) + a
                 amps = nxt
             if len(amps) > cap:

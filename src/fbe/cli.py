@@ -13,7 +13,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib.resources import files
 from typing import Optional
 
@@ -77,8 +76,7 @@ def cmd_eval(args) -> int:
         name = RADIX_SPECS[args.radix]
     spec = get_spec(name)
     if spec.group == 1:
-        x = Fraction(args.arg)
-        ds, trace = fbe_expand_trace(spec, x, args.n, args.m)
+        ds, trace = fbe_expand_trace(spec, args.arg, args.n, args.m)
         print(f"digits {ds.text(_digit_point(spec))}")
         print(f"approx {_fnum(spec.value_scale * ds.value())}")
     else:

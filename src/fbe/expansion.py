@@ -33,9 +33,10 @@ NumberLike = Union[int, float, str, Fraction]
 
 
 def _as_fraction(x: NumberLike) -> Fraction:
-    if isinstance(x, str):
+    try:
         return Fraction(x)
-    return Fraction(x)
+    except ZeroDivisionError:
+        raise DomainError(f"{x!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
@@ -529,6 +530,8 @@ def fbe_expand(spec: FunctionSpec, x: NumberLike, n: int, m: int) -> DigitString
 def fbe_expand_trace(spec: FunctionSpec, x: NumberLike, n: int, m: int):
     if spec.group != 1:
         raise DomainError(f"{spec.name} does not emit digits")
+    if n < 1:
+        raise DomainError("need at least one digit")
     lay = spec.layout(m, n)
     st = spec.encode(_as_fraction(x), lay)
     digits = []

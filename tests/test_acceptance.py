@@ -300,9 +300,10 @@ def test_criterion_5_circuit_matches_recurrence():
     for family in sorted(SYNTH_SPEC):
         for n, m in palette:
             sc = _synth(cache, family, n, m)
+            raws = (list(_valid_raws(sc))
+                    if sc.group == 1 and (1 << m) <= 4096 else None)
             for _ in range(50):
                 if sc.group == 1:
-                    raws = list(_valid_raws(sc)) if (1 << m) <= 4096 else None
                     if raws is not None:
                         raw = rng.choice(raws)
                     else:

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from fbe.circuit import (
+    _ADD,
+    _SWAP,
+    _XOR,
     Circuit,
     CircuitError,
     Gate,
@@ -14,6 +17,7 @@ from fbe.circuit import (
     import_text,
     xgate,
 )
+from fbe.synth import SynthConfig, synthesize
 
 
 def ref_apply(gate, s, n):
@@ -50,6 +54,98 @@ def random_circuit(rng, n, length, with_h=False):
             g = Gate(kind, (qs[-1],), tuple(ctl), rng.randrange(1 << len(ctl)))
         c.add(g)
     return c
+
+
+def cascade(rng, bits, ctx, increment):
+    """An increment (top target first) or decrement of bits under the
+    (qubit, positive?) context ctx, cut to a partial run half the time."""
+    gates = []
+    for i, q in enumerate(bits):
+        ctl = list(ctx) + [(b, True) for b in bits[:i]]
+        rng.shuffle(ctl)
+        gates.append(xgate(q, ctl))
+    if increment:
+        gates.reverse()
+    if rng.random() < 0.5:
+        a = rng.randrange(len(gates))
+        gates = gates[a:rng.randrange(a, len(gates)) + 1]
+    return gates
+
+
+def fusable_circuit(rng, n, pieces, with_h=False):
+    """Increment and decrement cascades on contiguous and scattered
+    qubits under mixed-polarity contexts, same-control runs with
+    adjacent duplicates, and single gates (swap, cswap, h) between."""
+    c = Circuit(n)
+    for _ in range(pieces):
+        piece = rng.choice(["cascade", "cascade", "run", "gate"])
+        w = rng.randrange(1, n)
+        if rng.random() < 0.5:
+            lo = rng.randrange(n - w + 1)
+            bits = list(range(lo, lo + w))
+        else:
+            bits = rng.sample(range(n), w)
+        rest = [q for q in range(n) if q not in bits]
+        ctx = [(q, rng.random() < 0.5) for q in rng.sample(rest, rng.randrange(min(3, len(rest)) + 1))]
+        if piece == "cascade":
+            c.extend(cascade(rng, bits, ctx, rng.random() < 0.5))
+        elif piece == "run":
+            for q in bits:
+                g = xgate(q, ctx)
+                c.extend([g, g] if rng.random() < 0.4 else [g])
+        else:
+            c.extend(random_circuit(rng, n, 2, with_h).gates)
+    return c
+
+
+def ref_sparse(c, s):
+    # gate-by-gate sparse reference; h as in the textbook, no fusion
+    amps = {s: 1.0 + 0j}
+    for g in c.gates:
+        if g.kind != "h":
+            amps = {ref_apply(g, t, c.n_qubits): a for t, a in amps.items()}
+            continue
+        m = 1 << g.targets[0]
+        nxt = {}
+        for t, a in amps.items():
+            w = a * 2 ** -0.5
+            nxt[t & ~m] = nxt.get(t & ~m, 0j) + w
+            nxt[t | m] = nxt.get(t | m, 0j) + (-w if t & m else w)
+        amps = {t: a for t, a in nxt.items() if a != 0}
+    return amps
+
+
+def test_fused_program_matches_gate_by_gate():
+    rng = random.Random(41)
+    ops = set()
+    for trial in range(24):
+        n = rng.randrange(5, 8)
+        c = fusable_circuit(rng, n, 14)
+        prog = c._compile()
+        ops |= {(op, (step > 0) - (step < 0), op == _XOR and bin(mask).count("1") > 1)
+                for _, _, op, mask, step in prog}
+        for s in range(1 << n):
+            want = s
+            for g in c.gates:
+                want = ref_apply(g, want, n)
+            assert c.simulate_basis(s) == want, (trial, s)
+            if s % 7 == 0:
+                assert c.simulate_sparse(s) == {want: 1.0 + 0j}, (trial, s)
+        hc = fusable_circuit(rng, n, 10, with_h=True)
+        for s in rng.sample(range(1 << n), 4):
+            got, want = hc.simulate_sparse(s), ref_sparse(hc, s)
+            assert got.keys() == want.keys(), (trial, s)
+            assert all(abs(got[k] - want[k]) < 1e-12 for k in want), (trial, s)
+    # every kind of entry the fusion makes was exercised: increments,
+    # decrements, multi-target runs, single flips, swaps
+    assert {(_XOR, 0, True), (_XOR, 0, False), (_ADD, 1, False), (_ADD, -1, False),
+            (_SWAP, 0, False)} <= ops
+
+
+def test_fused_program_is_smaller():
+    c = synthesize(SynthConfig("cot", n=6, m=10, policy="clean")).circuit
+    assert len(c.gates) == 22546
+    assert len(c._compile()) < 0.6 * len(c.gates)
 
 
 def test_gate_validation():

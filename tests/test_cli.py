@@ -50,6 +50,21 @@ def test_eval_domain_error_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("arg", ["1/0", "0/0"])
+def test_eval_zero_denominator_exits_2(capsys, arg):
+    code, out, err = run(capsys, "eval", "log2", arg)
+    assert code == 2 and out == ""
+    assert err == f"error: {arg!r} has a zero denominator\n"
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_eval_needs_a_digit_like_synth(capsys, n):
+    code, out, err = run(capsys, "eval", "log2", "1.5", "--n", n)
+    assert code == 2 and out == ""
+    assert err == "error: need at least one digit\n"
+    assert run(capsys, "synth", "log", "--n", n, "--m", "5")[2] == err
+
+
 def test_synth_deterministic_bytes(capsys, tmp_path):
     a, b = tmp_path / "a.fbe", tmp_path / "b.fbe"
     assert run(capsys, "synth", "arccot", "--n", "2", "--m", "5",
