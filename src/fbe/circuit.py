@@ -9,19 +9,34 @@ ladders of blocks.increment and blocks.decrement, also replayed reversed)
 fuse into one conditional add of +1 or -1 on that field; any other gate
 stays an entry of its own.  Basis and sparse simulation run the same
 program, the sparse mode additionally following h gates by splitting
-amplitudes.  Gate lists, resource counts and the text form never see the
-fusion.  The text form is line oriented and round-trips exactly.
+amplitudes.  Compile keeps masks only for the qubits gates touch, so its
+memory does not grow with the declared qubit count.  Gate lists,
+resource counts and the text form never see the fusion.
+
+The text form is line oriented and round-trips exactly.  Synthesis
+replays blocks with the same gate objects, so the text repeats itself:
+export formats each gate object once, and import parses and checks each
+distinct gate line once, appending the same frozen Gate on every repeat.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 X_KINDS = ("x", "cx", "ccx", "mcx")
 # ops of the compiled program's entries, see Circuit._compile
 _XOR, _ADD, _SWAP, _H = 0, 1, 2, 3
 ROLES = ("input", "output", "ancilla-clean", "garbage")
+
+
+class _Masks(dict):
+    """1 << q for each qubit q looked up, made on first lookup: a mask
+    per declared qubit would take memory quadratic in the qubit count."""
+
+    def __missing__(self, q: int) -> int:
+        self[q] = m = 1 << q
+        return m
 
 
 class CircuitError(Exception):
@@ -141,22 +156,6 @@ class Circuit:
         inv.gates = list(reversed(self.gates))
         return inv
 
-    def compose(self, other: "Circuit", qubit_map: Optional[dict[int, int]] = None) -> "Circuit":
-        """Append other's gates, optionally rerouting its qubits."""
-        out = Circuit(self.n_qubits)
-        out.registers = dict(self.registers)
-        out.gates = list(self.gates)
-        for g in other.gates:
-            if qubit_map is None:
-                out.add(g)
-            else:
-                out.add(replace(
-                    g,
-                    targets=tuple(qubit_map.get(q, q) for q in g.targets),
-                    controls=tuple(qubit_map.get(q, q) for q in g.controls),
-                ))
-        return out
-
     # ------------------------------------------------------------- running
 
     def _compile(self):
@@ -180,7 +179,7 @@ class Circuit:
         if self._program is not None:
             return self._program
         prog = []
-        bit = [1 << q for q in range(self.n_qubits)].__getitem__
+        bit = _Masks().__getitem__
         # the open X-family entry (op is None when none is open) and the
         # condition and target of its last gate, which a cascade goes on
         # from; lt is 0 once a run holds two gates under one condition
@@ -227,7 +226,7 @@ class Circuit:
 
     def simulate_basis(self, state: int) -> int:
         """Run one computational-basis state through the gate list."""
-        if not 0 <= state < (1 << self.n_qubits):
+        if state < 0 or state >> self.n_qubits:
             raise CircuitError("state outside the register file")
         s = state
         for cm, cv, op, mask, step in self._compile():
@@ -324,13 +323,23 @@ class Circuit:
 
 # ------------------------------------------------------------- text format
 
-def _fmt_operand(q: int, neg: bool) -> str:
-    return f"!q[{q}]" if neg else f"q[{q}]"
+def _gate_text(g: Gate, expand_negative_controls: bool) -> str:
+    """A gate's line; with expansion, a negative control instead becomes
+    a positive one between two x lines on its qubit."""
+    neg = g.neg_mask
+    pre = post = ""
+    if expand_negative_controls and neg:
+        flips = "".join(f"x q[{q}]\n" for i, q in enumerate(g.controls) if (neg >> i) & 1)
+        pre, post, neg = flips, "\n" + flips[:-1], 0
+    ops = [f"!q[{q}]" if (neg >> i) & 1 else f"q[{q}]" for i, q in enumerate(g.controls)]
+    ops += [f"q[{t}]" for t in g.targets]
+    return f"{pre}{g.kind} {','.join(ops)}{post}"
 
 
 def export_text(c: Circuit, expand_negative_controls: bool = False) -> str:
     """Serialize; neg controls keep their ! prefix unless expansion into
-    x-conjugated positive controls is requested."""
+    x-conjugated positive controls is requested.  Each gate object is
+    formatted once, however often the list repeats it."""
     lines = [f"qubits {c.n_qubits}"]
     for r in c.registers.values():
         hi = r.start + r.size - 1
@@ -339,37 +348,27 @@ def export_text(c: Circuit, expand_negative_controls: bool = False) -> str:
         if r.signed:
             line += " signed"
         lines.append(line)
+    done: dict[int, str] = {}
     for g in c.gates:
-        pre, post = [], []
-        neg = g.neg_mask
-        if expand_negative_controls and neg:
-            for i, q in enumerate(g.controls):
-                if (neg >> i) & 1:
-                    pre.append(f"x q[{q}]")
-                    post.append(f"x q[{q}]")
-            neg = 0
-        ops = [_fmt_operand(q, bool((neg >> i) & 1)) for i, q in enumerate(g.controls)]
-        ops += [f"q[{t}]" for t in g.targets]
-        lines.extend(pre)
-        lines.append(f"{g.kind} {','.join(ops)}")
-        lines.extend(post)
+        text = done.get(id(g))
+        if text is None:
+            text = done[id(g)] = _gate_text(g, expand_negative_controls)
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 
-def _parse_operand(tok: str, lineno: int) -> tuple[int, bool]:
-    neg = tok.startswith("!")
-    body = tok[1:] if neg else tok
-    if not (body.startswith("q[") and body.endswith("]")):
-        raise CircuitError(f"line {lineno}: bad operand {tok!r}")
-    try:
-        return int(body[2:-1]), neg
-    except ValueError:
-        raise CircuitError(f"line {lineno}: bad qubit index in {tok!r}") from None
-
-
 def import_text(text: str) -> Circuit:
+    """Parse the text form.  Every line is checked in order and the first
+    bad one is named in the error.  A gate line seen before in this text
+    was already checked against this circuit, so it appends the same
+    frozen Gate without being parsed again."""
     c: Optional[Circuit] = None
+    seen: dict[str, Gate] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
+        g = seen.get(rawline)
+        if g is not None:  # only checked gate lines are kept, so c is set
+            append(g)
+            continue
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
@@ -378,9 +377,13 @@ def import_text(text: str) -> Circuit:
         if head == "qubits":
             if c is not None:
                 raise CircuitError(f"line {lineno}: duplicate qubits header")
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not toks[1].isdecimal():
                 raise CircuitError(f"line {lineno}: bad qubits header")
-            c = Circuit(int(toks[1]))
+            try:
+                c = Circuit(int(toks[1]))
+            except CircuitError as e:
+                raise CircuitError(f"line {lineno}: {e}") from None
+            append = c.gates.append
             continue
         if c is None:
             raise CircuitError(f"line {lineno}: qubits header must come first")
@@ -406,22 +409,30 @@ def import_text(text: str) -> Circuit:
             raise CircuitError(f"line {lineno}: unknown gate {head!r}")
         if len(toks) != 2:
             raise CircuitError(f"line {lineno}: gate wants one operand list")
-        ops = [_parse_operand(t, lineno) for t in toks[1].split(",")]
-        n_targets = 2 if head in ("swap", "cswap") else 1
-        if len(ops) < n_targets:
+        qs = []
+        negs = 0  # bit i set = operand i carries a !
+        for tok in toks[1].split(","):
+            body = tok
+            if tok.startswith("!"):
+                body = tok[1:]
+                negs |= 1 << len(qs)
+            if not (body.startswith("q[") and body.endswith("]")):
+                raise CircuitError(f"line {lineno}: bad operand {tok!r}")
+            try:
+                qs.append(int(body[2:-1]))
+            except ValueError:
+                raise CircuitError(f"line {lineno}: bad qubit index in {tok!r}") from None
+        n_ctl = len(qs) - (2 if head in ("swap", "cswap") else 1)
+        if n_ctl < 0:
             raise CircuitError(f"line {lineno}: not enough operands")
-        ctl, tgt = ops[:-n_targets], ops[-n_targets:]
-        for q, neg in tgt:
-            if neg:
-                raise CircuitError(f"line {lineno}: target cannot be negated")
-        neg_mask = 0
-        for i, (_, neg) in enumerate(ctl):
-            if neg:
-                neg_mask |= 1 << i
+        if negs >> n_ctl:
+            raise CircuitError(f"line {lineno}: target cannot be negated")
         try:
-            c.add(Gate(head, tuple(q for q, _ in tgt), tuple(q for q, _ in ctl), neg_mask))
+            g = Gate(head, tuple(qs[n_ctl:]), tuple(qs[:n_ctl]), negs)
+            c.add(g)
         except CircuitError as e:
             raise CircuitError(f"line {lineno}: {e}") from None
+        seen[rawline] = g
     if c is None:
         raise CircuitError("empty circuit text")
     return c

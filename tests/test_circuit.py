@@ -1,6 +1,8 @@
 """Circuit IR: simulation against a naive reference, text round-trips."""
 
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -17,6 +19,7 @@ from fbe.circuit import (
     import_text,
     xgate,
 )
+from fbe.cli import main
 from fbe.synth import SynthConfig, synthesize
 
 
@@ -243,6 +246,10 @@ def test_import_error_lines():
         import_text("x q[0]\n")
     with pytest.raises(CircuitError, match="line 2"):
         import_text("qubits 4\ncx q[0],!q[1]\n")
+    with pytest.raises(CircuitError, match="line 1"):
+        import_text("qubits 0\n")
+    with pytest.raises(CircuitError, match="line 1"):
+        import_text("qubits \u00b2\n")  # isdigit() but not int()
 
 
 def test_import_skips_comments():
@@ -250,14 +257,106 @@ def test_import_skips_comments():
     assert len(c.gates) == 1
 
 
-def test_compose_with_map():
-    a = Circuit(4)
-    a.add(Gate("x", (0,)))
-    b = Circuit(2)
-    b.add(Gate("cx", (1,), (0,)))
-    out = a.compose(b, {0: 2, 1: 3})
-    assert out.gates[1] == Gate("cx", (3,), (2,))
-    assert out.simulate_basis(0b0100) == 0b1101
+def test_import_memo_matches_line_by_line():
+    c = synthesize(SynthConfig("cos", n=2, m=5, policy="clean")).circuit
+    lines = export_text(c).splitlines()
+    head = 1 + len(c.registers)
+    got = import_text("\n".join(lines)).gates
+    assert got == c.gates and len(set(lines[head:])) < len(got)
+    for line, g in zip(lines[head:], got):
+        assert import_text(f"{lines[0]}\n{line}\n").gates == [g]
+    # a bad line met twice is reported where it first appears
+    bad = "cx q[0],q[99]"
+    text = "\n".join(lines[:head + 3] + [bad] + lines[head + 3:] + [bad])
+    with pytest.raises(CircuitError, match=f"^line {head + 4}: qubit 99 outside"):
+        import_text(text)
+
+
+def test_export_memo_matches_per_gate():
+    c = synthesize(SynthConfig("cos", n=2, m=5, policy="clean")).circuit
+    assert len({id(g) for g in c.gates}) < len(c.gates)
+    assert any(g.neg_mask for g in c.gates)
+    for expand in (False, True):
+        want = [f"qubits {c.n_qubits}"] + export_text(c, expand).splitlines()[1:1 + len(c.registers)]
+        for g in c.gates:
+            one = Circuit(c.n_qubits)
+            one.add(g)
+            want += export_text(one, expand).splitlines()[1:]
+        assert export_text(c, expand) == "\n".join(want) + "\n"
+
+
+FUZZ_CHARS = "!,[]0123456789 "
+
+
+def mutate(rng, lines, head):
+    """Up to three edits: delete or insert a character of FUZZ_CHARS,
+    duplicate a line or swap two; a quarter of them hit the header and
+    register lines."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(head) if rng.random() < 0.25 else rng.randrange(len(lines))
+        op = rng.randrange(4)
+        if op == 0:
+            spots = [j for j, ch in enumerate(lines[i]) if ch in FUZZ_CHARS]
+            if spots:
+                j = rng.choice(spots)
+                lines[i] = lines[i][:j] + lines[i][j + 1:]
+        elif op == 1:
+            j = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:j] + rng.choice(FUZZ_CHARS) + lines[i][j:]
+        elif op == 2:
+            lines.insert(i, lines[i])
+        else:
+            k = rng.randrange(len(lines))
+            lines[i], lines[k] = lines[k], lines[i]
+    return lines
+
+
+def test_import_fuzz_names_first_bad_line(capsys, tmp_path):
+    c = synthesize(SynthConfig("log", n=2, m=5, policy="clean")).circuit
+    lines = export_text(c).splitlines()
+    rng = random.Random("import_text/fuzz")
+    rejected = []
+    for _ in range(300):
+        mutant = mutate(rng, lines, 1 + len(c.registers))
+        try:
+            import_text("\n".join(mutant))
+            continue
+        except CircuitError as e:
+            msg = str(e)
+        named = re.match(r"line (\d+): ", msg)
+        assert named, msg
+        bad = int(named.group(1))
+        assert bad <= len(mutant), msg
+        # the lines above the named one import, and adding it fails alike
+        if bad > 1:
+            import_text("\n".join(mutant[:bad - 1]))
+        with pytest.raises(CircuitError) as again:
+            import_text("\n".join(mutant[:bad]))
+        assert str(again.value) == msg
+        rejected.append(mutant)
+    assert 50 < len(rejected) < 300
+    for i, mutant in enumerate(rejected[:5]):
+        path = tmp_path / f"mutant{i}.fbe"
+        path.write_text("\n".join(mutant) + "\n")
+        assert main(["sim", str(path), "01.000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and err.count("\n") == 1
+
+
+def test_compile_memory_follows_touched_qubits():
+    c = Circuit(30000)
+    c.add(Gate("cx", (29999,), (0,)))
+    tracemalloc.start()
+    try:
+        c._compile()
+        assert c.simulate_basis(1) == 1 | 1 << 29999
+        with pytest.raises(CircuitError):
+            c.simulate_basis(1 << 30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_h_needs_sparse_mode():
