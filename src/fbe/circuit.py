@@ -28,6 +28,8 @@ X_KINDS = ("x", "cx", "ccx", "mcx")
 # ops of the compiled program's entries, see Circuit._compile
 _XOR, _ADD, _SWAP, _H = 0, 1, 2, 3
 ROLES = ("input", "output", "ancilla-clean", "garbage")
+# largest qubits header import_text accepts
+MAX_TEXT_QUBITS = 1 << 20
 
 
 class _Masks(dict):
@@ -224,10 +226,13 @@ class Circuit:
         self._program = prog
         return prog
 
-    def simulate_basis(self, state: int) -> int:
-        """Run one computational-basis state through the gate list."""
+    def _check_state(self, state: int):
         if state < 0 or state >> self.n_qubits:
             raise CircuitError("state outside the register file")
+
+    def simulate_basis(self, state: int) -> int:
+        """Run one computational-basis state through the gate list."""
+        self._check_state(state)
         s = state
         for cm, cv, op, mask, step in self._compile():
             if s & cm == cv:
@@ -246,10 +251,9 @@ class Circuit:
 
     def simulate_sparse(self, state, cap: int = 1 << 20) -> dict[int, complex]:
         """Exact sparse-state simulation; h splits amplitudes by 1/sqrt(2)."""
-        if isinstance(state, int):
-            amps = {state: 1.0 + 0j}
-        else:
-            amps = dict(state)
+        amps = {state: 1.0 + 0j} if isinstance(state, int) else dict(state)
+        for s in amps:
+            self._check_state(s)
         inv_sqrt2 = 2 ** -0.5
         for cm, cv, op, mask, step in self._compile():
             if op == _H:
@@ -379,6 +383,11 @@ def import_text(text: str) -> Circuit:
                 raise CircuitError(f"line {lineno}: duplicate qubits header")
             if len(toks) != 2 or not toks[1].isdecimal():
                 raise CircuitError(f"line {lineno}: bad qubits header")
+            # count digits first: int() refuses strings past 4300 digits
+            if (len(toks[1].lstrip("0")) > len(str(MAX_TEXT_QUBITS))
+                    or int(toks[1]) > MAX_TEXT_QUBITS):
+                raise CircuitError(
+                    f"line {lineno}: more than {MAX_TEXT_QUBITS} qubits")
             try:
                 c = Circuit(int(toks[1]))
             except CircuitError as e:

@@ -13,13 +13,12 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from importlib.resources import files
 from typing import Optional
 
+from . import checks
 from .circuit import CircuitError, import_text
 from .expansion import (
     DigitString,
-    error_budget,
     fbe_expand_trace,
     get_spec,
     ifbe_evaluate_trace,
@@ -225,36 +224,10 @@ def _print_report(rep: VerificationReport, timing: bool):
     print(line)
 
 
-def _table2_rows():
-    text = files("fbe").joinpath("data/table2.txt").read_text()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield line.split()
-
-
-def _run_table2_row(family, m, n, inp, cache):
-    key = (family, n, m)
-    if key not in cache:
-        cache[key] = synthesize(SynthConfig(family, n, m))
-    sc = cache[key]
-    if sc.group == 1:
-        fp = parse(inp, signed=sc.layout.signed)
-        state = sc.circuit.simulate_basis(sc.encode_input(fp.value))
-        return sc.decode_digits(state).text(sc.digits_point)
-    state = sc.circuit.simulate_basis(sc.encode_digits(parse_digits(inp)))
-    out, infinite = sc.decode_value(state)
-    return "infinite" if infinite else render(out)
-
-
 def verify_table2(args) -> list[VerificationReport]:
     t0 = time.perf_counter()
-    cache: dict = {}
     cases = matches = 0
-    for row in _table2_rows():
-        family, m, n, inp, want = row[:5]
-        info = len(row) > 5 and row[5] == "informational"
-        got = _run_table2_row(family, int(m), int(n), inp, cache)
+    for family, inp, want, got, info in checks.table2_rows():
         if info:
             print(f"  info {family} {inp} -> {got} (recorded, not asserted)")
             continue
@@ -268,36 +241,17 @@ def verify_table2(args) -> list[VerificationReport]:
                                wall_time=time.perf_counter() - t0)]
 
 
-def _valid_raws(sc: SynthesizedCircuit):
-    for raw in range(1 << sc.config.m):
-        try:
-            sc.spec.encode(make(raw, sc.layout).value, sc.layout)
-        except (DomainError, FixedPointError):
-            continue
-        yield raw
-
-
 def verify_group1(args) -> list[VerificationReport]:
+    # reports the strict digit claim; criterion 3 checks group1_value_bound
     m = args.m or 6
     reports = []
     for family in ("log", "arccot"):
         t0 = time.perf_counter()
         sc = synthesize(SynthConfig(family, m, m, args.policy))
-        spec = sc.spec
-        cases = circuit_bad = oracle_bad = 0
-        for raw in _valid_raws(sc):
-            x = make(raw, sc.layout).value
-            cases += 1
-            classical = fbe_expand_trace(spec, x, m, m)[0].digits
-            oracle = fbe_expand_trace(spec, x, m, 4 * m)[0].digits
-            state = sc.circuit.simulate_basis(sc.encode_input(x))
-            if sc.decode_digits(state).digits != classical:
-                circuit_bad += 1
-            if classical != oracle:
-                oracle_bad += 1
-        good = cases - max(circuit_bad, oracle_bad)
+        cases, circuit_bad, oracle_bad = checks.group1_digits(sc)
         reports.append(VerificationReport(
-            "group1-exact", spec.name, f"m=n={m}", cases, good,
+            "group1-exact", sc.spec.name, f"m=n={m}", cases,
+            cases - max(circuit_bad, oracle_bad),
             circuit_bad == 0 and oracle_bad == 0,
             note=(f"circuit mismatches {circuit_bad}, "
                   f"wide-oracle digit mismatches {oracle_bad}"),
@@ -305,48 +259,20 @@ def verify_group1(args) -> list[VerificationReport]:
     return reports
 
 
-def _exp_worst(n):
-    yield (1,) * n
-    yield (0,) * (n - 1) + (1,)
-    yield tuple((i + 1) % 2 for i in range(n))
-
-
-def _cos_worst(n):
-    yield (0,) + (1,) * (n - 1)
-    yield (1,) * n
-    yield (1,) + (0,) * (n - 1)
-
-
 def verify_group2(args) -> list[VerificationReport]:
-    import math
-
     m = args.m or 12
     n = min(args.n or 8, m - 4)
     rng = random.Random(args.seed)
     reports = []
-    for name, worst, true_fn in (
-        ("exp2", _exp_worst, lambda x: 2.0 ** x),
-        ("cos", _cos_worst, lambda x: math.cos(math.pi * x)),
-    ):
+    for name in ("exp2", "cos"):
         t0 = time.perf_counter()
-        spec = get_spec(name)
-        budget = error_budget(name, n, m)
-        bound = float(budget.bound)
-        strings = list(worst(n))
-        strings += [tuple(rng.randrange(2) for _ in range(n))
-                    for _ in range(args.cases)]
-        worst_err = 0.0
-        ok = 0
-        for bits in strings:
-            ds = DigitString(bits)
-            (out, infinite), _ = ifbe_evaluate_trace(spec, ds, m)
-            err = abs(float(out.value) - true_fn(float(ds.value())))
-            worst_err = max(worst_err, err)
-            ok += err < bound
+        budget, cases, under, worst = checks.group2_errors(
+            name, n, m, args.cases, rng)
         reports.append(VerificationReport(
-            "group2-bounds", name, f"n={n} m={m}", len(strings), ok,
-            ok == len(strings), max_error=worst_err, bound=bound,
-            note=budget.bound_text, wall_time=time.perf_counter() - t0))
+            "group2-bounds", name, f"n={n} m={m}", cases, under,
+            under == cases, max_error=worst,
+            bound=float(budget.bound), note=budget.bound_text,
+            wall_time=time.perf_counter() - t0))
     return reports
 
 
@@ -419,26 +345,10 @@ def verify_reversibility(args) -> list[VerificationReport]:
         cases = matches = 0
         for policy in ("garbage", "clean"):
             sc = synthesize(SynthConfig(family, 3, 6, policy))
-            inv = sc.circuit.inverse()
-            for _ in range(25):
-                start = rng.randrange(1 << sc.n_qubits)
-                cases += 1
-                matches += inv.simulate_basis(
-                    sc.circuit.simulate_basis(start)) == start
-            if policy == "clean":
-                if sc.group == 1:
-                    starts = [sc.encode_input(make(r, sc.layout).value)
-                              for r in itertools.islice(_valid_raws(sc), 8)]
-                else:
-                    starts = [sc.encode_digits(DigitString(bits)) for bits in
-                              itertools.product((0, 1), repeat=3)]
-                for start in starts:
-                    state = sc.circuit.simulate_basis(start)
-                    cases += 1
-                    matches += all(
-                        reg.extract(state) == 0
-                        for reg in sc.circuit.registers.values()
-                        if reg.role == "ancilla-clean")
+            inverse_bad, inputs, ancilla_bad = checks.reversibility(
+                sc, rng, 25, 8 if policy == "clean" else 0)
+            cases += 25 + inputs
+            matches += 25 - inverse_bad + inputs - ancilla_bad
         reports.append(VerificationReport(
             "reversibility", family, "n=3 m=6", cases, matches,
             cases == matches, wall_time=time.perf_counter() - t0))

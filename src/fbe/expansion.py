@@ -22,6 +22,7 @@ from .fixedpoint import (
     FixedPoint,
     Layout,
     WidthMismatch,
+    _trunc_raw,
     from_value,
     make,
 )
@@ -482,19 +483,6 @@ def _spec_cot() -> FunctionSpec:
     )
 
 
-def _spec_cot_inf() -> FunctionSpec:
-    # same recurrence viewed with a true infinity start instead of the
-    # representative pattern; numerically identical, kept as the oracle
-    # reading of the chain
-    base = _spec_cot()
-    return FunctionSpec(
-        name="cot-inf", group=2, radix=2, value_scale=1,
-        domain=base.domain, min_width=4, make_layout=_cot_layout,
-        closed_form=base.closed_form, init=base.init,
-        absorb=base.absorb, finish=base.finish,
-    )
-
-
 _BUILTINS = None
 
 
@@ -506,7 +494,6 @@ def builtin_specs() -> dict[str, FunctionSpec]:
             _spec_log2_ternary(), _spec_log2_quaternary(),
             _spec_log2_quaternary_wide(),
             _spec_exp2(), _spec_cos(), _spec_cos_signed(), _spec_cot(),
-            _spec_cot_inf(),
         ]
         _BUILTINS = {s.name: s for s in specs}
     return _BUILTINS
@@ -609,10 +596,7 @@ def log2_domain_reduce(x: NumberLike) -> DomainReduction:
 # ------------------------------------------------------------- derived set
 
 def _auto_fixed(v: Fraction, frac_bits: int) -> FixedPoint:
-    scaled = v * (1 << frac_bits)
-    t = abs(scaled.numerator) // scaled.denominator
-    if scaled < 0:
-        t = -t
+    t = _trunc_raw(v, frac_bits)
     int_bits = max(1, (abs(t) >> frac_bits).bit_length() + 1)
     return make(t, Layout(int_bits, frac_bits, True))
 
@@ -783,7 +767,7 @@ def error_budget(name: str, n: int, m: int) -> ErrorBudget:
         bound = Fraction((1 << n) + 1, 1 << q)
         return ErrorBudget(name, n, m, q, step, bound,
                            "value error below (2^n + 1) 2^-q", max(0, m - n))
-    if name in ("cot", "cot-inf"):
+    if name == "cot":
         return ErrorBudget(name, n, m, q, step, None,
                            "almost all m bits claimed exact (empirical, "
                            "unquantified)", m)

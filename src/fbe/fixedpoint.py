@@ -99,12 +99,9 @@ def from_value(value: Rational, layout: Layout, exact: bool = True) -> FixedPoin
     """Encode a rational.  exact=True raises unless representable;
     otherwise the magnitude truncates toward zero first."""
     v = Fraction(value)
-    scaled = v * (1 << layout.frac_bits)
-    if exact and scaled.denominator != 1:
+    if exact and (1 << layout.frac_bits) % v.denominator:
         raise DomainError(f"{value} not representable with {layout.frac_bits} frac bits")
-    t = abs(scaled.numerator) // scaled.denominator
-    if scaled < 0:
-        t = -t
+    t = _trunc_raw(v, layout.frac_bits)
     lo = -(1 << (layout.width - 1)) if layout.signed else 0
     hi = (1 << (layout.width - 1)) if layout.signed else (1 << layout.width)
     if not lo <= t < hi:

@@ -11,28 +11,17 @@ import math
 import random
 import time
 from fractions import Fraction
-from importlib.resources import files
 
+from fbe import checks
 from fbe.expansion import (
     DigitString,
-    error_budget,
     fbe_expand,
     fbe_expand_trace,
     get_spec,
-    group1_value_bound,
-    group1_value_enclosure,
     ifbe_evaluate_trace,
     parse_digits,
 )
-from fbe.fixedpoint import (
-    DomainError,
-    FixedPointError,
-    Layout,
-    make,
-    nonrestoring_isqrt,
-    parse,
-    render,
-)
+from fbe.fixedpoint import Layout, make, nonrestoring_isqrt
 from fbe.synth import SYNTH_SPEC, SynthConfig, synthesize
 
 
@@ -57,45 +46,15 @@ def _synth(cache, family, n, m, policy="garbage", square="shift_add"):
     return cache[key]
 
 
-def _valid_raws(sc):
-    for raw in range(1 << sc.config.m):
-        try:
-            sc.spec.encode(make(raw, sc.layout).value, sc.layout)
-        except (DomainError, FixedPointError):
-            continue
-        yield raw
-
-
 # ------------------------------------------------------------- criterion 1
 
 def test_criterion_1_golden_rows():
     t0 = time.perf_counter()
-    cache: dict = {}
-    failures = []
-    cases = 0
-    text = files("fbe").joinpath("data/table2.txt").read_text()
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        family, m, n, inp, want = line.split()[:5]
-        informational = line.endswith("informational")
-        sc = _synth(cache, family, int(n), int(m))
-        if sc.group == 1:
-            state = sc.circuit.simulate_basis(
-                sc.encode_input(parse(inp, signed=sc.layout.signed).value))
-            got = sc.decode_digits(state).text(sc.digits_point)
-        else:
-            state = sc.circuit.simulate_basis(sc.encode_digits(inp))
-            out, infinite = sc.decode_value(state)
-            got = "infinite" if infinite else render(out)
-        if informational:
-            continue
-        cases += 1
-        if got != want:
-            failures.append(f"{family} {inp}: want {want} got {got}")
+    rows = [row[:4] for row in checks.table2_rows() if not row[4]]
+    failures = [f"{family} {inp}: want {want} got {got}"
+                for family, inp, want, got in rows if got != want]
     check(not failures, 1,
-          f"{cases - len(failures)}/{cases} golden rows bit-exact"
+          f"{len(rows) - len(failures)}/{len(rows)} golden rows bit-exact"
           + (f"; {failures}" if failures else "")
           + " (exp rows informational)", t0, 10.0)
 
@@ -167,32 +126,15 @@ def test_criterion_3_digit_exactness_against_wide_oracle():
         per_m = []
         for m in (6, 8, 10):
             sc = _synth(cache, family, m, m)
-            spec = sc.spec
-            lo, hi = group1_value_bound(spec.name, m, m)
-            cases = oracle_bad = circuit_bad = outside = 0
-            err_lo = err_hi = Fraction(0)
-            for raw in _valid_raws(sc):
-                x = make(raw, sc.layout).value
-                cases += 1
-                got = fbe_expand(spec, x, m, m)
-                oracle = fbe_expand(spec, x, m, 4 * m).digits
-                state = sc.circuit.simulate_basis(sc.encode_input(x))
-                if sc.decode_digits(state).digits != got.digits:
-                    circuit_bad += 1
-                if got.digits != oracle:
-                    oracle_bad += 1
-                f_lo, f_hi = group1_value_enclosure(spec.name, x, m)
-                e_lo, e_hi = f_lo - got.value(), f_hi - got.value()
-                if not (lo <= e_lo and e_hi <= hi):
-                    outside += 1
-                err_lo, err_hi = min(err_lo, e_lo), max(err_hi, e_hi)
+            cases, circuit_bad, oracle_bad = checks.group1_digits(sc)
+            lo, hi, outside, err_lo, err_hi = checks.group1_values(sc)
             circuit_bad_total += circuit_bad
             outside_total += outside
             ulp = 1 << m
             per_m.append(f"m={m}: {oracle_bad}/{cases} digits off, err "
                          f"[{float(err_lo * ulp):+.2f}, {float(err_hi * ulp):+.2f}]"
                          f" in [{float(lo * ulp):+.2f}, {float(hi * ulp):+.2f}) ulp")
-        notes.append(f"{spec.name} " + ", ".join(per_m))
+        notes.append(f"{sc.spec.name} " + ", ".join(per_m))
     check(circuit_bad_total == 0 and outside_total == 0, 3,
           f"circuit==classical everywhere (mismatches {circuit_bad_total}), "
           f"values proven inside group1_value_bound (outside {outside_total}) "
@@ -202,12 +144,6 @@ def test_criterion_3_digit_exactness_against_wide_oracle():
 
 # ------------------------------------------------------------- criterion 4
 
-def _worst_strings(name, n):
-    if name == "exp2":
-        return [(1,) * n, (0,) * (n - 1) + (1,), tuple(i % 2 for i in range(n))]
-    return [(1,) + (0,) * (n - 1), (1,) * n, (0,) + (1,) * (n - 1)]
-
-
 def test_criterion_4_value_bounds():
     t0 = time.perf_counter()
     rng = random.Random(40)
@@ -215,26 +151,14 @@ def test_criterion_4_value_bounds():
     clauses = []
     ok = True
 
-    for name, true_fn in (("exp2", lambda x: 2.0 ** x),
-                          ("cos", lambda x: math.cos(math.pi * x))):
-        spec = get_spec(name)
-        worst_seen, bound_min = 0.0, 1.0
-        good = total = 0
-        for m in (12, 16):
-            bound = float(error_budget(name, n, m).bound)
-            bound_min = min(bound_min, bound)
-            strings = _worst_strings(name, n) + [
-                tuple(rng.randrange(2) for _ in range(n)) for _ in range(500)]
-            for bits in strings:
-                ds = DigitString(bits)
-                (out, _), _ = ifbe_evaluate_trace(spec, ds, m)
-                err = abs(float(out.value) - true_fn(float(ds.value())))
-                worst_seen = max(worst_seen, err)
-                total += 1
-                good += err < bound
-        ok &= good == total
-        clauses.append(f"{name} {good}/{total} under bound "
-                       f"(worst {worst_seen:.2e}, tightest {bound_min:.2e})")
+    for name in ("exp2", "cos"):
+        budgets, cases, under, worst = zip(
+            *(checks.group2_errors(name, n, m, 500, rng) for m in (12, 16)))
+        ok &= under == cases
+        clauses.append(
+            f"{name} {sum(under)}/{sum(cases)} under bound (worst "
+            f"{max(worst):.2e}, tightest "
+            f"{min(float(b.bound) for b in budgets):.2e})")
 
     # arccos: the emitted value carries at least m/2+1 exact bits
     spec = get_spec("arccos")
@@ -285,7 +209,7 @@ def test_criterion_5_circuit_matches_recurrence():
                                           (1, 2, 3, 4, 5), (5, 6, 7, 8)):
         sc = _synth(cache, family, n, m)
         if sc.group == 1:
-            args = [make(raw, sc.layout).value for raw in _valid_raws(sc)]
+            args = [make(raw, sc.layout).value for raw in checks.valid_raws(sc)]
         else:
             args = [DigitString(bits)
                     for bits in itertools.product((0, 1), repeat=n)]
@@ -300,21 +224,16 @@ def test_criterion_5_circuit_matches_recurrence():
     for family in sorted(SYNTH_SPEC):
         for n, m in palette:
             sc = _synth(cache, family, n, m)
-            raws = (list(_valid_raws(sc))
+            raws = (list(checks.valid_raws(sc))
                     if sc.group == 1 and (1 << m) <= 4096 else None)
             for _ in range(50):
                 if sc.group == 1:
                     if raws is not None:
                         raw = rng.choice(raws)
                     else:
-                        while True:
+                        raw = rng.randrange(1 << m)
+                        while not checks.is_valid_raw(sc, raw):
                             raw = rng.randrange(1 << m)
-                            try:
-                                sc.spec.encode(make(raw, sc.layout).value,
-                                               sc.layout)
-                                break
-                            except (DomainError, FixedPointError):
-                                continue
                     arg = make(raw, sc.layout).value
                 else:
                     arg = DigitString(tuple(rng.randrange(2)
@@ -416,24 +335,10 @@ def test_criterion_7_reversibility_and_clean_ancillae():
     for family in sorted(SYNTH_SPEC):
         for policy in ("garbage", "clean"):
             sc = synthesize(SynthConfig(family, 3, 6, policy))
-            inv = sc.circuit.inverse()
+            inverse_bad, _, misses = checks.reversibility(sc, rng, 100)
             circuits += 1
-            for _ in range(100):
-                start = rng.randrange(1 << sc.n_qubits)
-                if inv.simulate_basis(sc.circuit.simulate_basis(start)) != start:
-                    identity_bad += 1
-            if sc.group == 1:
-                starts = [sc.encode_input(make(r, sc.layout).value)
-                          for r in _valid_raws(sc)]
-            else:
-                starts = [sc.encode_digits(DigitString(bits))
-                          for bits in itertools.product((0, 1), repeat=3)]
-            for start in starts:
-                state = sc.circuit.simulate_basis(start)
-                if any(reg.extract(state)
-                       for reg in sc.circuit.registers.values()
-                       if reg.role == "ancilla-clean"):
-                    ancilla_bad += 1
+            identity_bad += inverse_bad
+            ancilla_bad += misses
     check(identity_bad == 0 and ancilla_bad == 0, 7,
           f"inverse(c)|c(x)> == |x> on 100 random basis states for each of "
           f"{circuits} circuits ({identity_bad} misses); clean ancillae "

@@ -250,6 +250,12 @@ def test_import_error_lines():
         import_text("qubits 0\n")
     with pytest.raises(CircuitError, match="line 1"):
         import_text("qubits \u00b2\n")  # isdigit() but not int()
+    # the header is capped, and a huge one is refused before int() sees it
+    with pytest.raises(CircuitError, match="^line 2: more than 1048576 qubits"):
+        import_text("# big\nqubits 10000000000\nx q[9999999999]\n")
+    with pytest.raises(CircuitError, match="^line 1: more than 1048576 qubits"):
+        import_text("qubits " + "9" * 5000 + "\n")
+    assert import_text("qubits 0001048576\n").n_qubits == 1 << 20
 
 
 def test_import_skips_comments():
@@ -392,6 +398,15 @@ def test_sparse_permutation_agrees_with_basis():
     for s in (0, 5, 63, 17):
         amps = c.simulate_sparse(s)
         assert amps == {c.simulate_basis(s): 1.0 + 0j}
+    # a start outside the register file is refused as in basis mode,
+    # whether given as one state or as a key of an amplitude dict
+    for bad in (-1, 1 << 6, 1 << 40):
+        with pytest.raises(CircuitError, match="outside the register file"):
+            c.simulate_basis(bad)
+        with pytest.raises(CircuitError, match="outside the register file"):
+            c.simulate_sparse(bad)
+        with pytest.raises(CircuitError, match="outside the register file"):
+            c.simulate_sparse({0: 0.6 + 0j, bad: 0.8 + 0j})
 
 
 def test_sparse_cap():

@@ -1,4 +1,10 @@
-"""Exercise the command line through main(argv), not a subprocess."""
+"""Exercise the command line through main(argv); only the determinism
+check also runs it in subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,11 +156,17 @@ def test_verify_fast_suites_pass(capsys):
 
 
 def test_verify_all_deterministic_and_exit_1(capsys):
-    code1, out1, _ = run(capsys, "verify", "all")
-    code2, out2, _ = run(capsys, "verify", "all")
-    assert code1 == code2 == 1
-    assert out1 == out2
-    assert "verdict: FAIL" in out1
+    # the repeats run in fresh interpreters under two hash seeds, so a
+    # dependence on hash randomization would show
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 1
+    assert "verdict: FAIL" in out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "fbe.cli", "verify", "all"],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (code, out), seed
 
 
 def test_bench_lists_all_families(capsys):

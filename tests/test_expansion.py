@@ -164,12 +164,6 @@ def test_cos_signed_equals_unsigned_everywhere():
             assert a == b, d
 
 
-def test_cot_inf_alias_matches():
-    a, _ = ifbe_evaluate(get_spec("cot"), bits(0, 1, 1), 8)
-    b, _ = ifbe_evaluate(get_spec("cot-inf"), bits(0, 1, 1), 8)
-    assert a == b
-
-
 def test_radix_strings_agree_with_binary():
     rng = random.Random(3)
     spec2 = get_spec("log2")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fbe import checks
 from fbe.circuit import CircuitError, Gate, import_text
 from fbe.expansion import DigitString, fbe_expand_trace, ifbe_evaluate_trace
 from fbe.fixedpoint import DomainError, make, render
@@ -28,12 +29,6 @@ def valid_raws(sc: SynthesizedCircuit):
     return out
 
 
-def clean_ancillae_ok(sc: SynthesizedCircuit, state: int) -> bool:
-    return all(reg.extract(state) == 0
-               for reg in sc.circuit.registers.values()
-               if reg.role == "ancilla-clean")
-
-
 def run_forward(sc, raw):
     state = sc.circuit.simulate_basis(sc.encode_input(make(raw, sc.layout).value))
     return state, sc.decode_digits(state)
@@ -52,7 +47,7 @@ def test_forward_exhaustive_bit_exact(fn, policy):
         chain = sc.chain_values(state)
         assert [c.raw for c in chain] == [t.raw for t in trace[:3]], (fn, raw)
         if policy == "clean":
-            assert clean_ancillae_ok(sc, state), (fn, raw)
+            assert checks.clean_ancillae_zero(sc, state), (fn, raw)
 
 
 @pytest.mark.parametrize("fn", INVERSE)
@@ -76,7 +71,7 @@ def test_inverse_exhaustive_bit_exact(fn, policy):
             assert [c.raw for c in chain[:-1]] == \
                 [t.raw for t in trace[:n]], (fn, bits)
         if policy == "clean":
-            assert clean_ancillae_ok(sc, state), (fn, bits)
+            assert checks.clean_ancillae_zero(sc, state), (fn, bits)
 
 
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
@@ -177,10 +172,7 @@ def test_inverse_circuit_round_trips(fn, policy):
 
     rng = random.Random(f"{fn}/{policy}")
     sc = synthesize(SynthConfig(fn, 3, 6, policy))
-    inv = sc.circuit.inverse()
-    for _ in range(25):
-        start = rng.randrange(1 << sc.n_qubits)
-        assert inv.simulate_basis(sc.circuit.simulate_basis(start)) == start
+    assert checks.reversibility(sc, rng, 25, inputs=0)[0] == 0
 
 
 def test_superposed_digits_split_into_two_branches():
