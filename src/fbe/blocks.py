@@ -16,26 +16,46 @@ toward zero, matching the classical fixed-point routines bit for bit.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Optional
 
-from .circuit import Circuit, CircuitError, Gate, Register, xgate
+from .circuit import X_KINDS, Circuit, CircuitError, Gate, Register
 
 POLICIES = ("garbage", "clean")
+# Gate((kind, targets, controls, neg_mask)) without Gate's checks
+_record = partial(tuple.__new__, Gate)
+
+
+def _merge(qs: tuple[int, ...], neg: int, ctl) -> tuple[tuple[int, ...], int]:
+    """Controls qs with their neg_mask, followed by the (qubit, positive?)
+    pairs of ctl, as (qubits, neg_mask)."""
+    if ctl:
+        more, pos = zip(*ctl)
+        if False in pos:
+            for i, p in enumerate(pos, len(qs)):
+                if not p:
+                    neg |= 1 << i
+        qs += more
+    return qs, neg
 
 
 class Builder:
     """Accumulates gates and registers, then materialises a Circuit.
 
     Qubits are allocated in ascending order so registers stay contiguous.
-    The control context stack (see controls()) is merged into every
-    X-family gate and swap emitted while it is active.
+    The control context (see controls()), kept as (qubits, neg_mask), is
+    merged into every X-family gate and swap emitted while it is active.
+    Gates are built as records without Gate's shape checks, and finish()
+    hands them to the circuit without Circuit.add's range check: every
+    qubit they name comes from alloc(), and the emitters never reuse one
+    within a gate.
     """
 
     def __init__(self):
         self.n = 0
         self.gates: list[Gate] = []
         self.regs: list[Register] = []
-        self.ctx: list[tuple[int, bool]] = []
+        self.ctx: tuple[tuple[int, ...], int] = ((), 0)
 
     def alloc(self, size: int) -> tuple[int, ...]:
         bits = tuple(range(self.n, self.n + size))
@@ -58,12 +78,12 @@ class Builder:
     @contextmanager
     def controls(self, ctl):
         """Predicate everything emitted inside on (qubit, positive?) pairs."""
-        mark = len(self.ctx)
-        self.ctx.extend(ctl)
+        saved = self.ctx
+        self.ctx = _merge(*saved, tuple(ctl))
         try:
             yield
         finally:
-            del self.ctx[mark:]
+            self.ctx = saved
 
     @contextmanager
     def capture(self):
@@ -82,26 +102,29 @@ class Builder:
         self.gates.extend(reversed(gates) if reverse else gates)
 
     def flip(self, target: int, extra=()):
-        self.gates.append(xgate(target, tuple(self.ctx) + tuple(extra)))
+        """X on target under the context plus (qubit, positive?) extra."""
+        qs, neg = _merge(*self.ctx, extra)
+        kind = X_KINDS[len(qs)] if len(qs) < 3 else "mcx"
+        self.gates.append(_record((kind, (target,), qs, neg)))
 
     def swap2(self, a: int, b: int):
-        ctl = tuple(self.ctx)
-        if not ctl:
-            self.gates.append(Gate("swap", (a, b)))
-        elif len(ctl) == 1:
-            q, pos = ctl[0]
-            self.gates.append(Gate("cswap", (a, b), (q,), 0 if pos else 1))
+        qs, neg = self.ctx
+        if not qs:
+            self.gates.append(_record(("swap", (a, b), (), 0)))
+        elif len(qs) == 1:
+            self.gates.append(_record(("cswap", (a, b), qs, neg)))
         else:
             # fredkin sandwich: swap = cx . controlled-x . cx
-            self.gates.append(Gate("cx", (a,), (b,)))
-            self.gates.append(xgate(b, ctl + ((a, True),)))
-            self.gates.append(Gate("cx", (a,), (b,)))
+            cx = _record(("cx", (a,), (b,), 0))
+            self.gates.append(cx)
+            self.flip(b, [(a, True)])
+            self.gates.append(cx)
 
     def finish(self) -> Circuit:
         c = Circuit(max(self.n, 1))
         for r in self.regs:
             c.add_register(r)
-        c.extend(self.gates)
+        c.gates = list(self.gates)
         return c
 
 

@@ -13,15 +13,26 @@ amplitudes.  Compile keeps masks only for the qubits gates touch, so its
 memory does not grow with the declared qubit count.  Gate lists,
 resource counts and the text form never see the fusion.
 
+A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
+whose fields read by name as well.  Its checks run where gates come from
+outside: the Gate constructor (and xgate) checks the shape and that no
+qubit repeats, Circuit.add and Circuit.extend check every qubit against
+the register file, and import_text runs both on each gate line.  Gates
+that blocks.Builder makes skip them by construction: it allocates every
+qubit it names and builds its records with tuple.__new__.
+
 The text form is line oriented and round-trips exactly.  Synthesis
 replays blocks with the same gate objects, so the text repeats itself:
 export formats each gate object once, and import parses and checks each
-distinct gate line once, appending the same frozen Gate on every repeat.
+distinct gate line once, appending the same Gate on every repeat, and
+parses each distinct operand token once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 X_KINDS = ("x", "cx", "ccx", "mcx")
@@ -49,36 +60,48 @@ class SimulationLimit(CircuitError):
     """Sparse simulation exceeded the configured term budget."""
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    targets: tuple[int, ...]
-    controls: tuple[int, ...] = ()
-    neg_mask: int = 0  # bit i set = controls[i] fires on |0>
+class Gate(tuple):
+    """One gate as the tuple (kind, targets, controls, neg_mask), its
+    fields also readable by name; bit i of neg_mask set = controls[i]
+    fires on |0>.  Gate(...) checks the shape, tuple.__new__ does not."""
 
-    def __post_init__(self):
-        k = self.kind
-        nt, nc = len(self.targets), len(self.controls)
+    __slots__ = ()
+
+    def __new__(cls, kind: str, targets: tuple[int, ...],
+                controls: tuple[int, ...] = (), neg_mask: int = 0) -> "Gate":
+        nt, nc = len(targets), len(controls)
         ok = (
-            (k == "x" and nt == 1 and nc == 0)
-            or (k == "cx" and nt == 1 and nc == 1)
-            or (k == "ccx" and nt == 1 and nc == 2)
-            or (k == "mcx" and nt == 1 and nc >= 3)
-            or (k == "swap" and nt == 2 and nc == 0)
-            or (k == "cswap" and nt == 2 and nc == 1)
-            or (k == "h" and nt == 1 and nc == 0)
+            (kind == "x" and nt == 1 and nc == 0)
+            or (kind == "cx" and nt == 1 and nc == 1)
+            or (kind == "ccx" and nt == 1 and nc == 2)
+            or (kind == "mcx" and nt == 1 and nc >= 3)
+            or (kind == "swap" and nt == 2 and nc == 0)
+            or (kind == "cswap" and nt == 2 and nc == 1)
+            or (kind == "h" and nt == 1 and nc == 0)
         )
         if not ok:
-            raise CircuitError(f"bad gate shape {k} targets={nt} controls={nc}")
-        seen = set(self.targets) | set(self.controls)
-        if len(seen) != nt + nc:
-            raise CircuitError(f"{k} reuses a qubit: {self.targets} {self.controls}")
-        if self.neg_mask >> nc:
+            raise CircuitError(f"bad gate shape {kind} targets={nt} controls={nc}")
+        if len(set(targets) | set(controls)) != nt + nc:
+            raise CircuitError(f"{kind} reuses a qubit: {targets} {controls}")
+        if neg_mask >> nc:
             raise CircuitError("neg_mask wider than the control list")
+        return tuple.__new__(cls, (kind, targets, controls, neg_mask))
+
+    kind = property(itemgetter(0))
+    targets = property(itemgetter(1))
+    controls = property(itemgetter(2))
+    neg_mask = property(itemgetter(3))
 
     @property
     def qubits(self) -> tuple[int, ...]:
-        return self.controls + self.targets
+        return self[2] + self[1]
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a record through __new__'s four fields
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "Gate(kind=%r, targets=%r, controls=%r, neg_mask=%r)" % self
 
 
 def xgate(target: int, controls: Iterable[tuple[int, bool]] = ()) -> Gate:
@@ -186,22 +209,21 @@ class Circuit:
         # condition and target of its last gate, which a cascade goes on
         # from; lt is 0 once a run holds two gates under one condition
         op = cm = cv = mask = step = lcm = lcv = lt = None
-        for g in self.gates:
-            gcm = gcv = sum(map(bit, g.controls))
-            neg = g.neg_mask
+        for kind, targets, controls, neg in self.gates:
+            gcm = gcv = sum(map(bit, controls))
             while neg:
                 low = neg & -neg
-                gcv -= bit(g.controls[low.bit_length() - 1])
+                gcv -= bit(controls[low.bit_length() - 1])
                 neg ^= low
-            t = bit(g.targets[0])
-            if g.kind not in X_KINDS:
+            t = bit(targets[0])
+            if kind not in X_KINDS:
                 if op is not None:
                     prog.append((cm, cv, op, mask, step))
                     op = None
-                if g.kind == "h":
+                if kind == "h":
                     prog.append((0, 0, _H, t, 0))
                 else:
-                    prog.append((gcm, gcv, _SWAP, t | bit(g.targets[1]), 0))
+                    prog.append((gcm, gcv, _SWAP, t | bit(targets[1]), 0))
                 continue
             if op is not None:
                 if step == 0 and gcm == cm and gcv == cv:
@@ -292,25 +314,14 @@ class Circuit:
         mcx with k controls is priced at 2(k-1)-1 toffolis and k-2 borrow
         ancillas; swap is 3 cx; cswap is 1 ccx and 2 cx.
         """
-        kinds = {k: 0 for k in ("x", "cx", "ccx", "mcx", "swap", "cswap", "h")}
-        ccx_equiv = 0
-        cx_equiv = 0
-        borrow = 0
-        for g in self.gates:
-            kinds[g.kind] += 1
-            if g.kind == "mcx":
-                k = len(g.controls)
-                ccx_equiv += 2 * (k - 1) - 1
-                borrow = max(borrow, k - 2)
-            elif g.kind == "ccx":
-                ccx_equiv += 1
-            elif g.kind == "cswap":
-                ccx_equiv += 1
-                cx_equiv += 2
-            elif g.kind == "swap":
-                cx_equiv += 3
-            elif g.kind == "cx":
-                cx_equiv += 1
+        kinds = dict.fromkeys(("x", "cx", "ccx", "mcx", "swap", "cswap", "h"), 0)
+        kinds.update(Counter(map(itemgetter(0), self.gates)))
+        # control count -> gates; only mcx gates have three or more
+        widths = Counter(map(len, map(itemgetter(2), self.gates)))
+        mcx = [(k, n) for k, n in widths.items() if k >= 3]
+        ccx_equiv = kinds["ccx"] + kinds["cswap"] + sum(n * (2 * k - 3) for k, n in mcx)
+        cx_equiv = kinds["cx"] + 2 * kinds["cswap"] + 3 * kinds["swap"]
+        borrow = max((k - 2 for k, _ in mcx), default=0)
         roles: dict[str, int] = {}
         for r in self.registers.values():
             roles[r.role] = roles.get(r.role, 0) + r.size
@@ -330,14 +341,14 @@ class Circuit:
 def _gate_text(g: Gate, expand_negative_controls: bool) -> str:
     """A gate's line; with expansion, a negative control instead becomes
     a positive one between two x lines on its qubit."""
-    neg = g.neg_mask
+    kind, targets, controls, neg = g
     pre = post = ""
     if expand_negative_controls and neg:
-        flips = "".join(f"x q[{q}]\n" for i, q in enumerate(g.controls) if (neg >> i) & 1)
+        flips = "".join(f"x q[{q}]\n" for i, q in enumerate(controls) if (neg >> i) & 1)
         pre, post, neg = flips, "\n" + flips[:-1], 0
-    ops = [f"!q[{q}]" if (neg >> i) & 1 else f"q[{q}]" for i, q in enumerate(g.controls)]
-    ops += [f"q[{t}]" for t in g.targets]
-    return f"{pre}{g.kind} {','.join(ops)}{post}"
+    ops = [f"!q[{q}]" if (neg >> i) & 1 else f"q[{q}]" for i, q in enumerate(controls)]
+    ops += [f"q[{t}]" for t in targets]
+    return f"{pre}{kind} {','.join(ops)}{post}"
 
 
 def export_text(c: Circuit, expand_negative_controls: bool = False) -> str:
@@ -365,9 +376,11 @@ def import_text(text: str) -> Circuit:
     """Parse the text form.  Every line is checked in order and the first
     bad one is named in the error.  A gate line seen before in this text
     was already checked against this circuit, so it appends the same
-    frozen Gate without being parsed again."""
+    Gate without being parsed again; an operand token parsed before
+    reuses its (qubit, negated) pair, and the gate is checked as usual."""
     c: Optional[Circuit] = None
     seen: dict[str, Gate] = {}
+    operands: dict[str, tuple[int, bool]] = {}  # only tokens that parsed
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         g = seen.get(rawline)
         if g is not None:  # only checked gate lines are kept, so c is set
@@ -421,16 +434,19 @@ def import_text(text: str) -> Circuit:
         qs = []
         negs = 0  # bit i set = operand i carries a !
         for tok in toks[1].split(","):
-            body = tok
-            if tok.startswith("!"):
-                body = tok[1:]
-                negs |= 1 << len(qs)
-            if not (body.startswith("q[") and body.endswith("]")):
-                raise CircuitError(f"line {lineno}: bad operand {tok!r}")
-            try:
-                qs.append(int(body[2:-1]))
-            except ValueError:
-                raise CircuitError(f"line {lineno}: bad qubit index in {tok!r}") from None
+            op = operands.get(tok)
+            if op is None:
+                neg = tok.startswith("!")
+                body = tok[neg:]
+                if not (body.startswith("q[") and body.endswith("]")):
+                    raise CircuitError(f"line {lineno}: bad operand {tok!r}")
+                try:
+                    op = operands[tok] = (int(body[2:-1]), neg)
+                except ValueError:
+                    raise CircuitError(f"line {lineno}: bad qubit index in {tok!r}") from None
+            q, neg = op
+            negs |= neg << len(qs)
+            qs.append(q)
         n_ctl = len(qs) - (2 if head in ("swap", "cswap") else 1)
         if n_ctl < 0:
             raise CircuitError(f"line {lineno}: not enough operands")

@@ -261,6 +261,8 @@ def verify_group1(args) -> list[VerificationReport]:
 
 def verify_group2(args) -> list[VerificationReport]:
     m = args.m or 12
+    if m < 5:
+        raise DomainError(f"group2-bounds needs --m of at least 5, not {m}")
     n = min(args.n or 8, m - 4)
     rng = random.Random(args.seed)
     reports = []
@@ -365,6 +367,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 0:
+        raise DomainError(f"--cases must be 0 or more, not {args.cases}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:

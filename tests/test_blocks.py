@@ -14,7 +14,6 @@ from fbe.blocks import (
     build_shift,
     build_sqrt,
     build_square,
-    copy_bits,
     decrement,
     div_frame_width,
     div_stages,
@@ -24,9 +23,7 @@ from fbe.blocks import (
     rotate_right1,
     shift_wraps,
     sqrt_frame_width,
-    sqrt_stages,
     square_into,
-    square_via_root,
     sub_from,
 )
 from fbe.circuit import CircuitError
@@ -302,6 +299,24 @@ def test_negative_polarity_context():
     for x in range(16):
         assert c.simulate_basis(x << 1) == ((x + 1) % 16) << 1
         assert c.simulate_basis((x << 1) | 1) == ((x << 1) | 1)
+
+
+@pytest.mark.parametrize("polarity", [(), (False,), (True, False), (False, True, False)])
+def test_rotate_under_each_context(polarity):
+    # swap2 emits swap, cswap or a cx/X/cx sandwich by context width
+    b = Builder()
+    ctl = b.alloc(len(polarity))
+    bits = b.alloc(3)
+    with b.controls(list(zip(ctl, polarity))):
+        rotate_right1(b, bits)
+    c = b.finish()
+    k = len(polarity)
+    fire = sum(1 << i for i, pos in enumerate(polarity) if pos)
+    for st in range(1 << (k + 3)):
+        x = st >> k
+        if st & ((1 << k) - 1) == fire:
+            x = (x >> 1) | ((x & 1) << 2)
+        assert c.simulate_basis(st) == (x << k) | (st & ((1 << k) - 1))
 
 
 def test_block_inverses_round_trip():

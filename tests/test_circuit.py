@@ -263,6 +263,21 @@ def test_import_skips_comments():
     assert len(c.gates) == 1
 
 
+def test_import_operand_memo_keeps_checks():
+    # a token that failed to parse is not remembered: its first line is named
+    with pytest.raises(CircuitError, match=r"^line 3: bad qubit index in 'q\[x\]'"):
+        import_text("qubits 4\nx q[0]\ncx q[x],q[1]\ncx q[x],q[2]\n")
+    c = import_text("qubits 5\ncx q[3],q[0]\ncx !q[3],q[1]\ncx q[3],q[2]\n")
+    assert [g.neg_mask for g in c.gates] == [0, 1, 0]
+    assert c.simulate_basis(0b00000) == 0b00010
+    assert c.simulate_basis(0b01000) == 0b01101
+    # remembered tokens still meet the gate and range checks
+    with pytest.raises(CircuitError, match="^line 3: cx reuses a qubit"):
+        import_text("qubits 2\ncx q[0],q[1]\ncx q[1],q[1]\n")
+    with pytest.raises(CircuitError, match=r"^line 3: qubit 9 outside 0\.\.1"):
+        import_text("qubits 2\ncx q[0],q[1]\ncx q[0],q[9]\n")
+
+
 def test_import_memo_matches_line_by_line():
     c = synthesize(SynthConfig("cos", n=2, m=5, policy="clean")).circuit
     lines = export_text(c).splitlines()

@@ -155,6 +155,18 @@ def test_verify_fast_suites_pass(capsys):
         assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("argv, names", [
+    (("group2-bounds", "--cases", "-5"), "--cases"),
+    (("reversibility", "--cases", "-3"), "--cases"),
+    (("group2-bounds", "--m", "4"), "--m of at least 5"),
+])
+def test_verify_flag_out_of_range_exits_2(capsys, argv, names):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+
+
 def test_verify_all_deterministic_and_exit_1(capsys):
     # the repeats run in fresh interpreters under two hash seeds, so a
     # dependence on hash randomization would show

@@ -8,9 +8,6 @@ import pytest
 
 from fbe.expansion import (
     DigitString,
-    DomainReduction,
-    ErrorBudget,
-    builtin_specs,
     derived_eval,
     error_budget,
     fbe_expand,
@@ -24,7 +21,7 @@ from fbe.expansion import (
     parse_digits,
     plouffe_arctan_bits,
 )
-from fbe.fixedpoint import DomainError, Layout, from_value, make, render
+from fbe.fixedpoint import DomainError, make, render
 
 
 def bits(*d):

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from fbe import fixedpoint as fp
 from fbe.fixedpoint import (
     DomainError,
     FixedOverflow,

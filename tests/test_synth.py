@@ -1,12 +1,13 @@
 """Synthesized circuits against the classical recurrences."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from fbe import checks
-from fbe.circuit import CircuitError, Gate, import_text
+from fbe.circuit import CircuitError, Gate, export_text, import_text
 from fbe.expansion import DigitString, fbe_expand_trace, ifbe_evaluate_trace
 from fbe.fixedpoint import DomainError, make, render
 from fbe.synth import SYNTH_SPEC, SynthConfig, SynthesizedCircuit, synthesize
@@ -204,6 +205,27 @@ def test_synthesis_is_deterministic():
     a = synthesize(SynthConfig("arccot", 3, 7, "clean")).export()
     b = synthesize(SynthConfig("arccot", 3, 7, "clean")).export()
     assert a == b
+
+
+# SHA-256 of the concatenated export_text of the 288 circuits below.  A
+# change that alters circuits on purpose updates it and says so.
+BUILDER_DIGEST = "295085f8cb9c96f80b910c286f6368e95733bd671aa953f26ab7abf725c86b1b"
+
+
+def test_builder_circuits_digest_and_gate_checks():
+    # Builder makes gates without Gate's checks: pin what it emits, and
+    # put every distinct gate through the checked constructor
+    digest = hashlib.sha256()
+    for fn, policy, square in itertools.product(
+            FORWARD + INVERSE, ("garbage", "clean"), ("shift_add", "reversed_sqrt")):
+        for n in range(1, 4):
+            for m in range(5, 9):
+                c = synthesize(SynthConfig(fn, n, m, policy, square)).circuit
+                digest.update(export_text(c).encode())
+                for g in set(c.gates):
+                    assert Gate(*g) == g
+                    assert max(g.qubits) < c.n_qubits
+    assert digest.hexdigest() == BUILDER_DIGEST
 
 
 def test_export_import_simulates_identically():
