@@ -9,6 +9,10 @@ extra qubits without touching its internals.  The upper layer wraps each
 emitter into a standalone circuit with named registers, which is what the
 tests and the command line exercise directly.
 
+The Builder owns the ancilla policy: blocks compute into Builder.scratch,
+copy out, and pass the compute block to Builder.uncompute, which undoes
+it only under "clean" (Bennett's compute-copy-uncompute).
+
 All arithmetic is two's complement on fixed-width registers, truncation
 toward zero, matching the classical fixed-point routines bit for bit.
 """
@@ -49,9 +53,18 @@ class Builder:
     hands them to the circuit without Circuit.add's range check: every
     qubit they name comes from alloc(), and the emitters never reuse one
     within a gate.
+
+    The Builder owns the ancilla policy; `clean` says which is in force.
+    scratch() gives a register in the matching role, compute() emits and
+    records its body, and uncompute() appends that reversed under clean
+    only.  inverted() emits its body's inverse under either policy: every
+    gate here is self-inverse, so reversed order is the inverse.
     """
 
-    def __init__(self):
+    def __init__(self, policy: str = "garbage"):
+        if policy not in POLICIES:
+            raise CircuitError(f"unknown ancilla policy {policy!r}")
+        self.clean = policy == "clean"
         self.n = 0
         self.gates: list[Gate] = []
         self.regs: list[Register] = []
@@ -85,21 +98,29 @@ class Builder:
         finally:
             self.ctx = saved
 
-    @contextmanager
-    def capture(self):
-        """Divert emitted gates into a list instead of the circuit."""
-        saved = self.gates
-        self.gates = []
-        box: list[Gate] = []
-        try:
-            yield box
-        finally:
-            box.extend(self.gates)
-            self.gates = saved
+    def scratch(self, name: str, size: int) -> Register:
+        """A block-internal register, returned clean only under clean."""
+        return self.reg(name, "ancilla-clean" if self.clean else "garbage", size)
 
-    def replay(self, gates, reverse: bool = False):
-        # every gate in this set is self-inverse, so reversed order = inverse
-        self.gates.extend(reversed(gates) if reverse else gates)
+    @contextmanager
+    def compute(self):
+        """Emit the body and record its gates for uncompute()."""
+        start = len(self.gates)
+        done: list[Gate] = []
+        yield done
+        done.extend(self.gates[start:])
+
+    def uncompute(self, done):
+        """Append a compute() block reversed under clean; no-op under garbage."""
+        if self.clean:
+            self.gates.extend(reversed(done))
+
+    @contextmanager
+    def inverted(self):
+        """Emit the inverse of the body: its gates in reverse order."""
+        start = len(self.gates)
+        yield
+        self.gates[start:] = self.gates[start:][::-1]
 
     def flip(self, target: int, extra=()):
         """X on target under the context plus (qubit, positive?) extra."""
@@ -168,9 +189,8 @@ def add_into(b: Builder, src, dst, anc: int):
 
 def sub_from(b: Builder, src, dst, anc: int):
     """dst -= src mod 2^len(dst); exact inverse of add_into."""
-    with b.capture() as gates:
+    with b.inverted():
         add_into(b, src, dst, anc)
-    b.replay(gates, reverse=True)
 
 
 def increment(b: Builder, bits):
@@ -311,9 +331,24 @@ def square_via_root(b: Builder, src, frame, root_tmp, anc: int):
     src = tuple(src)
     k = len(src)
     copy_bits(b, src, root_tmp[:k])
-    with b.capture() as gates:
+    with b.inverted():
         sqrt_stages(b, frame, root_tmp, k, anc)
-    b.replay(gates, reverse=True)
+
+
+def square(b: Builder, method: str, src, dst, root_tmp, anc: int):
+    """dst = src*src into a clean dst of square_width bits, by shift-and-add
+    or by the reversed root walk, which returns the clean root_tmp clean."""
+    if method == "shift_add":
+        square_into(b, src, dst, anc)
+    elif method == "reversed_sqrt":
+        square_via_root(b, src, dst, root_tmp, anc)
+    else:
+        raise CircuitError(f"unknown square method {method!r}")
+
+
+def square_width(k: int, method: str) -> int:
+    """Product width for square(): the reversed walk adds a sign guard."""
+    return 2 * k + (method == "reversed_sqrt")
 
 
 def sqrt_frame_width(magnitude_bits: int) -> tuple[int, int]:
@@ -327,11 +362,6 @@ def div_frame_width(num_bits: int, d_bits: int, q_bits: int) -> int:
 
 
 # ---------------------------------------------------------- block circuits
-
-def _check_policy(policy: str):
-    if policy not in POLICIES:
-        raise CircuitError(f"unknown ancilla policy {policy!r}")
-
 
 def build_adder(width: int, variant: str = "full", frac_bits: int = 0) -> Circuit:
     """|a>|b> -> |a>|a+b mod 2^w>, or the in-place +1 variants.
@@ -413,39 +443,27 @@ def build_square(width: int, out_width: Optional[int] = None, drop_low: int = 0,
     root block backwards instead of shift-and-add.  Under the clean
     policy the wide product is uncomputed after the copy.
     """
-    _check_policy(policy)
+    b = Builder(policy)
     if out_width is None:
         out_width = 2 * width
     if drop_low < 0 or drop_low + out_width > 2 * width:
         raise CircuitError("square window out of range")
-    b = Builder()
     a = b.reg("A", "input", width)
-    direct = method == "shift_add" and out_width == 2 * width and drop_low == 0
-    if direct:
+    if method == "shift_add" and out_width == 2 * width and drop_low == 0:
         p = b.reg("P", "output", out_width)
         anc = b.reg("Anc", "ancilla-clean", 1)
         square_into(b, a.bits, p.bits, anc.bits[0])
         return b.finish()
 
-    wide_w = 2 * width if method == "shift_add" else 2 * width + 1
-    wide = b.reg("W", "garbage" if policy == "garbage" else "ancilla-clean", wide_w)
+    wide = b.scratch("W", square_width(width, method))
     p = b.reg("P", "output", out_width)
-    root_t = None
-    if method == "reversed_sqrt":
-        root_t = b.reg("RootT", "ancilla-clean", width)
-    elif method != "shift_add":
-        raise CircuitError(f"unknown square method {method!r}")
+    root_t = (b.reg("RootT", "ancilla-clean", width).bits
+              if method == "reversed_sqrt" else None)
     anc = b.reg("Anc", "ancilla-clean", 1)
-
-    with b.capture() as make:
-        if method == "shift_add":
-            square_into(b, a.bits, wide.bits, anc.bits[0])
-        else:
-            square_via_root(b, a.bits, wide.bits, root_t.bits, anc.bits[0])
-    b.replay(make)
+    with b.compute() as make:
+        square(b, method, a.bits, wide.bits, root_t, anc.bits[0])
     copy_bits(b, wide.bits[drop_low:drop_low + out_width], p.bits)
-    if policy == "clean":
-        b.replay(make, reverse=True)
+    b.uncompute(make)
     return b.finish()
 
 
@@ -457,29 +475,20 @@ def build_sqrt(width: int, frac_bits: int = 0, policy: str = "garbage") -> Circu
     the remainder and B gets the root.  Clean policy: the root is copied
     off and the walk is reversed, restoring a and every scratch bit.
     """
-    _check_policy(policy)
+    b = Builder(policy)
     frame_w, stages = sqrt_frame_width(width + frac_bits)
-    b = Builder()
-    low = None
-    if frac_bits:
-        low = b.reg("AncLow", "garbage" if policy == "garbage" else "ancilla-clean",
-                    frac_bits)
-    a = b.reg("A", "garbage" if policy == "garbage" else "input", width)
+    low = b.scratch("AncLow", frac_bits).bits if frac_bits else ()
+    a = b.reg("A", "input" if b.clean else "garbage", width)
     high = b.reg("AncHigh", "ancilla-clean", frame_w - width - frac_bits)
-    frame = (low.bits if low else ()) + a.bits + high.bits
-    if policy == "garbage":
-        root = b.reg("B", "output", stages)
-        anc = b.reg("Anc", "ancilla-clean", 1)
-        sqrt_stages(b, frame, root.bits, stages, anc.bits[0])
-    else:
-        root_t = b.reg("RootT", "ancilla-clean", stages)
-        root = b.reg("B", "output", stages)
-        anc = b.reg("Anc", "ancilla-clean", 1)
-        with b.capture() as walk:
-            sqrt_stages(b, frame, root_t.bits, stages, anc.bits[0])
-        b.replay(walk)
+    root_t = b.reg("RootT", "ancilla-clean", stages) if b.clean else None
+    root = b.reg("B", "output", stages)
+    anc = b.reg("Anc", "ancilla-clean", 1)
+    with b.compute() as walk:
+        sqrt_stages(b, low + a.bits + high.bits, (root_t or root).bits, stages,
+                    anc.bits[0])
+    if root_t:
         copy_bits(b, root_t.bits, root.bits)
-        b.replay(walk, reverse=True)
+    b.uncompute(walk)
     return b.finish()
 
 
@@ -491,26 +500,18 @@ def build_reciprocal(width: int, frac_bits: int, policy: str = "garbage") -> Cir
     the true reciprocal fits the width (1/a below 2^int_bits); callers
     own that precondition, and a zero divisor is out of scope.
     """
-    _check_policy(policy)
+    b = Builder(policy)
     q = frac_bits
-    num_w = 2 * q + 1
-    frame_w = div_frame_width(num_w, width, width)
-    b = Builder()
+    frame_w = div_frame_width(2 * q + 1, width, width)
     a = b.reg("A", "input", width)
-    frame = b.reg("R", "garbage" if policy == "garbage" else "ancilla-clean", frame_w)
-    if policy == "garbage":
-        quot = b.reg("B", "output", width)
-        anc = b.reg("Anc", "ancilla-clean", 1)
-        b.flip(frame.bits[2 * q])
-        div_stages(b, frame.bits, a.bits, quot.bits, anc.bits[0])
-    else:
-        quot_t = b.reg("QuotT", "ancilla-clean", width)
-        quot = b.reg("B", "output", width)
-        anc = b.reg("Anc", "ancilla-clean", 1)
-        with b.capture() as walk:
-            b.flip(frame.bits[2 * q])
-            div_stages(b, frame.bits, a.bits, quot_t.bits, anc.bits[0])
-        b.replay(walk)
+    frame = b.scratch("R", frame_w).bits
+    quot_t = b.reg("QuotT", "ancilla-clean", width) if b.clean else None
+    quot = b.reg("B", "output", width)
+    anc = b.reg("Anc", "ancilla-clean", 1)
+    with b.compute() as walk:
+        b.flip(frame[2 * q])
+        div_stages(b, frame, a.bits, (quot_t or quot).bits, anc.bits[0])
+    if quot_t:
         copy_bits(b, quot_t.bits, quot.bits)
-        b.replay(walk, reverse=True)
+    b.uncompute(walk)
     return b.finish()

@@ -123,12 +123,10 @@ def cmd_synth(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        if args.report:
-            print("\n".join(_report_lines(sc)))
     else:
         sys.stdout.write(text)
-        if args.report:
-            print("\n".join(_report_lines(sc)))
+    if args.report:
+        print("\n".join(_report_lines(sc)))
     return 0
 
 
@@ -247,7 +245,7 @@ def verify_group1(args) -> list[VerificationReport]:
     reports = []
     for family in ("log", "arccot"):
         t0 = time.perf_counter()
-        sc = synthesize(SynthConfig(family, m, m, args.policy))
+        sc = synthesize(SynthConfig(family, m, m, args.policy or "garbage"))
         cases, circuit_bad, oracle_bad = checks.group1_digits(sc)
         reports.append(VerificationReport(
             "group1-exact", sc.spec.name, f"m=n={m}", cases,
@@ -269,7 +267,7 @@ def verify_group2(args) -> list[VerificationReport]:
     for name in ("exp2", "cos"):
         t0 = time.perf_counter()
         budget, cases, under, worst = checks.group2_errors(
-            name, n, m, args.cases, rng)
+            name, n, m, 200 if args.cases is None else args.cases, rng)
         reports.append(VerificationReport(
             "group2-bounds", name, f"n={n} m={m}", cases, under,
             under == cases, max_error=worst,
@@ -341,18 +339,20 @@ def verify_blocks(args) -> list[VerificationReport]:
 
 def verify_reversibility(args) -> list[VerificationReport]:
     rng = random.Random(args.seed)
+    n, m = args.n or 3, args.m or 6
+    trials = 25 if args.cases is None else args.cases
     reports = []
     for family in sorted(SYNTH_SPEC):
         t0 = time.perf_counter()
         cases = matches = 0
-        for policy in ("garbage", "clean"):
-            sc = synthesize(SynthConfig(family, 3, 6, policy))
+        for policy in [args.policy] if args.policy else ["garbage", "clean"]:
+            sc = synthesize(SynthConfig(family, n, m, policy))
             inverse_bad, inputs, ancilla_bad = checks.reversibility(
-                sc, rng, 25, 8 if policy == "clean" else 0)
-            cases += 25 + inputs
-            matches += 25 - inverse_bad + inputs - ancilla_bad
+                sc, rng, trials, 8 if policy == "clean" else 0)
+            cases += trials + inputs
+            matches += trials - inverse_bad + inputs - ancilla_bad
         reports.append(VerificationReport(
-            "reversibility", family, "n=3 m=6", cases, matches,
+            "reversibility", family, f"n={n} m={m}", cases, matches,
             cases == matches, wall_time=time.perf_counter() - t0))
     return reports
 
@@ -367,8 +367,12 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.cases < 0:
+    if args.cases is not None and args.cases < 0:
         raise DomainError(f"--cases must be 0 or more, not {args.cases}")
+    for flag in ("n", "m"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise DomainError(f"--{flag} must be 1 or more, not {value}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
@@ -426,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a circuit to text form")
     p.add_argument("function")
     common(p, n_default=3, m_default=6)
-    p.add_argument("--format", choices=("text",), default="text")
     p.add_argument("-o", "--output")
     p.add_argument("--report", action="store_true")
     p.set_defaults(func=cmd_synth)
@@ -439,10 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--policy", choices=("garbage", "clean"), default="garbage")
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--n", type=int, help="digit count (default per suite)")
+    p.add_argument("--m", type=int,
+                   help="register width (default per suite)")
+    p.add_argument("--policy", choices=("garbage", "clean"),
+                   help="ancilla policy (default: both for reversibility, "
+                        "else garbage)")
+    p.add_argument("--cases", type=int,
+                   help="random cases (default 200 for group2-bounds, "
+                        "25 for reversibility)")
     p.add_argument("--seed", type=int, default=20240901)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -11,8 +11,10 @@ The forward evaluators (log, arccos, arccot) read a number from RegI0
 and write digits into RegO; the inverse evaluators (exp, cos, cot) read
 digits from RegO and build the value in the last chain register.  Value
 registers between the ends keep the intermediate chain values, which
-both policies leave in place; the clean policy additionally uncomputes
-every block-internal scratch register.
+both policies leave in place.  The policy itself belongs to the Builder:
+each step computes into scratch from Builder.scratch, copies out, and
+hands the compute block to Builder.uncompute, which returns that scratch
+to zero under the clean policy and leaves it as garbage otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import (
+    POLICIES,
     Builder,
     add_into,
     copy_bits,
@@ -31,8 +34,8 @@ from .blocks import (
     rotate_left1,
     rotate_right1,
     sqrt_stages,
-    square_into,
-    square_via_root,
+    square,
+    square_width,
 )
 from .circuit import Circuit, CircuitError
 from .expansion import DigitString, FunctionSpec, get_spec, parse_digits
@@ -68,7 +71,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.function not in SYNTH_SPEC:
             raise CircuitError(f"unknown circuit family {self.function!r}")
-        if self.policy not in ("garbage", "clean"):
+        if self.policy not in POLICIES:
             raise CircuitError(f"unknown ancilla policy {self.policy!r}")
         if self.square_method not in SQUARE_METHODS:
             raise CircuitError(f"unknown square method {self.square_method!r}")
@@ -161,34 +164,22 @@ def _zero_test(b: Builder, target: int, bits):
     b.flip(target, [(q, False) for q in bits])
 
 
-def _emit_square(b: Builder, cfg: SynthConfig, src, wide, root_tmp, car: int):
-    if cfg.square_method == "shift_add":
-        square_into(b, src, wide, car)
-    else:
-        square_via_root(b, src, wide, root_tmp, car)
-
-
-def _wide_width(cfg: SynthConfig, k: int) -> int:
-    # the reversed walk needs a sign guard above the product
-    return 2 * k + (1 if cfg.square_method == "reversed_sqrt" else 0)
-
-
-def _scratch_role(cfg: SynthConfig) -> str:
-    return "ancilla-clean" if cfg.policy == "clean" else "garbage"
+def _chain(b: Builder, lay: Layout, roles) -> list:
+    """Value registers RegI0, RegI1, ... in the given roles."""
+    return [b.reg(f"RegI{i}", role, lay.width, frac_bits=lay.frac_bits,
+                  signed=lay.signed) for i, role in enumerate(roles)]
 
 
 # ----------------------------------------------------------------- forward
 
 def _synth_log(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder()
+    b = Builder(cfg.policy)
     rego = b.reg("RegO", "output", n, int_bits=1)
-    regs = [b.reg("RegI0", "input", m, frac_bits=q)]
-    for i in range(1, n):
-        regs.append(b.reg(f"RegI{i}", "garbage", m, frac_bits=q))
-    wides = [b.reg(f"AncW{i}", _scratch_role(cfg), _wide_width(cfg, m - 1))
+    regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
+    wides = [b.scratch(f"AncW{i}", square_width(m - 1, cfg.square_method))
              for i in range(n - 1)]
-    root_t = (b.reg("AncRoot", "ancilla-clean", m - 1)
+    root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
               if cfg.square_method == "reversed_sqrt" else None)
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
 
@@ -200,12 +191,10 @@ def _synth_log(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         # parks in the top position, outside the squared window
         with b.controls([(d, True)]):
             rotate_right1(b, a)
-        with b.capture() as sq:
-            _emit_square(b, cfg, a[:m - 1], w, root_t.bits if root_t else None, car)
-        b.replay(sq)
+        with b.compute() as sq:
+            square(b, cfg.square_method, a[:m - 1], w, root_t, car)
         copy_bits(b, w[q:q + m], nxt)
-        if cfg.policy == "clean":
-            b.replay(sq, reverse=True)
+        b.uncompute(sq)
         with b.controls([(d, True)]):
             rotate_left1(b, a)
     b.flip(rego.bits[n - 1], [(regs[n - 1].bits[m - 1], True)])
@@ -214,14 +203,12 @@ def _synth_log(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
 
 def _synth_arccos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder()
+    b = Builder(cfg.policy)
     rego = b.reg("RegO", "output", n, int_bits=0)
-    regs = [b.reg("RegI0", "input", m, frac_bits=q, signed=True)]
-    for i in range(1, n):
-        regs.append(b.reg(f"RegI{i}", "garbage", m, frac_bits=q, signed=True))
-    wides = [b.reg(f"AncW{i}", _scratch_role(cfg), _wide_width(cfg, m - 1))
+    regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
+    wides = [b.scratch(f"AncW{i}", square_width(m - 1, cfg.square_method))
              for i in range(n - 1)]
-    root_t = (b.reg("AncRoot", "ancilla-clean", m - 1)
+    root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
               if cfg.square_method == "reversed_sqrt" else None)
     z = b.reg("AncZ", "ancilla-clean", 1).bits[0]
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
@@ -233,9 +220,8 @@ def _synth_arccos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         b.flip(d, [(a[m - 1], True)])
         with b.controls([(d, True)]):
             negate_bits(b, a)
-        with b.capture() as sq:
-            _emit_square(b, cfg, a[:m - 1], w, root_t.bits if root_t else None, car)
-        b.replay(sq)
+        with b.compute() as sq:
+            square(b, cfg.square_method, a[:m - 1], w, root_t, car)
         # window starts one place lower: the product is doubled on copy
         copy_bits(b, w[q - 1:q - 1 + m], nxt)
         decrement(b, nxt[q:])
@@ -245,8 +231,7 @@ def _synth_arccos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         # single sign-bit flip at this layout
         b.flip(d, [(z, True)])
         b.flip(nxt[m - 1], [(z, True)])
-        if cfg.policy == "clean":
-            b.replay(sq, reverse=True)
+        b.uncompute(sq)
         with b.controls([(d, True)]):
             negate_bits(b, a)
         _zero_test(b, z, a)
@@ -260,16 +245,13 @@ def _synth_arccos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
 
 def _synth_arccot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder()
+    b = Builder(cfg.policy)
     rego = b.reg("RegO", "output", n, int_bits=0)
-    regs = [b.reg("RegI0", "input", m, frac_bits=q, signed=True)]
-    for i in range(1, n):
-        regs.append(b.reg(f"RegI{i}", "garbage", m, frac_bits=q, signed=True))
+    regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
     # square scratch doubles as the division frame, one guard bit on top
-    sqs = [b.reg(f"AncSq{i}", _scratch_role(cfg), 2 * m - 1) for i in range(n - 1)]
-    quot_t = (b.reg("AncQuot", "ancilla-clean", m - 1)
-              if cfg.policy == "clean" else None)
-    root_t = (b.reg("AncRoot", "ancilla-clean", m - 1)
+    sqs = [b.scratch(f"AncSq{i}", 2 * m - 1) for i in range(n - 1)]
+    quot_t = b.reg("AncQuot", "ancilla-clean", m - 1).bits if b.clean else None
+    root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
               if cfg.square_method == "reversed_sqrt" else None)
     anc1 = b.reg("Anc1", "garbage", 1).bits[0]
     z = b.reg("AncZ", "ancilla-clean", 1).bits[0]
@@ -288,17 +270,15 @@ def _synth_arccot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         # |a| < 1 exactly when no integer bit of the magnitude is set
         _zero_test(b, s, a[q:])
         with b.controls([(anc1, False)]):
-            with b.capture() as live:
-                _emit_square(b, cfg, a[:m - 1], w, root_t.bits if root_t else None, car)
+            with b.compute() as live:
+                square(b, cfg.square_method, a[:m - 1], w, root_t, car)
                 decrement(b, w[2 * q:])
                 with b.controls([(s, True)]):
                     negate_bits(b, w)
-                target = quot_t.bits if quot_t else nxt[:m - 1]
-                div_stages(b, w, a[:m - 1], target, car, shift=1)
-            b.replay(live)
+                div_stages(b, w, a[:m - 1], quot_t or nxt[:m - 1], car, shift=1)
             if quot_t:
-                copy_bits(b, quot_t.bits, nxt[:m - 1])
-                b.replay(live, reverse=True)
+                copy_bits(b, quot_t, nxt[:m - 1])
+            b.uncompute(live)
             with b.controls([(s, True)]):
                 negate_bits(b, nxt)
         _zero_test(b, s, a[q:])
@@ -321,43 +301,36 @@ def _synth_arccot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
 
 def _synth_exp(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder()
+    b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
-    regs = [b.reg("RegI0", "garbage", m, frac_bits=q)]
-    for i in range(1, n):
-        regs.append(b.reg(f"RegI{i}", "garbage", m, frac_bits=q))
-    regs.append(b.reg(f"RegI{n}", "output", m, frac_bits=q))
-    wides = [b.reg(f"AncW{i}", _scratch_role(cfg), 2 * m + 1) for i in range(n)]
-    root_t = b.reg("AncRoot", "ancilla-clean", m) if cfg.policy == "clean" else None
+    regs = _chain(b, lay, ["garbage"] * n + ["output"])
+    wides = [b.scratch(f"AncW{i}", 2 * m + 1) for i in range(n)]
+    root_t = b.reg("AncRoot", "ancilla-clean", m).bits if b.clean else None
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
 
     b.flip(regs[0].bits[q])  # a0 = 1
     for i in range(n):
         a, nxt, w = regs[i].bits, regs[i + 1].bits, wides[i].bits
         v = rego.bits[i]
-        with b.capture() as mk:
+        with b.compute() as mk:
             # radicand a << (q + v): the digit selects the placement
             for j in range(m):
                 b.flip(w[q + j + 1], [(v, True), (a[j], True)])
                 b.flip(w[q + j], [(v, False), (a[j], True)])
-            sqrt_stages(b, w, root_t.bits if root_t else nxt, m, car)
-        b.replay(mk)
+            sqrt_stages(b, w, root_t or nxt, m, car)
         if root_t:
-            copy_bits(b, root_t.bits, nxt)
-            b.replay(mk, reverse=True)
+            copy_bits(b, root_t, nxt)
+        b.uncompute(mk)
     return b.finish(), [r.name for r in regs]
 
 
 def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder()
+    b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
-    regs = [b.reg("RegI0", "garbage", m, frac_bits=q, signed=True)]
-    for i in range(1, n):
-        regs.append(b.reg(f"RegI{i}", "garbage", m, frac_bits=q, signed=True))
-    regs.append(b.reg(f"RegI{n}", "output", m, frac_bits=q, signed=True))
-    wides = [b.reg(f"AncW{i}", _scratch_role(cfg), 2 * m - 1) for i in range(n)]
-    root_t = b.reg("AncRoot", "ancilla-clean", m - 1) if cfg.policy == "clean" else None
+    regs = _chain(b, lay, ["garbage"] * n + ["output"])
+    wides = [b.scratch(f"AncW{i}", 2 * m - 1) for i in range(n)]
+    root_t = b.reg("AncRoot", "ancilla-clean", m - 1).bits if b.clean else None
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
 
@@ -367,7 +340,7 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         v = rego.bits[i]
         b.flip(p, [(v, True)])  # p = v xor previous digit
         t = w[q - 1:q + m]  # the 1 +- a scratch at one extra frac bit
-        with b.capture() as mk:
+        with b.compute() as mk:
             for j in range(m):
                 b.flip(w[q + j], [(a[j], True)])  # t = a << 1
             with b.controls([(p, True)]):
@@ -375,11 +348,10 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
             increment(b, t[q + 1:])  # + 1 at the unit column
             # halve exactly: the low bit is zero so rotation is a shift
             rotate_right1(b, t)
-            sqrt_stages(b, w, root_t.bits if root_t else nxt[:m - 1], m - 1, car)
-        b.replay(mk)
+            sqrt_stages(b, w, root_t or nxt[:m - 1], m - 1, car)
         if root_t:
-            copy_bits(b, root_t.bits, nxt[:m - 1])
-            b.replay(mk, reverse=True)
+            copy_bits(b, root_t, nxt[:m - 1])
+        b.uncompute(mk)
         if i:
             b.flip(p, [(rego.bits[i - 1], True)])  # back to p = v_i
     with b.controls([(p, True)]):
@@ -390,18 +362,14 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
 
 def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder()
+    b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
-    regs = [b.reg("RegI0", "output" if n == 1 else "garbage", m,
-                  frac_bits=q, signed=True)]
-    for i in range(1, n):
-        role = "output" if i == n - 1 else "garbage"
-        regs.append(b.reg(f"RegI{i}", role, m, frac_bits=q, signed=True))
+    regs = _chain(b, lay, ["garbage"] * (n - 1) + ["output"])
     # the radicand a^2 + 1 can spill one bit past 2m when the stored
     # pattern is large and the layout has many fraction bits, so the walk
     # runs one extra stage and the root gets its own m+1 bit register
-    sqs = [b.reg(f"AncSq{i}", _scratch_role(cfg), 2 * m + 3) for i in range(n - 1)]
-    if cfg.policy == "clean":
+    sqs = [b.scratch(f"AncSq{i}", 2 * m + 3) for i in range(n - 1)]
+    if b.clean:
         roots = [b.reg("AncRoot", "ancilla-clean", m + 1)] * (n - 1) if n > 1 else []
     else:
         roots = [b.reg(f"AncR{i}", "garbage", m + 1) for i in range(n - 1)]
@@ -424,17 +392,12 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         v = rego.bits[i]
         b.flip(p, [(v, True)])  # p = v xor previous digit
         with b.controls([(anc1, False)]):
-            with b.capture() as mk:
-                if cfg.square_method == "reversed_sqrt":
-                    square_via_root(b, a, w, rt[:m], car)
-                else:
-                    square_into(b, a, w, car)
+            with b.compute() as mk:
+                square(b, cfg.square_method, a, w, rt[:m], car)
                 increment(b, w[2 * q:])  # a^2 + 1, exact at 2q frac
                 sqrt_stages(b, w, rt, m + 1, car)
-            b.replay(mk)
             copy_bits(b, rt[:m], nxt)  # the register keeps root mod 2^m
-            if cfg.policy == "clean":
-                b.replay(mk, reverse=True)
+            b.uncompute(mk)
             # b = root +- a, the sign of a folded in by the sandwich
             with b.controls([(p, True)]):
                 negate_bits(b, a)

@@ -1,5 +1,6 @@
 """Reversible arithmetic blocks against the classical fixed-point layer."""
 
+import hashlib
 import math
 import random
 
@@ -26,7 +27,7 @@ from fbe.blocks import (
     square_into,
     sub_from,
 )
-from fbe.circuit import CircuitError
+from fbe.circuit import CircuitError, export_text
 from fbe.fixedpoint import Layout, add as fp_add, make, sqrt_nonrestoring, square
 
 
@@ -390,10 +391,58 @@ def test_builder_shape_errors():
         build_square(3, out_width=5, drop_low=2)
     with pytest.raises(CircuitError):
         build_sqrt(4, 0, "lazy")
+    with pytest.raises(CircuitError, match="unknown ancilla policy 'lazy'"):
+        Builder("lazy")
     with pytest.raises(CircuitError):
         build_shift(4, 1, "up")
     with pytest.raises(CircuitError):
         build_shift(4, 4)
+
+
+def test_compute_uncompute_follow_the_policy():
+    for policy, role in (("garbage", "garbage"), ("clean", "ancilla-clean")):
+        b = Builder(policy)
+        assert b.clean == (policy == "clean")
+        assert b.scratch("S", 2).role == role
+        src, dst, anc = b.alloc(2), b.alloc(3), b.alloc(1)[0]
+        b.flip(anc)
+        with b.compute() as done:
+            add_into(b, src, dst, anc)
+        assert done == b.gates[1:]
+        b.uncompute(done)
+        assert b.gates[1:] == done + (done[::-1] if b.clean else [])
+    # inverted() emits the body reversed, under either policy
+    fwd, inv = Builder(), Builder("clean")
+    add_into(fwd, fwd.alloc(2), fwd.alloc(3), fwd.alloc(1)[0])
+    with inv.inverted():
+        add_into(inv, inv.alloc(2), inv.alloc(3), inv.alloc(1)[0])
+    assert inv.gates == fwd.gates[::-1]
+    # the policy is checked before the window
+    with pytest.raises(CircuitError, match="unknown ancilla policy 'lazy'"):
+        build_square(3, out_width=5, drop_low=2, policy="lazy")
+
+
+# SHA-256 of the concatenated export_text of the 90 block-factory circuits
+# below.  A change that alters them on purpose updates it and says so.
+BLOCKS_DIGEST = "086e67cdbb7dd1cf7f8d87c162130c01fa38d4b6b6cb0f0ea4b0aec83d27425a"
+
+
+def test_block_factory_circuits_digest():
+    digest = hashlib.sha256()
+    for policy in ("garbage", "clean"):
+        for w in range(1, 6):
+            circuits = []
+            for q in range(3):
+                circuits.append(build_sqrt(w, q, policy))
+                if q:
+                    circuits.append(build_reciprocal(w, q, policy))
+            for method in ("shift_add", "reversed_sqrt"):
+                circuits.append(build_square(w, w, w // 2, method, policy))
+                circuits.append(build_square(w, method=method, policy=policy))
+            for c in circuits:
+                digest.update(export_text(c).encode())
+    assert len(circuits) == 9
+    assert digest.hexdigest() == BLOCKS_DIGEST
 
 
 def test_frame_width_helpers():

@@ -159,12 +159,27 @@ def test_verify_fast_suites_pass(capsys):
     (("group2-bounds", "--cases", "-5"), "--cases"),
     (("reversibility", "--cases", "-3"), "--cases"),
     (("group2-bounds", "--m", "4"), "--m of at least 5"),
+    (("group2-bounds", "--n", "-2"), "--n must be 1 or more, not -2"),
+    (("group1-exact", "--m", "-3"), "--m must be 1 or more, not -3"),
+    (("group1-exact", "--m", "0"), "--m must be 1 or more, not 0"),
+    (("reversibility", "--n", "0"), "--n must be 1 or more, not 0"),
 ])
 def test_verify_flag_out_of_range_exits_2(capsys, argv, names):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert names in err
+
+
+def test_verify_reversibility_honours_its_flags(capsys):
+    # 10 random states per policy, plus 8 encoded inputs under clean
+    code, out, _ = run(capsys, "verify", "reversibility", "--cases", "10")
+    assert code == 0
+    assert "[PASS] reversibility log n=3 m=6: 28/28" in out
+    code, out, _ = run(capsys, "verify", "reversibility", "--cases", "4",
+                       "--n", "2", "--m", "5", "--policy", "garbage")
+    assert code == 0
+    assert "[PASS] reversibility log n=2 m=5: 4/4" in out
 
 
 def test_verify_all_deterministic_and_exit_1(capsys):
