@@ -8,10 +8,13 @@ increment or decrement a field of contiguous qubits (the widening-control
 ladders of blocks.increment and blocks.decrement, also replayed reversed)
 fuse into one conditional add of +1 or -1 on that field; any other gate
 stays an entry of its own.  Basis and sparse simulation run the same
-program, the sparse mode additionally following h gates by splitting
-amplitudes.  Compile keeps masks only for the qubits gates touch, so its
-memory does not grow with the declared qubit count.  Gate lists,
-resource counts and the text form never see the fusion.
+program through one kernel, _run.  Every entry but h maps basis states
+one to one, so the sparse mode runs each h-free stretch as a permutation
+of its terms, each term through _run alone with its amplitude, and
+splits amplitudes only at the h entries between stretches.  Compile
+keeps masks only for the qubits gates touch, so its memory does not grow
+with the declared qubit count.  Gate lists, resource counts and the text
+form never see the fusion.
 
 A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
 whose fields read by name as well.  Its checks run where gates come from
@@ -147,6 +150,26 @@ class Register:
         return (state & ~mask) | ((raw & ((1 << self.size) - 1)) << self.start)
 
 
+def _run(prog, s: int) -> int:
+    """Run basis state s through compiled entries (cm, cv, op, mask,
+    step); the one kernel both simulation modes share.  Each entry acts
+    when s & cm == cv, and every op but h maps basis states one to one."""
+    for cm, cv, op, mask, step in prog:
+        if s & cm == cv:
+            if op == _XOR:
+                s ^= mask
+            elif op == _ADD:
+                v = s & mask
+                s ^= (v ^ (v + step)) & mask
+            elif op == _SWAP:
+                v = s & mask
+                if v and v != mask:
+                    s ^= mask
+            else:  # an h entry always fires
+                raise CircuitError("h gate present, use simulate_sparse")
+    return s
+
+
 class Circuit:
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
@@ -255,56 +278,41 @@ class Circuit:
     def simulate_basis(self, state: int) -> int:
         """Run one computational-basis state through the gate list."""
         self._check_state(state)
-        s = state
-        for cm, cv, op, mask, step in self._compile():
-            if s & cm == cv:
-                if op == _XOR:
-                    s ^= mask
-                elif op == _ADD:
-                    v = s & mask
-                    s ^= (v ^ (v + step)) & mask
-                elif op == _SWAP:
-                    v = s & mask
-                    if v and v != mask:
-                        s ^= mask
-                else:  # an h entry always fires
-                    raise CircuitError("h gate present, use simulate_sparse")
-        return s
+        return _run(self._compile(), state)
 
     def simulate_sparse(self, state, cap: int = 1 << 20) -> dict[int, complex]:
-        """Exact sparse-state simulation; h splits amplitudes by 1/sqrt(2)."""
+        """Exact sparse-state simulation from one basis state or a
+        {state: amplitude} dict.  Every entry but h is a bijection on
+        basis states, so each stretch between h entries runs each term
+        through _run alone, keeping its amplitude; h splits amplitudes
+        by 1/sqrt(2) and drops the terms that cancel to zero.  Raises
+        SimulationLimit once an entry leaves more than cap terms."""
         amps = {state: 1.0 + 0j} if isinstance(state, int) else dict(state)
         for s in amps:
             self._check_state(s)
         inv_sqrt2 = 2 ** -0.5
-        for cm, cv, op, mask, step in self._compile():
-            if op == _H:
-                nxt: dict[int, complex] = {}
-                for s, a in amps.items():
-                    lo = s & ~mask
-                    hi = s | mask
-                    w = a * inv_sqrt2
-                    nxt[lo] = nxt.get(lo, 0j) + w
-                    nxt[hi] = nxt.get(hi, 0j) + (w if not s & mask else -w)
-                amps = {s: a for s, a in nxt.items() if a != 0}
-            else:
-                nxt = {}
-                for s, a in amps.items():
-                    if s & cm == cv:
-                        if op == _XOR:
-                            s ^= mask
-                        elif op == _ADD:
-                            v = s & mask
-                            s ^= (v ^ (v + step)) & mask
-                        else:
-                            v = s & mask
-                            if v and v != mask:
-                                s ^= mask
-                    nxt[s] = nxt.get(s, 0j) + a
-                amps = nxt
+        prog = self._compile()
+        start = 0
+        for end in [i for i, e in enumerate(prog) if e[2] == _H] + [len(prog)]:
+            if end > start:
+                stretch = prog[start:end]
+                amps = {_run(stretch, s): a for s, a in amps.items()}
+                if len(amps) > cap:
+                    raise SimulationLimit(f"state grew past {cap} terms")
+            if end == len(prog):
+                return amps
+            mask = prog[end][3]
+            nxt: dict[int, complex] = {}
+            for s, a in amps.items():
+                lo = s & ~mask
+                hi = s | mask
+                w = a * inv_sqrt2
+                nxt[lo] = nxt.get(lo, 0j) + w
+                nxt[hi] = nxt.get(hi, 0j) + (w if not s & mask else -w)
+            amps = {s: a for s, a in nxt.items() if a != 0}
             if len(amps) > cap:
                 raise SimulationLimit(f"state grew past {cap} terms")
-        return amps
+            start = end + 1
 
     # ----------------------------------------------------------- reporting
 

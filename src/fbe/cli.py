@@ -357,13 +357,15 @@ def verify_reversibility(args) -> list[VerificationReport]:
     return reports
 
 
+# each suite with the flags it reads; a flag left unset is None
 SUITES = {
-    "table2": verify_table2,
-    "group1-exact": verify_group1,
-    "group2-bounds": verify_group2,
-    "blocks": verify_blocks,
-    "reversibility": verify_reversibility,
+    "table2": (verify_table2, ()),
+    "group1-exact": (verify_group1, ("m", "policy")),
+    "group2-bounds": (verify_group2, ("n", "m", "cases", "seed")),
+    "blocks": (verify_blocks, ()),
+    "reversibility": (verify_reversibility, ("n", "m", "policy", "cases", "seed")),
 }
+VERIFY_SEED = 20240901
 
 
 def cmd_verify(args) -> int:
@@ -373,10 +375,17 @@ def cmd_verify(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise DomainError(f"--{flag} must be 1 or more, not {value}")
+    if args.suite != "all":
+        reads = SUITES[args.suite][1]
+        for flag in ("n", "m", "policy", "cases", "seed"):
+            if getattr(args, flag) is not None and flag not in reads:
+                raise DomainError(f"verify {args.suite} does not read --{flag}")
+    if args.seed is None:
+        args.seed = VERIFY_SEED
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        reports.extend(SUITES[name](args))
+        reports.extend(SUITES[name][0](args))
     for rep in reports:
         _print_report(rep, args.timing)
     failed = [r for r in reports if not r.passed]
@@ -451,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int,
                    help="random cases (default 200 for group2-bounds, "
                         "25 for reversibility)")
-    p.add_argument("--seed", type=int, default=20240901)
+    p.add_argument("--seed", type=int,
+                   help=f"random seed (default {VERIFY_SEED})")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_verify)
 

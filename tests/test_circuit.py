@@ -8,6 +8,7 @@ import pytest
 
 from fbe.circuit import (
     _ADD,
+    _H,
     _SWAP,
     _XOR,
     Circuit,
@@ -102,8 +103,9 @@ def fusable_circuit(rng, n, pieces, with_h=False):
 
 
 def ref_sparse(c, s):
-    # gate-by-gate sparse reference; h as in the textbook, no fusion
-    amps = {s: 1.0 + 0j}
+    # gate-by-gate sparse reference from a basis state or an amplitude
+    # dict; h as in the textbook, no fusion
+    amps = {s: 1.0 + 0j} if isinstance(s, int) else dict(s)
     for g in c.gates:
         if g.kind != "h":
             amps = {ref_apply(g, t, c.n_qubits): a for t, a in amps.items()}
@@ -143,6 +145,48 @@ def test_fused_program_matches_gate_by_gate():
     # decrements, multi-target runs, single flips, swaps
     assert {(_XOR, 0, True), (_XOR, 0, False), (_ADD, 1, False), (_ADD, -1, False),
             (_SWAP, 0, False)} <= ops
+
+
+def test_sparse_permutes_amplitude_dicts():
+    # every basis state at once, each with its own amplitude, so a term
+    # that moved without its amplitude (or kept another's) shows
+    rng = random.Random(43)
+    for trial in range(12):
+        n = rng.randrange(5, 8)
+        start = {s: complex(s + 1, -s) for s in range(1 << n)}
+        c = fusable_circuit(rng, n, 14)
+        assert c.simulate_sparse(start) == ref_sparse(c, start), trial
+        # h gates between permutation stretches, two of them adjacent
+        hc = Circuit(n)
+        for _ in range(3):
+            hc.extend(fusable_circuit(rng, n, 5).gates)
+            hc.add(Gate("h", (rng.randrange(n),)))
+        hc.add(Gate("h", (rng.randrange(n),)))
+        hc.extend(fusable_circuit(rng, n, 5).gates)
+        assert [e[2] for e in hc._compile()].count(_H) == 4
+        sub = dict(rng.sample(sorted(start.items()), 5))
+        got, want = hc.simulate_sparse(sub), ref_sparse(hc, sub)
+        assert got.keys() == want.keys(), trial
+        assert all(abs(got[k] - want[k]) < 1e-9 for k in want), trial
+
+
+def test_sparse_edge_behaviour():
+    c = Circuit(3)
+    c.add(Gate("x", (1,)))
+    c.add(Gate("swap", (0, 2)))
+    # a zero amplitude survives a program without h
+    assert c.simulate_sparse({0: 0j, 1: 1 + 0j}) == {2: 0j, 6: 1 + 0j}
+    # a start already past the cap is refused by a non-empty program,
+    # while an empty one returns it as given
+    wide = {s: 0.5 + 0j for s in range(8)}
+    with pytest.raises(SimulationLimit):
+        c.simulate_sparse(wide, cap=4)
+    assert Circuit(3).simulate_sparse(wide, cap=4) == wide
+    # h x h: the terms that cancel to zero are dropped
+    hh = Circuit(2)
+    hh.extend([Gate("h", (0,)), Gate("x", (1,)), Gate("h", (0,))])
+    amps = hh.simulate_sparse({0: 1 + 0j, 1: 0j})
+    assert set(amps) == {2} and abs(amps[2] - 1) < 1e-12
 
 
 def test_fused_program_is_smaller():

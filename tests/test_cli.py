@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fbe.cli import main
+from fbe.synth import SynthConfig, synthesize
 
 
 def run(capsys, *argv):
@@ -112,6 +113,22 @@ def test_sim_round_trips_golden_rows(capsys, tmp_path):
         assert code == 0 and want in out
 
 
+@pytest.mark.parametrize("family, n, m, inp", [
+    ("log", 4, 4, "10.00"), ("cos", 2, 5, ".11"),
+])
+def test_sim_sparse_mode_prints_the_basis_result(capsys, tmp_path, family, n, m, inp):
+    path = tmp_path / f"{family}.fbe"
+    assert run(capsys, "synth", family, "--n", str(n), "--m", str(m),
+               "-o", str(path))[0] == 0
+    code, out, err = run(capsys, "sim", str(path), inp, "--mode", "sparse")
+    sc = synthesize(SynthConfig(family, n, m))
+    start = sc.encode_input(2) if family == "log" else sc.encode_digits(inp)
+    want = sc.circuit.simulate_basis(start)
+    assert want != start
+    assert (code, err) == (0, "")
+    assert out == f"state {want:0{sc.n_qubits}b} amp +1.000000+0.000000i\n"
+
+
 def test_sim_reports_infinity(capsys, tmp_path):
     cot = tmp_path / "cot.fbe"
     assert run(capsys, "synth", "cot", "--n", "2", "--m", "5",
@@ -163,6 +180,13 @@ def test_verify_fast_suites_pass(capsys):
     (("group1-exact", "--m", "-3"), "--m must be 1 or more, not -3"),
     (("group1-exact", "--m", "0"), "--m must be 1 or more, not 0"),
     (("reversibility", "--n", "0"), "--n must be 1 or more, not 0"),
+    # a flag the named suite never reads
+    (("table2", "--n", "5", "--m", "9", "--cases", "3", "--policy", "clean"),
+     "verify table2 does not read --n"),
+    (("blocks", "--seed", "3"), "verify blocks does not read --seed"),
+    (("group2-bounds", "--policy", "clean"), "verify group2-bounds does not read --policy"),
+    (("group1-exact", "--cases", "3"), "verify group1-exact does not read --cases"),
+    (("group1-exact", "--n", "6"), "verify group1-exact does not read --n"),
 ])
 def test_verify_flag_out_of_range_exits_2(capsys, argv, names):
     code, out, err = run(capsys, "verify", *argv)
@@ -180,6 +204,15 @@ def test_verify_reversibility_honours_its_flags(capsys):
                        "--n", "2", "--m", "5", "--policy", "garbage")
     assert code == 0
     assert "[PASS] reversibility log n=2 m=5: 4/4" in out
+
+
+def test_verify_all_takes_every_flag(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--n", "2", "--m", "5",
+                       "--policy", "clean", "--cases", "2", "--seed", "7")
+    assert code == 1
+    assert "[PASS] reversibility log n=2 m=5: 10/10" in out
+    assert "group1-exact arccot m=n=5: 19/31" in out
+    assert "[PASS] group2-bounds exp2 n=1 m=5: 5/5" in out
 
 
 def test_verify_all_deterministic_and_exit_1(capsys):
