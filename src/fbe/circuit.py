@@ -7,14 +7,16 @@ one condition fuse into one XOR of their targets, and the cascades that
 increment or decrement a field of contiguous qubits (the widening-control
 ladders of blocks.increment and blocks.decrement, also replayed reversed)
 fuse into one conditional add of +1 or -1 on that field; any other gate
-stays an entry of its own.  Basis and sparse simulation run the same
-program through one kernel, _run.  Every entry but h maps basis states
-one to one, so the sparse mode runs each h-free stretch as a permutation
-of its terms, each term through _run alone with its amplitude, and
-splits amplitudes only at the h entries between stretches.  Compile
-keeps masks only for the qubits gates touch, so its memory does not grow
-with the declared qubit count.  Gate lists, resource counts and the text
-form never see the fusion.
+stays an entry of its own.  Basis simulation runs the program through
+the kernel _run, one state at a time.  Every entry but h maps basis
+states one to one, so the sparse mode runs each h-free stretch as a
+permutation of its terms, with amplitudes following their terms, and
+splits amplitudes only at the h entries between stretches.  A stretch
+of one term goes through _run; a stretch of more terms goes through
+_run_planes once, bit-sliced, one int per touched qubit with a bit per
+term.  Compile keeps masks only for the qubits gates touch, so its
+memory does not grow with the declared qubit count.  Gate lists,
+resource counts and the text form never see the fusion.
 
 A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
 whose fields read by name as well.  Its checks run where gates come from
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter, or_
 from typing import Iterable, Optional
 
 X_KINDS = ("x", "cx", "ccx", "mcx")
@@ -53,6 +56,15 @@ class _Masks(dict):
     def __missing__(self, q: int) -> int:
         self[q] = m = 1 << q
         return m
+
+
+class _Qubits(dict):
+    """The qubits of each mask looked up, lowest first, made on first
+    lookup; a pure function of the mask, so it never goes stale."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        self[mask] = t = tuple(q for q, c in enumerate(bin(mask)[:1:-1]) if c == "1")
+        return t
 
 
 class CircuitError(Exception):
@@ -170,6 +182,81 @@ def _run(prog, s: int) -> int:
     return s
 
 
+def _run_planes(prog, states, qubits=None) -> list[int]:
+    """Run the distinct basis states through h-free compiled entries at
+    once, bit-sliced (Biham, FSE 1997): one int per touched qubit whose
+    bit k is that qubit in states[k].  An entry's condition is the AND
+    of its control planes, negative controls complemented; _XOR flips
+    its target planes under it, _ADD ripples a carry (step > 0) or a
+    borrow up the field from its lowest qubit until the plane empties,
+    dropping what leaves the top as the wrap of _run does, and _SWAP
+    exchanges its two planes under it.  Only the touched qubits, the OR
+    of every cm | mask, are packed and unpacked; a qubit equal in every
+    term gets a constant plane, and untouched bits pass through.  Packing
+    a qubit that varies, and unpacking, go through one character per
+    qubit and term, so both take time and memory linear in the term
+    count.  qubits maps a mask to its qubits, lowest first
+    (Circuit._qubits)."""
+    qs = _Qubits() if qubits is None else qubits
+    touched = 0
+    for cm, _, _, mask, _ in prog:
+        touched |= cm | mask
+    if not touched:  # only uncontrolled entries whose targets cancelled
+        return list(states)
+    full = (1 << len(states)) - 1
+    every = reduce(and_, states)
+    some = reduce(or_, states)
+    planes = {}
+    for q in qs[touched]:
+        b = 1 << q
+        if not some & b:
+            planes[q] = 0
+        elif every & b:
+            planes[q] = full
+        else:
+            planes[q] = int("".join(["01"[s >> q & 1] for s in reversed(states)]), 2)
+    for cm, cv, op, mask, step in prog:
+        cond = full
+        for q in qs[cv]:
+            cond &= planes[q]
+        if cm != cv:
+            for q in qs[cm ^ cv]:
+                cond &= ~planes[q]
+        if not cond:
+            continue
+        if op == _XOR:
+            for q in qs[mask]:
+                planes[q] ^= cond
+        elif op == _ADD:  # cond ripples on as the carry or the borrow
+            for q in qs[mask]:
+                p = planes[q]
+                planes[q] = p ^ cond
+                cond &= p if step > 0 else ~p
+                if not cond:
+                    break
+        elif op == _SWAP:
+            a, b = qs[mask]
+            pa, pb = planes[a], planes[b]
+            d = (pa ^ pb) & cond
+            planes[a], planes[b] = pa ^ d, pb ^ d
+        else:
+            raise CircuitError("h gate present, use simulate_sparse")
+    # unpack: one bit string per plane, msb first, so that zip reads
+    # term k's touched bits off as one string (gaps of untouched qubits
+    # as zeros), which int() turns back into the term
+    n = len(states)
+    cols = []
+    top = touched.bit_length()
+    for q in reversed(qs[touched]):
+        if top - q > 1:
+            cols.append(("0" * (top - q - 1),) * n)
+        cols.append(format(planes[q], f"0{n}b"))
+        top = q
+    rows = [int("".join(r), 2) << top for r in zip(*cols)]
+    rows.reverse()
+    return [s & ~touched | r for s, r in zip(states, rows)]
+
+
 class Circuit:
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
@@ -178,6 +265,7 @@ class Circuit:
         self.gates: list[Gate] = []
         self.registers: dict[str, Register] = {}
         self._program = None
+        self._qubits = _Qubits()
 
     def add_register(self, reg: Register):
         if reg.start + reg.size > self.n_qubits:
@@ -283,10 +371,11 @@ class Circuit:
     def simulate_sparse(self, state, cap: int = 1 << 20) -> dict[int, complex]:
         """Exact sparse-state simulation from one basis state or a
         {state: amplitude} dict.  Every entry but h is a bijection on
-        basis states, so each stretch between h entries runs each term
-        through _run alone, keeping its amplitude; h splits amplitudes
-        by 1/sqrt(2) and drops the terms that cancel to zero.  Raises
-        SimulationLimit once an entry leaves more than cap terms."""
+        basis states, so each stretch between h entries permutes the
+        terms, each keeping its amplitude: a single term runs through
+        _run, two or more run through _run_planes together.  h splits
+        amplitudes by 1/sqrt(2) and drops the terms that cancel to zero.
+        Raises SimulationLimit once an entry leaves more than cap terms."""
         amps = {state: 1.0 + 0j} if isinstance(state, int) else dict(state)
         for s in amps:
             self._check_state(s)
@@ -296,7 +385,11 @@ class Circuit:
         for end in [i for i, e in enumerate(prog) if e[2] == _H] + [len(prog)]:
             if end > start:
                 stretch = prog[start:end]
-                amps = {_run(stretch, s): a for s, a in amps.items()}
+                if len(amps) > 1:
+                    amps = dict(zip(_run_planes(stretch, list(amps), self._qubits),
+                                    amps.values()))
+                else:
+                    amps = {_run(stretch, s): a for s, a in amps.items()}
                 if len(amps) > cap:
                     raise SimulationLimit(f"state grew past {cap} terms")
             if end == len(prog):

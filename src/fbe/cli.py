@@ -368,13 +368,17 @@ SUITES = {
 VERIFY_SEED = 20240901
 
 
-def cmd_verify(args) -> int:
-    if args.cases is not None and args.cases < 0:
-        raise DomainError(f"--cases must be 0 or more, not {args.cases}")
+def _check_widths(args):
     for flag in ("n", "m"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise DomainError(f"--{flag} must be 1 or more, not {value}")
+
+
+def cmd_verify(args) -> int:
+    if args.cases is not None and args.cases < 0:
+        raise DomainError(f"--cases must be 0 or more, not {args.cases}")
+    _check_widths(args)
     if args.suite != "all":
         reads = SUITES[args.suite][1]
         for flag in ("n", "m", "policy", "cases", "seed"):
@@ -397,12 +401,16 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------- bench
 
 def cmd_bench(args) -> int:
+    # every family is synthesized before the first line, so a refused
+    # run prints nothing to stdout
+    _check_widths(args)
+    counts = [(family, synthesize(SynthConfig(
+        family, args.n, args.m, args.policy,
+        args.square.replace("-", "_"))).circuit.resource_count())
+        for family in sorted(SYNTH_SPEC)]
     print(f"resource counts at n={args.n} m={args.m} "
           f"policy={args.policy} square={args.square}")
-    for family in sorted(SYNTH_SPEC):
-        sc = synthesize(SynthConfig(family, args.n, args.m, args.policy,
-                                    args.square.replace("-", "_")))
-        r = sc.circuit.resource_count()
+    for family, r in counts:
         print(f"{family:7s} qubits {r['qubits']:5d} gates {r['gates']:6d} "
               f"toffoli-equiv {r['toffoli_equivalent']:6d} "
               f"cx-equiv {r['cx_equivalent']:6d}")

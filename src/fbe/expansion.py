@@ -34,6 +34,11 @@ NumberLike = Union[int, float, str, Fraction]
 
 
 def _as_fraction(x: NumberLike) -> Fraction:
+    if isinstance(x, str) and "e" in x.lower():
+        # Fraction builds 10**e however long e is
+        exp = x.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "")
+        if len(exp.lstrip("0")) > 3:
+            raise DomainError(f"exponent of {x!r} has more than 3 digits")
     try:
         return Fraction(x)
     except ZeroDivisionError:

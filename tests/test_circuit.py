@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from fbe import circuit
 from fbe.circuit import (
     _ADD,
     _H,
@@ -168,6 +169,98 @@ def test_sparse_permutes_amplitude_dicts():
         got, want = hc.simulate_sparse(sub), ref_sparse(hc, sub)
         assert got.keys() == want.keys(), trial
         assert all(abs(got[k] - want[k]) < 1e-9 for k in want), trial
+
+
+def shifted(gates, by):
+    return [Gate(k, tuple(q + by for q in t), tuple(q + by for q in c), neg)
+            for k, t, c, neg in gates]
+
+
+def test_sparse_planes_match_term_by_term():
+    # many-term stretches run bit-sliced: 2, 31, 64, 65 and 257 distinct
+    # terms, each with its own amplitude, on seeded circuits over qubits
+    # 2..n+1 of n+5, so untouched qubits lie below and above; qubit 2 is
+    # 0 and qubit n+1 is 1 in every term, the rest vary
+    rng = random.Random(53)
+    n = 11
+    ops = set()
+    for size in (2, 31, 64, 65, 257):
+        for _ in range(2):
+            c = Circuit(n + 5)
+            c.extend(shifted(fusable_circuit(rng, n, 16).gates, 2))
+            prog = c._compile()
+            ops |= {(op, (step > 0) - (step < 0), bin(cm ^ cv).count("1") > 0)
+                    for cm, cv, op, _, step in prog}
+            free = [q for q in range(n + 5) if q not in (2, n + 1)]
+            keys = set()
+            while len(keys) < size:
+                keys.add(sum(1 << q for q in free if rng.random() < 0.5) | 1 << (n + 1))
+            states = sorted(keys)
+            start = {s: complex(i + 1, -2 * i) for i, s in enumerate(states)}
+            assert circuit._run_planes(prog, states) == [circuit._run(prog, s) for s in states]
+            assert c.simulate_sparse(start) == ref_sparse(c, start), size
+    # negative controls, swaps under them, increments and decrements
+    assert {(_SWAP, 0, True), (_ADD, 1, True), (_ADD, -1, True), (_XOR, 0, True)} <= ops
+
+
+def test_sparse_planes_wrap_fields():
+    # a field of all ones under +1 wraps to zero, one of all zeros under
+    # -1 to all ones; the increment fires on q0 = 1, the decrement on q1 = 0
+    bits = [2, 3, 4, 5]
+    c = Circuit(8)
+    c.extend(reversed([xgate(bits[i], [(0, True)] + [(b, True) for b in bits[:i]])
+                       for i in range(4)]))
+    c.extend([xgate(bits[i], [(1, False)] + [(b, True) for b in bits[:i]])
+              for i in range(4)])
+    assert [(op, step, mask) for _, _, op, mask, step in c._compile()] == [
+        (_ADD, 4, 0b111100), (_ADD, -4, 0b111100)]
+    start = {}
+    for rest in range(16):
+        other = (rest & 3) | (rest >> 2) << 6
+        start[other | 0b111100] = complex(rest, 1)
+        start[other] = complex(1, rest)
+    got = c.simulate_sparse(start)
+    assert got == ref_sparse(c, start)
+    assert got[0b01] == start[0b111101]  # +1 wraps, -1 skipped
+    assert got[0b111100] == start[0]  # +1 skipped, -1 wraps
+    assert got[0b111110] == start[0b111110]  # -1 undoes the +1's wrap
+    assert got[0b10] == start[0b10]  # neither fires
+
+
+def test_sparse_planes_cancelled_targets():
+    # x x fuses to one entry that touches no qubit
+    c = Circuit(2)
+    c.extend([Gate("x", (0,)), Gate("x", (0,))])
+    assert c._compile() == [(0, 0, _XOR, 0, 0)]
+    assert c.simulate_sparse({0: 1 + 0j, 2: 0.5j}) == {0: 1 + 0j, 2: 0.5j}
+
+
+def test_sparse_stretch_kernels_follow_the_term_count(monkeypatch):
+    # an h between stretches: a one-term stretch runs through _run, the
+    # stretches after it hold 2 and then up to 16 terms and run bit-sliced
+    rng = random.Random(59)
+    sizes = []
+    run_planes = circuit._run_planes
+
+    def counted(prog, states, qubits=None):
+        sizes.append(len(states))
+        return run_planes(prog, states, qubits)
+
+    monkeypatch.setattr(circuit, "_run_planes", counted)
+    for trial in range(6):
+        n = 9
+        c = Circuit(n)
+        c.extend(fusable_circuit(rng, n, 8).gates)
+        c.add(Gate("h", (0,)))
+        c.extend(fusable_circuit(rng, n, 8).gates)
+        for q in rng.sample(range(n), 3):
+            c.add(Gate("h", (q,)))
+        c.extend(fusable_circuit(rng, n, 8).gates)
+        s = rng.randrange(1 << n)
+        got, want = c.simulate_sparse(s), ref_sparse(c, s)
+        assert got.keys() == want.keys(), trial
+        assert all(abs(got[k] - want[k]) < 1e-12 for k in want), trial
+    assert sizes and set(sizes) <= {2, 4, 8, 16} and 1 not in sizes
 
 
 def test_sparse_edge_behaviour():

@@ -2,6 +2,7 @@
 check also runs it in subprocesses."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,87 @@ def test_bench_lists_all_families(capsys):
     assert code == 0
     for family in ("log", "arccos", "arccot", "exp", "cos", "cot"):
         assert f"\n{family}" in "\n" + out
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--m", "3"), "error: cot needs m >= 4, got 3\n"),
+    (("--n", "-1"), "error: --n must be 1 or more, not -1\n"),
+    (("--n", "0", "--m", "6"), "error: --n must be 1 or more, not 0\n"),
+    (("--m", "0"), "error: --m must be 1 or more, not 0\n"),
+])
+def test_bench_refuses_before_printing(capsys, argv, err):
+    # every family is synthesized before the table starts
+    assert run(capsys, "bench", *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("arg", ["1e5000", "1e-1_000_000_000", "-2E+1234"])
+def test_eval_refuses_long_exponents(capsys, arg):
+    # Fraction would build 10**e first, however long e is
+    code, out, err = run(capsys, "eval", "log2", "--", arg)
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent of {arg!r} has more than 3 digits\n"
+
+
+ARGV_SEEDS = (
+    ("eval", "log2", "1.5", "--n", "4", "--m", "8"),
+    ("eval", "exp2", ".1011", "--m", "9", "--trace"),
+    ("eval", "log2-wide", "3/2", "--n", "5", "--radix", "3"),
+    ("eval", "cot", ".0110", "--m", "7"),
+    ("eval", "arccos", "0.75", "--n", "3"),
+    ("eval", "--n", "3", "arccot", "1/4"),
+    ("eval", "--m", "6", "log2", "1.25"),
+    ("synth", "arccot", "--n", "2", "--m", "5", "--policy", "clean", "--report"),
+    ("synth", "cos", "--n", "2", "--m", "6", "--square", "reversed-sqrt"),
+    ("bench", "--n", "2", "--m", "5", "--policy", "clean"),
+)
+ARGV_JUNK = ("1/0", ".", "nan", "!", "-", "--", "inf", "1e5000", "0x10", "..1",
+             "", "-.5", "1/-2", "--n", "--m", "q[0]")
+
+
+def mutate_argv(rng, argv):
+    """Delete, repeat or swap a token, or put a small int or junk in
+    its place."""
+    i = rng.randrange(len(argv))
+    how = rng.randrange(5)
+    if how == 0:
+        del argv[i]
+    elif how == 1:
+        argv.insert(i, argv[i])
+    elif how == 2:
+        j = rng.randrange(len(argv))
+        argv[i], argv[j] = argv[j], argv[i]
+    elif how == 3:
+        argv[i] = str(rng.randint(-40, 40))
+    else:
+        argv[i] = rng.choice(ARGV_JUNK)
+
+
+def test_argv_fuzz_exits_0_or_2_with_an_error_line(capsys):
+    # mutants of valid eval, synth and bench argv, n and m capped at 12:
+    # each exits 0, or 2 with nothing on stdout and the error last on
+    # stderr, and none ends in a traceback
+    rng = random.Random(2027)
+    codes = set()
+    for seed in ARGV_SEEDS * 40:
+        argv = list(seed)
+        for _ in range(rng.randint(1, 3)):
+            if argv:
+                mutate_argv(rng, argv)
+        for j in range(1, len(argv)):
+            if argv[j - 1] in ("--n", "--m") and argv[j].isdecimal():
+                argv[j] = str(min(int(argv[j]), 12))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv}: {exc!r}")
+        out, err = capsys.readouterr()
+        codes.add(code)
+        if code != 0:
+            assert (code, out) == (2, ""), argv
+            assert "error: " in err.splitlines()[-1], argv
+    assert codes == {0, 2}
 
 
 def test_bad_flags_raise_systemexit():

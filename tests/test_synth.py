@@ -194,6 +194,26 @@ def test_superposed_digits_split_into_two_branches():
         assert abs(abs(a) - 2 ** -0.5) < 1e-12
 
 
+@pytest.mark.parametrize("fn, policy, square", [
+    v for v in itertools.product(FORWARD + INVERSE, ("garbage", "clean"),
+                                 ("shift_add", "reversed_sqrt"))
+    # exp and cos never square, so reversed_sqrt repeats shift_add there
+    if v[0] not in ("exp", "cos") or v[2] == "shift_add"])
+def test_sparse_runs_every_input_like_basis(fn, policy, square):
+    # every encoded valid input in one start dict, each with its own
+    # amplitude, goes through the bit-sliced stretch kernel at once
+    sc = synthesize(SynthConfig(fn, 3, 6, policy, square))
+    if sc.group == 1:
+        inputs = [sc.encode_input(make(raw, sc.layout).value) for raw in valid_raws(sc)]
+    else:
+        inputs = [sc.encode_digits(DigitString(bits))
+                  for bits in itertools.product((0, 1), repeat=3)]
+    start = {s: complex(i + 1, -i) for i, s in enumerate(inputs)}
+    assert len(start) == len(inputs) > 1
+    want = {sc.circuit.simulate_basis(s): a for s, a in start.items()}
+    assert sc.circuit.simulate_sparse(start) == want
+
+
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
 def test_qubit_count_affine_in_m(fn):
     n = 4
