@@ -28,6 +28,7 @@ from .fixedpoint import (
     DomainError,
     FixedPointError,
     Layout,
+    _shown,
     make,
     parse,
     render,
@@ -159,7 +160,7 @@ def cmd_sim(args) -> int:
         fp = parse(args.input, signed=reg.signed)
         if (fp.layout.int_bits, fp.layout.frac_bits) != (reg.int_bits, reg.frac_bits):
             raise DomainError(
-                f"input {args.input!r} is {fp.layout.int_bits}.{fp.layout.frac_bits}, "
+                f"input {_shown(repr(args.input))} is {fp.layout.int_bits}.{fp.layout.frac_bits}, "
                 f"circuit wants {reg.int_bits}.{reg.frac_bits}")
         start = reg.insert(0, fp.raw)
     else:

@@ -22,6 +22,7 @@ from .fixedpoint import (
     FixedPoint,
     Layout,
     WidthMismatch,
+    _shown,
     _trunc_raw,
     from_value,
     make,
@@ -31,9 +32,14 @@ from .fixedpoint import (
 State = tuple[int, int]
 
 NumberLike = Union[int, float, str, Fraction]
+# longest number text _as_fraction reads; Python's int() stops at 4300
+# digits, and with at most 3 exponent digits this bounds every value
+_MAX_NUMBER_TEXT = 1000
 
 
 def _as_fraction(x: NumberLike) -> Fraction:
+    if isinstance(x, str) and len(x.strip()) > _MAX_NUMBER_TEXT:
+        raise DomainError(f"{_shown(x.strip())} is longer than {_MAX_NUMBER_TEXT} characters")
     if isinstance(x, str) and "e" in x.lower():
         # Fraction builds 10**e however long e is
         exp = x.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "")
@@ -85,8 +91,8 @@ def parse_digits(text: str, radix: int = 2) -> DigitString:
         t = t[1:]
     if t.startswith("."):
         t = t[1:]
-    if not t or any(not c.isdigit() for c in t):
-        raise DomainError(f"bad digit string {text!r}")
+    if not t or any(c not in "0123456789" for c in t):
+        raise DomainError(f"bad digit string {_shown(repr(text))}")
     return DigitString(tuple(int(c) for c in t), radix)
 
 
@@ -139,7 +145,7 @@ class FunctionSpec:
 def _encode_interval(spec_name, domain):
     def enc(x: Fraction, lay: Layout) -> State:
         if x not in domain:
-            raise DomainError(f"{x} outside the domain of {spec_name}")
+            raise DomainError(f"{_shown(x)} outside the domain of {spec_name}")
         return from_value(x, lay).raw, 0
 
     return enc

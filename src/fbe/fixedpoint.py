@@ -33,6 +33,13 @@ class DomainError(FixedPointError):
     """Input outside the mathematical domain of the operation."""
 
 
+def _shown(value) -> str:
+    """value as an error message quotes it: past 40 characters, its
+    ends around the count, so a huge input still reads in one line."""
+    s = str(value)
+    return s if len(s) <= 40 else f"{s[:12]}...{s[-12:]} ({len(s)} characters)"
+
+
 @dataclass(frozen=True)
 class Layout:
     """Register shape: int_bits includes the sign bit when signed."""
@@ -100,12 +107,12 @@ def from_value(value: Rational, layout: Layout, exact: bool = True) -> FixedPoin
     otherwise the magnitude truncates toward zero first."""
     v = Fraction(value)
     if exact and (1 << layout.frac_bits) % v.denominator:
-        raise DomainError(f"{value} not representable with {layout.frac_bits} frac bits")
+        raise DomainError(f"{_shown(value)} not representable with {layout.frac_bits} frac bits")
     t = _trunc_raw(v, layout.frac_bits)
     lo = -(1 << (layout.width - 1)) if layout.signed else 0
     hi = (1 << (layout.width - 1)) if layout.signed else (1 << layout.width)
     if not lo <= t < hi:
-        raise FixedOverflow(f"{value} outside range of {layout}")
+        raise FixedOverflow(f"{_shown(value)} outside range of {layout}")
     return make(t, layout)
 
 
@@ -268,12 +275,12 @@ def parse(text: str, signed: bool = False) -> FixedPoint:
     """Inverse of render; field widths come from the glyph counts."""
     t = text.strip()
     if t.count(".") > 1 or any(c not in "01." for c in t):
-        raise DomainError(f"bad fixed-point literal {text!r}")
+        raise DomainError(f"bad fixed-point literal {_shown(repr(text))}")
     if "." in t:
         int_part, frac_part = t.split(".")
     else:
         int_part, frac_part = t, ""
     digits = int_part + frac_part
     if not digits:
-        raise DomainError(f"bad fixed-point literal {text!r}")
+        raise DomainError(f"bad fixed-point literal {_shown(repr(text))}")
     return FixedPoint(int(digits, 2), len(int_part), len(frac_part), signed)

@@ -9,6 +9,7 @@ import pytest
 from fbe import circuit
 from fbe.circuit import (
     _ADD,
+    _BLK,
     _H,
     _SWAP,
     _XOR,
@@ -103,6 +104,73 @@ def fusable_circuit(rng, n, pieces, with_h=False):
     return c
 
 
+def add_under(rng, ctx, src, dst, anc):
+    """add_into's MAJ/UMA ripple of src into dst under the (qubit,
+    positive?) context ctx, the carry incrementing dst's high bits."""
+    def flip(t, ctl):
+        ctl = list(ctx) + ctl
+        rng.shuffle(ctl)
+        return xgate(t, ctl)
+
+    gates = []
+    chain = [anc] + src[:-1]
+    for c, y, z in zip(chain, dst, src):
+        gates += [flip(y, [(z, True)]), flip(c, [(z, True)]), flip(z, [(c, True), (y, True)])]
+    high = dst[len(src):]
+    for i in reversed(range(len(high))):
+        gates.append(flip(high[i], [(src[-1], True)] + [(b, True) for b in high[:i]]))
+    for c, y, z in reversed(list(zip(chain, dst, src))):
+        gates += [flip(z, [(c, True), (y, True)]), flip(c, [(z, True)]), flip(y, [(c, True)])]
+    return gates
+
+
+def context_circuit(rng, n, runs, with_h=False):
+    """Runs of gates under one or two shared context controls of either
+    polarity, as synthesis lays out a block under a digit: MAJ/UMA
+    adders, increment and decrement cascades, swaps and cswaps under
+    one context bit, now and then a sub-run under one more context bit,
+    and uncontrolled swaps and h gates between runs."""
+    c = Circuit(n)
+    for _ in range(runs):
+        ctx = [(q, rng.random() < 0.5) for q in rng.sample(range(n), rng.choice((1, 2)))]
+        for _ in range(rng.randrange(2, 6)):
+            inner = list(ctx)
+            if rng.random() < 0.3:
+                q = rng.choice([q for q in range(n) if q not in dict(ctx)])
+                inner.append((q, rng.random() < 0.5))
+            free = [q for q in range(n) if q not in dict(inner)]
+            piece = rng.choice(["add", "add", "cascade", "cswap", "flip"])
+            if piece == "add" and len(free) >= 4:
+                w = rng.randrange(1, (len(free) - 1) // 2 + 1)
+                qs = rng.sample(free, len(free))
+                extra = rng.randrange(len(free) - 1 - 2 * w + 1)
+                c.extend(add_under(rng, inner, qs[:w], qs[w:2 * w + extra], qs[-1]))
+            elif piece == "cascade":
+                lo = rng.randrange(len(free))
+                bits = [q for q in free if q >= free[lo]][:rng.randrange(1, 5)]
+                c.extend(cascade(rng, bits, inner, rng.random() < 0.5))
+            elif piece == "cswap" and len(free) >= 2:
+                (q, pos), (a, b) = rng.choice(inner), rng.sample(free, 2)
+                c.add(Gate("cswap", (a, b), (q,), 0 if pos else 1))
+            else:
+                c.add(xgate(rng.choice(free), inner))
+        if rng.random() < 0.2:
+            c.add(Gate("swap", tuple(rng.sample(range(n), 2))))
+        if with_h and rng.random() < 0.5:
+            c.add(Gate("h", (rng.randrange(n),)))
+    return c
+
+
+def flatten(prog, cm0=0, cv0=0):
+    """The entries of a nested program, each block's context ORed back
+    into the conditions inside it."""
+    for cm, cv, op, mask, step in prog:
+        if op == _BLK:
+            yield from flatten(mask, cm0 | cm, cv0 | cv)
+        else:
+            yield cm0 | cm, cv0 | cv, op, mask, step
+
+
 def ref_sparse(c, s):
     # gate-by-gate sparse reference from a basis state or an amplitude
     # dict; h as in the textbook, no fusion
@@ -127,9 +195,6 @@ def test_fused_program_matches_gate_by_gate():
     for trial in range(24):
         n = rng.randrange(5, 8)
         c = fusable_circuit(rng, n, 14)
-        prog = c._compile()
-        ops |= {(op, (step > 0) - (step < 0), op == _XOR and bin(mask).count("1") > 1)
-                for _, _, op, mask, step in prog}
         for s in range(1 << n):
             want = s
             for g in c.gates:
@@ -137,6 +202,9 @@ def test_fused_program_matches_gate_by_gate():
             assert c.simulate_basis(s) == want, (trial, s)
             if s % 7 == 0:
                 assert c.simulate_sparse(s) == {want: 1.0 + 0j}, (trial, s)
+        # every state has run through the program, so it is nested by now
+        ops |= {(op, (step > 0) - (step < 0), op == _XOR and bin(mask).count("1") > 1)
+                for _, _, op, mask, step in flatten(c._compile())}
         hc = fusable_circuit(rng, n, 10, with_h=True)
         for s in rng.sample(range(1 << n), 4):
             got, want = hc.simulate_sparse(s), ref_sparse(hc, s)
@@ -189,15 +257,18 @@ def test_sparse_planes_match_term_by_term():
             c = Circuit(n + 5)
             c.extend(shifted(fusable_circuit(rng, n, 16).gates, 2))
             prog = c._compile()
+            nested = circuit._nest(prog)
             ops |= {(op, (step > 0) - (step < 0), bin(cm ^ cv).count("1") > 0)
-                    for cm, cv, op, _, step in prog}
+                    for cm, cv, op, _, step in flatten(nested)}
             free = [q for q in range(n + 5) if q not in (2, n + 1)]
             keys = set()
             while len(keys) < size:
                 keys.add(sum(1 << q for q in free if rng.random() < 0.5) | 1 << (n + 1))
             states = sorted(keys)
             start = {s: complex(i + 1, -2 * i) for i, s in enumerate(states)}
-            assert circuit._run_planes(prog, states) == [circuit._run(prog, s) for s in states]
+            want = [circuit._run(prog, s) for s in states]
+            assert circuit._run_planes(prog, states) == want
+            assert circuit._run_planes(nested, states) == want
             assert c.simulate_sparse(start) == ref_sparse(c, start), size
     # negative controls, swaps under them, increments and decrements
     assert {(_SWAP, 0, True), (_ADD, 1, True), (_ADD, -1, True), (_XOR, 0, True)} <= ops
@@ -236,8 +307,9 @@ def test_sparse_planes_cancelled_targets():
 
 
 def test_sparse_stretch_kernels_follow_the_term_count(monkeypatch):
-    # an h between stretches: a one-term stretch runs through _run, the
-    # stretches after it hold 2 and then up to 16 terms and run bit-sliced
+    # an h between stretches: the one-term and two-term stretches run
+    # through _run, the stretch after three more h holds up to 16 terms
+    # and runs bit-sliced once it holds _PLANES_FROM or more
     rng = random.Random(59)
     sizes = []
     run_planes = circuit._run_planes
@@ -260,7 +332,123 @@ def test_sparse_stretch_kernels_follow_the_term_count(monkeypatch):
         got, want = c.simulate_sparse(s), ref_sparse(c, s)
         assert got.keys() == want.keys(), trial
         assert all(abs(got[k] - want[k]) < 1e-12 for k in want), trial
-    assert sizes and set(sizes) <= {2, 4, 8, 16} and 1 not in sizes
+    assert sizes and min(sizes) >= circuit._PLANES_FROM
+
+
+def check_blocks(prog, outm=0, outv=0):
+    """Check the shape _nest promises, level by level, with conditions
+    taken whole (every context around them ORed in): a block's context
+    is the control bits its first two entries share outside the
+    contexts around it, the entry after the block does not hold all of
+    it, and no block holds h.  Returns the deepest nesting."""
+    deepest = 0
+    for k, e in enumerate(prog):
+        if e[2] != _BLK:
+            continue
+        ctx, v, run = e[0], e[1], e[3]
+        (am, av, *_), (bm, bv, *_) = list(flatten(run, outm | ctx, outv | v))[:2]
+        assert ctx == am & bm & ~(av ^ bv) & ~outm and v == av & ctx
+        assert _H not in [f[2] for f in flatten(run)]
+        if k + 1 < len(prog):
+            cm, cv = next(flatten(prog[k + 1:k + 2], outm, outv))[:2]
+            assert not (cm & ctx == ctx and cv & ctx == v)
+        deepest = max(deepest, 1 + check_blocks(run, outm | ctx, outv | v))
+    return deepest
+
+
+def test_nest_keeps_program_order_and_results():
+    # runs under shared 1-2 bit contexts nest to depth 2 and more; the
+    # blocks flatten back to the fused program, and on every basis state
+    # the nested program, the flat one and the gate list agree
+    rng = random.Random(61)
+    depths = []
+    for trial in range(16):
+        n = rng.randrange(7, 10)
+        c = context_circuit(rng, n, 10, with_h=trial % 2 == 1)
+        flat = c._compile()
+        nested = circuit._nest(flat)
+        assert list(flatten(nested)) == flat, trial
+        assert len(nested) < len(flat)
+        depths.append(check_blocks(nested))
+        if trial % 2:
+            # h entries stay at the top level, so sparse stretches split alike
+            assert [e for e in nested if e[2] == _H] == [e for e in flat if e[2] == _H]
+            for s in rng.sample(range(1 << n), 3):
+                got, want = c.simulate_sparse(s), ref_sparse(c, s)
+                assert got.keys() == want.keys(), (trial, s)
+                assert all(abs(got[k] - want[k]) < 1e-12 for k in want), (trial, s)
+            continue
+        for s in range(1 << n):
+            want = s
+            for g in c.gates:
+                want = ref_apply(g, want, n)
+            assert circuit._run(nested, s) == circuit._run(flat, s) == want, (trial, s)
+    assert max(depths) >= 2 and min(depths) >= 1
+
+
+def test_nested_planes_match_flat():
+    # 2, 64 and 257 terms bit-sliced through nested and flat programs
+    rng = random.Random(67)
+    n = 10
+    for size in (2, 64, 257):
+        for _ in range(3):
+            c = context_circuit(rng, n, 12)
+            flat = c._compile()
+            nested = circuit._nest(flat)
+            states = rng.sample(range(1 << n), size)
+            want = [circuit._run(flat, s) for s in states]
+            assert circuit._run_planes(nested, states) == want, size
+            assert circuit._run_planes(flat, states) == want, size
+
+
+def test_nest_contexts_polarity_and_rejoin():
+    # one context qubit of opposite polarity shares nothing; a run goes
+    # on under its first two entries' context and ends at the first
+    # entry without all of it
+    a, b, t, u = 1, 2, 4, 8
+    flat = [(a | b, a | b, _XOR, t, 0), (a | b, a | b, _XOR, u, 0),
+            (a, a, _XOR, t, 0), (a, a, _XOR, u, 0),
+            (a, 0, _XOR, t, 0), (a | b, b, _XOR, u, 0)]
+    assert circuit._nest(flat) == [
+        (a | b, a | b, _BLK, [(0, 0, _XOR, t, 0), (0, 0, _XOR, u, 0)], 0),
+        (a, a, _BLK, [(0, 0, _XOR, t, 0), (0, 0, _XOR, u, 0)], 0),
+        (a, 0, _BLK, [(0, 0, _XOR, t, 0), (b, b, _XOR, u, 0)], 0)]
+    assert circuit._nest([flat[0], (a | b, 0, _XOR, u, 0)]) == [
+        flat[0], (a | b, 0, _XOR, u, 0)]
+
+
+def test_circuit_nests_at_the_threshold():
+    # the program runs flat until _NEST_AFTER states or terms have gone
+    # through it since compile, then the nested one takes its place; add
+    # drops it, and the count starts again on the new flat program
+    rng = random.Random(71)
+    n = 8
+    c = context_circuit(rng, n, 8)
+    g = xgate(0, [(1, True)])
+    for added in (False, True):
+        flat = c._compile()
+        assert check_blocks(flat) == 0
+        for s in range(circuit._NEST_AFTER - 1):
+            c.simulate_basis(s)
+            assert c._compile() is flat
+        c.simulate_basis(s + 1)
+        nested = c._compile()
+        assert check_blocks(nested) >= 1 and list(flatten(nested)) == flat
+        assert all(c.simulate_basis(s) == circuit._run(flat, s) for s in range(1 << n))
+        assert c._compile() is nested
+        if not added:
+            c.add(g)
+            assert c._compile() == flat + [(2, 2, _XOR, 1, 0)]
+    # a sparse start of _NEST_AFTER terms nests before it runs
+    d = Circuit(n)
+    d.extend(c.gates)
+    start = {s: 1.0 + 0j for s in range(circuit._NEST_AFTER)}
+    assert d.simulate_sparse(start) == ref_sparse(d, start)
+    assert check_blocks(d._compile()) >= 1
+    d.add(g)
+    e = Circuit(n)
+    e.extend(d.gates)
+    assert d.simulate_sparse(3) == e.simulate_sparse(3) == ref_sparse(e, 3)
 
 
 def test_sparse_edge_behaviour():

@@ -256,6 +256,22 @@ def test_eval_refuses_long_exponents(capsys, arg):
     assert err == f"error: exponent of {arg!r} has more than 3 digits\n"
 
 
+@pytest.mark.parametrize("arg, err", [
+    ("1e400", "error: 100000000000...000000000000 (401 characters) outside the domain of log2\n"),
+    ("9" * 5000, "error: 999999999999...999999999999 (5000 characters) is longer than 1000 characters\n"),
+], ids=["1e400", "5000-nines"])
+def test_eval_shortens_huge_numbers(capsys, arg, err):
+    # the error quotes a shortened form, in one line, not the whole number
+    assert run(capsys, "eval", "log2", arg) == (2, "", err)
+
+
+@pytest.mark.parametrize("arg", [".1\u00b2", ".\u0661\u0660\u0661\u0661"])
+def test_eval_digits_are_ascii(capsys, arg):
+    # str.isdigit() holds for a superscript two and for Arabic-Indic
+    # digits, which int() then refused or read as 0 and 1
+    assert run(capsys, "eval", "exp2", arg) == (2, "", f"error: bad digit string {arg!r}\n")
+
+
 ARGV_SEEDS = (
     ("eval", "log2", "1.5", "--n", "4", "--m", "8"),
     ("eval", "exp2", ".1011", "--m", "9", "--trace"),
@@ -323,3 +339,50 @@ def test_bad_flags_raise_systemexit():
         main(["synth", "log", "--policy", "messy"])
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
+
+
+LITERAL_CHARS = "01.10.2 9-+e_/x\t\u0663\u00b2\u00e9"
+
+
+def mutate_literal(rng, text):
+    """Up to four edits: insert, delete or replace a character, or
+    double a stretch of the text."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        how = rng.randrange(4)
+        if how == 0:
+            text = text[:i] + rng.choice(LITERAL_CHARS) + text[i:]
+        elif how == 1:
+            text = text[:i - 1] + text[i:] if i else text[1:]
+        elif how == 2:
+            text = text[:i] + rng.choice(LITERAL_CHARS) + text[i + 1:]
+        else:
+            text = text[:i] + text[i:i + rng.randint(1, 40)] * rng.randint(2, 30) + text[i:]
+    return text
+
+
+def test_literal_fuzz_exits_0_or_2_with_one_line(capsys, tmp_path):
+    # mutants of fixed-point literals (fixedpoint.parse, through fbe sim
+    # on a log circuit) and of digit strings (parse_digits, through fbe
+    # eval and fbe sim on an exp circuit): each exits 0, or 2 with
+    # nothing on stdout and one error line, and none ends in a traceback
+    log, exp = tmp_path / "log.fbe", tmp_path / "exp.fbe"
+    run(capsys, "synth", "log", "--n", "2", "--m", "4", "-o", str(log))
+    run(capsys, "synth", "exp", "--n", "3", "--m", "5", "-o", str(exp))
+    rng = random.Random(2029)
+    codes = set()
+    for argv in [("sim", str(log), "--", "01.00"), ("sim", str(log), "--", "10.01"),
+                 ("sim", str(exp), "--", ".101"), ("sim", str(exp), "--", "0.011"),
+                 ("eval", "exp2", "--m", "6", "--", ".1011")] * 100:
+        argv = list(argv[:-1]) + [mutate_literal(rng, argv[-1])]
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv}: {exc!r}")
+        out, err = capsys.readouterr()
+        codes.add(code)
+        if code != 0:
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert len(err) < 200, argv
+    assert codes == {0, 2}
