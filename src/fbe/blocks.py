@@ -11,7 +11,9 @@ tests and the command line exercise directly.
 
 The Builder owns the ancilla policy: blocks compute into Builder.scratch,
 copy out, and pass the compute block to Builder.uncompute, which undoes
-it only under "clean" (Bennett's compute-copy-uncompute).
+it only under "clean" (Bennett's compute-copy-uncompute).  Under clean
+the scratch is zero again after each block, so every step of a circuit
+computes into the same scratch register.
 
 All arithmetic is two's complement on fixed-width registers, truncation
 toward zero, matching the classical fixed-point routines bit for bit.
@@ -55,10 +57,13 @@ class Builder:
     within a gate.
 
     The Builder owns the ancilla policy; `clean` says which is in force.
-    scratch() gives a register in the matching role, compute() emits and
-    records its body, and uncompute() appends that reversed under clean
-    only.  inverted() emits its body's inverse under either policy: every
-    gate here is self-inverse, so reversed order is the inverse.
+    scratch() gives block scratch in the matching role: a fresh register
+    per step under garbage, and under clean one register per scratch
+    role, shared by every step.  compute() emits and records its body,
+    and uncompute() appends that reversed under clean only, which returns
+    the shared scratch to zero before the next step computes into it.
+    inverted() emits its body's inverse under either policy: every gate
+    here is self-inverse, so reversed order is the inverse.
     """
 
     def __init__(self, policy: str = "garbage"):
@@ -69,6 +74,7 @@ class Builder:
         self.gates: list[Gate] = []
         self.regs: list[Register] = []
         self.ctx: tuple[tuple[int, ...], int] = ((), 0)
+        self.shared: dict[str, Register] = {}  # clean scratch by role
 
     def alloc(self, size: int) -> tuple[int, ...]:
         bits = tuple(range(self.n, self.n + size))
@@ -98,9 +104,21 @@ class Builder:
         finally:
             self.ctx = saved
 
-    def scratch(self, name: str, size: int) -> Register:
-        """A block-internal register, returned clean only under clean."""
-        return self.reg(name, "ancilla-clean" if self.clean else "garbage", size)
+    def scratch(self, role: str, size: int, step: Optional[int] = None) -> Register:
+        """Block scratch named `role`, left as garbage or returned clean.
+
+        Under garbage every call allocates a fresh register, named role
+        followed by the step when one is given (AncW0, AncW1, ...).
+        Under clean the first call for a role allocates one ancilla-clean
+        register named role, and every later call hands the same one
+        back: each step uncomputes it to zero before the next uses it
+        (Bennett's compute-copy-uncompute), so n steps need one register,
+        not n."""
+        if not self.clean:
+            return self.reg(role if step is None else f"{role}{step}", "garbage", size)
+        if role not in self.shared:
+            self.shared[role] = self.reg(role, "ancilla-clean", size)
+        return self.shared[role]
 
     @contextmanager
     def compute(self):

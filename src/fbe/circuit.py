@@ -249,7 +249,7 @@ def _touched(prog) -> int:
     return touched
 
 
-def _run_planes(prog, states, qubits=None) -> list[int]:
+def _run_planes(prog, states, qubits=None, touched=None) -> list[int]:
     """Run the distinct basis states through h-free compiled entries at
     once, bit-sliced (Biham, FSE 1997): one int per touched qubit whose
     bit k is that qubit in states[k].  An entry's condition is the AND
@@ -264,9 +264,11 @@ def _run_planes(prog, states, qubits=None) -> list[int]:
     constant plane, and untouched bits pass through.  Packing a qubit
     that varies, and unpacking, go through one character per qubit and
     term, so both take time and memory linear in the term count.  qubits
-    maps a mask to its qubits, lowest first (Circuit._qubits)."""
+    maps a mask to its qubits, lowest first (Circuit._qubits), and
+    touched is _touched(prog) when the caller has it already."""
     qs = _Qubits() if qubits is None else qubits
-    touched = _touched(prog)
+    if touched is None:
+        touched = _touched(prog)
     if not touched:  # only uncontrolled entries whose targets cancelled
         return list(states)
     full = (1 << len(states)) - 1
@@ -339,6 +341,7 @@ class Circuit:
         self.gates: list[Gate] = []
         self.registers: dict[str, Register] = {}
         self._program = None
+        self._stretches = None  # _program split for simulate_sparse
         self._runs = 0  # states and terms run since the last compile
         self._qubits = _Qubits()
 
@@ -354,7 +357,7 @@ class Circuit:
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"qubit {q} outside 0..{self.n_qubits - 1}")
         self.gates.append(gate)
-        self._program = None
+        self._program = self._stretches = None
 
     def extend(self, gates: Iterable[Gate]):
         for g in gates:
@@ -448,7 +451,26 @@ class Circuit:
         self._runs = runs + states
         if runs < _NEST_AFTER <= runs + states:
             prog = self._program = _nest(prog)
+            self._stretches = None
         return prog
+
+    def _split(self, prog):
+        """The program split for simulate_sparse: one [entries, touched,
+        h] list per stretch between h entries, h the mask of the h entry
+        that ends the stretch, 0 after the last one.  touched, the OR of
+        the entries' cm | mask through the blocks (_touched), is None
+        until the stretch first runs bit-sliced: a program run one term
+        at a time never needs it.  Made on the first sparse run of each
+        program, flat or nested, and dropped when the program is."""
+        if self._stretches is None:
+            self._stretches = []
+            lo = 0
+            # a last h entry of mask 0 ends the last stretch
+            for hi, (_, _, op, mask, _) in enumerate(prog + [(0, 0, _H, 0, 0)]):
+                if op == _H:
+                    self._stretches.append([prog[lo:hi], None, mask])
+                    lo = hi + 1
+        return self._stretches
 
     def _check_state(self, state: int):
         if state < 0 or state >> self.n_qubits:
@@ -465,29 +487,29 @@ class Circuit:
         basis states, so each stretch between h entries permutes the
         terms, each keeping its amplitude: fewer than _PLANES_FROM terms
         run through _run one by one, that many or more through
-        _run_planes together.  The terms of the start count towards
-        nesting the program.  h splits amplitudes by 1/sqrt(2) and drops
-        the terms that cancel to zero.
+        _run_planes together.  The stretches and the qubits each one
+        touches come from _split, once per program.  The terms of the
+        start count towards nesting the program.  h splits amplitudes by
+        1/sqrt(2) and drops the terms that cancel to zero.
         Raises SimulationLimit once an entry leaves more than cap terms."""
         amps = {state: 1.0 + 0j} if isinstance(state, int) else dict(state)
         for s in amps:
             self._check_state(s)
         inv_sqrt2 = 2 ** -0.5
-        prog = self._prepared(len(amps))
-        start = 0
-        for end in [i for i, e in enumerate(prog) if e[2] == _H] + [len(prog)]:
-            if end > start:
-                stretch = prog[start:end]
+        for part in self._split(self._prepared(len(amps))):
+            stretch, touched, mask = part
+            if stretch:
                 if len(amps) >= _PLANES_FROM:
-                    amps = dict(zip(_run_planes(stretch, list(amps), self._qubits),
-                                    amps.values()))
+                    if touched is None:
+                        touched = part[1] = _touched(stretch)
+                    amps = dict(zip(_run_planes(stretch, list(amps), self._qubits,
+                                                touched), amps.values()))
                 else:
                     amps = {_run(stretch, s): a for s, a in amps.items()}
                 if len(amps) > cap:
                     raise SimulationLimit(f"state grew past {cap} terms")
-            if end == len(prog):
+            if not mask:
                 return amps
-            mask = prog[end][3]
             nxt: dict[int, complex] = {}
             for s, a in amps.items():
                 lo = s & ~mask
@@ -498,7 +520,6 @@ class Circuit:
             amps = {s: a for s, a in nxt.items() if a != 0}
             if len(amps) > cap:
                 raise SimulationLimit(f"state grew past {cap} terms")
-            start = end + 1
 
     # ----------------------------------------------------------- reporting
 
@@ -566,6 +587,20 @@ def export_text(c: Circuit, expand_negative_controls: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_index(tok: str) -> bool:
+    """Whether tok is a count or index written in ASCII digits 0-9 alone:
+    int() by itself would also read "1_0", "+3", " 3" and other scripts'
+    digits, such as the Arabic-Indic four."""
+    return tok.isascii() and tok.isdigit()
+
+
+def _index(tok: str) -> int:
+    """int(tok) for a count or index, ValueError unless _is_index(tok)."""
+    if not _is_index(tok):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def import_text(text: str) -> Circuit:
     """Parse the text form.  Every line is checked in order and the first
     bad one is named in the error.  A gate line seen before in this text
@@ -588,7 +623,7 @@ def import_text(text: str) -> Circuit:
         if head == "qubits":
             if c is not None:
                 raise CircuitError(f"line {lineno}: duplicate qubits header")
-            if len(toks) != 2 or not toks[1].isdecimal():
+            if len(toks) != 2 or not _is_index(toks[1]):
                 raise CircuitError(f"line {lineno}: bad qubits header")
             # count digits first: int() refuses strings past 4300 digits
             if (len(toks[1].lstrip("0")) > len(str(MAX_TEXT_QUBITS))
@@ -612,8 +647,8 @@ def import_text(text: str) -> Circuit:
             if len(span) != 2:
                 raise CircuitError(f"line {lineno}: bad register span")
             try:
-                lo, hi = int(span[0]), int(span[1])
-                ib, fb = int(body[5]), int(body[7])
+                lo, hi = _index(span[0]), _index(span[1])
+                ib, fb = _index(body[5]), _index(body[7])
             except ValueError:
                 raise CircuitError(f"line {lineno}: bad register numbers") from None
             try:
@@ -635,7 +670,7 @@ def import_text(text: str) -> Circuit:
                 if not (body.startswith("q[") and body.endswith("]")):
                     raise CircuitError(f"line {lineno}: bad operand {tok!r}")
                 try:
-                    op = operands[tok] = (int(body[2:-1]), neg)
+                    op = operands[tok] = (_index(body[2:-1]), neg)
                 except ValueError:
                     raise CircuitError(f"line {lineno}: bad qubit index in {tok!r}") from None
             q, neg = op

@@ -14,7 +14,9 @@ registers between the ends keep the intermediate chain values, which
 both policies leave in place.  The policy itself belongs to the Builder:
 each step computes into scratch from Builder.scratch, copies out, and
 hands the compute block to Builder.uncompute, which returns that scratch
-to zero under the clean policy and leaves it as garbage otherwise.
+to zero under the clean policy and leaves it as garbage otherwise.  So
+under garbage every step gets its own scratch register (AncW0, AncW1,
+...), and under clean all steps share one (AncW).
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _synth_log(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     b = Builder(cfg.policy)
     rego = b.reg("RegO", "output", n, int_bits=1)
     regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
-    wides = [b.scratch(f"AncW{i}", square_width(m - 1, cfg.square_method))
+    wides = [b.scratch("AncW", square_width(m - 1, cfg.square_method), i)
              for i in range(n - 1)]
     root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
               if cfg.square_method == "reversed_sqrt" else None)
@@ -206,7 +208,7 @@ def _synth_arccos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     b = Builder(cfg.policy)
     rego = b.reg("RegO", "output", n, int_bits=0)
     regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
-    wides = [b.scratch(f"AncW{i}", square_width(m - 1, cfg.square_method))
+    wides = [b.scratch("AncW", square_width(m - 1, cfg.square_method), i)
              for i in range(n - 1)]
     root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
               if cfg.square_method == "reversed_sqrt" else None)
@@ -249,7 +251,7 @@ def _synth_arccot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     rego = b.reg("RegO", "output", n, int_bits=0)
     regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
     # square scratch doubles as the division frame, one guard bit on top
-    sqs = [b.scratch(f"AncSq{i}", 2 * m - 1) for i in range(n - 1)]
+    sqs = [b.scratch("AncSq", 2 * m - 1, i) for i in range(n - 1)]
     quot_t = b.reg("AncQuot", "ancilla-clean", m - 1).bits if b.clean else None
     root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
               if cfg.square_method == "reversed_sqrt" else None)
@@ -304,7 +306,7 @@ def _synth_exp(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
     regs = _chain(b, lay, ["garbage"] * n + ["output"])
-    wides = [b.scratch(f"AncW{i}", 2 * m + 1) for i in range(n)]
+    wides = [b.scratch("AncW", 2 * m + 1, i) for i in range(n)]
     root_t = b.reg("AncRoot", "ancilla-clean", m).bits if b.clean else None
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
 
@@ -329,7 +331,7 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
     regs = _chain(b, lay, ["garbage"] * n + ["output"])
-    wides = [b.scratch(f"AncW{i}", 2 * m - 1) for i in range(n)]
+    wides = [b.scratch("AncW", 2 * m - 1, i) for i in range(n)]
     root_t = b.reg("AncRoot", "ancilla-clean", m - 1).bits if b.clean else None
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
@@ -368,7 +370,7 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     # the radicand a^2 + 1 can spill one bit past 2m when the stored
     # pattern is large and the layout has many fraction bits, so the walk
     # runs one extra stage and the root gets its own m+1 bit register
-    sqs = [b.scratch(f"AncSq{i}", 2 * m + 3) for i in range(n - 1)]
+    sqs = [b.scratch("AncSq", 2 * m + 3, i) for i in range(n - 1)]
     if b.clean:
         roots = [b.reg("AncRoot", "ancilla-clean", m + 1)] * (n - 1) if n > 1 else []
     else:

@@ -314,9 +314,9 @@ def test_sparse_stretch_kernels_follow_the_term_count(monkeypatch):
     sizes = []
     run_planes = circuit._run_planes
 
-    def counted(prog, states, qubits=None):
+    def counted(prog, states, *rest):
         sizes.append(len(states))
-        return run_planes(prog, states, qubits)
+        return run_planes(prog, states, *rest)
 
     monkeypatch.setattr(circuit, "_run_planes", counted)
     for trial in range(6):
@@ -451,6 +451,58 @@ def test_circuit_nests_at_the_threshold():
     assert d.simulate_sparse(3) == e.simulate_sparse(3) == ref_sparse(e, 3)
 
 
+def test_sparse_split_once_per_program(monkeypatch):
+    # the stretches between h entries are cut on the first sparse run of
+    # a program, flat or nested, and reused by later runs; a stretch's
+    # touched mask is walked for once, on its first bit-sliced run; both
+    # are dropped with the program
+    rng = random.Random(73)
+    n = 8
+    c = context_circuit(rng, n, 6, with_h=True)
+    c.add(Gate("h", (1,)))
+    c.add(Gate("h", (2,)))  # an empty stretch between two h entries
+    walks = []
+    touched = circuit._touched
+
+    def counted(prog):
+        walks.append(len(prog))
+        return touched(prog)
+
+    monkeypatch.setattr(circuit, "_touched", counted)
+
+    def walked(start):
+        # whether this sparse run walked the program for touched masks
+        before = len(walks)
+        assert c.simulate_sparse(start) == ref_sparse(c, start)
+        return len(walks) > before
+
+    def check_split(prog):
+        split = c._stretches
+        assert len(split) == sum(e[2] == _H for e in prog) + 1
+        rebuilt = []
+        for stretch, mask, h in split:
+            assert mask in (None, touched(stretch))
+            assert _H not in [e[2] for e in stretch]
+            rebuilt += stretch + ([(0, 0, _H, h, 0)] if h else [])
+        assert rebuilt == prog and split[-1][2] == 0
+        return split
+
+    assert not walked(0)  # one term a run: no touched mask needed
+    split = check_split(c._compile())
+    assert all(t is None for _, t, _ in split)
+    assert not walked(1) and c._stretches is split
+    start = {s: 1.0 + 0j for s in range(circuit._NEST_AFTER)}
+    assert walked(start)  # the nested program gets its own split
+    assert check_blocks(c._compile()) >= 1
+    split = check_split(c._compile())
+    assert all(t is not None for st, t, _ in split if st)
+    assert not walked(start) and c._stretches is split
+    c.add(Gate("x", (0,)))
+    assert c._program is c._stretches is None
+    assert not walked(5)
+    check_split(c._compile())
+
+
 def test_sparse_edge_behaviour():
     c = Circuit(3)
     c.add(Gate("x", (1,)))
@@ -581,6 +633,25 @@ def test_import_error_lines():
     with pytest.raises(CircuitError, match="^line 1: more than 1048576 qubits"):
         import_text("qubits " + "9" * 5000 + "\n")
     assert import_text("qubits 0001048576\n").n_qubits == 1 << 20
+
+
+# int() alone reads each of these as a number
+NOT_ASCII_DIGITS = [
+    ("qubits 12\nx q[1_0]\n", r"^line 2: bad qubit index in 'q\[1_0\]'"),
+    ("qubits 12\nx q[+3]\n", r"^line 2: bad qubit index in 'q\[\+3\]'"),
+    ("qubits 12\nx q[\u0664]\n", "^line 2: bad qubit index in 'q\\[\u0664\\]'"),
+    ("qubits \u0661\u0660\nx q[0]\n", "^line 1: bad qubits header"),
+]
+
+
+@pytest.mark.parametrize("text, message", NOT_ASCII_DIGITS,
+                         ids=["underscore", "plus", "arabic-indic-index", "arabic-indic-header"])
+def test_import_reads_ascii_digits_only(text, message):
+    with pytest.raises(CircuitError, match=message):
+        import_text(text)
+    # register numbers go through the same reader
+    with pytest.raises(CircuitError, match="^line 2: bad register numbers"):
+        import_text("qubits 12\nreg A input 1_0..11 int_bits 2 frac_bits 0\n")
 
 
 def test_import_skips_comments():

@@ -147,6 +147,25 @@ def test_sim_width_mismatch_exits_2(capsys, tmp_path):
     assert "wants" in err
 
 
+@pytest.mark.parametrize("line, where", [
+    ("x q[1_0]", "line 4"), ("x q[+3]", "line 4"), ("x q[\u0664]", "line 4"),
+    ("qubits \u0661\u0660", "line 1")],
+    ids=["underscore", "plus", "arabic-indic-index", "arabic-indic-header"])
+def test_sim_refuses_non_ascii_digit_indices(capsys, tmp_path, line, where):
+    # int() alone would read each of these as a number
+    text = ["qubits 12", "reg RegI0 input 0..3 int_bits 4 frac_bits 0",
+            "reg RegO output 4..11 int_bits 8 frac_bits 0", "x q[0]"]
+    if line.startswith("qubits"):
+        text[0] = line
+    else:
+        text[3] = line
+    path = tmp_path / "bad.fbe"
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim", str(path), "0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: bad qubit") and err.count("\n") == 1
+
+
 def test_sim_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "sim", str(tmp_path / "nope.fbe"), ".0")
     assert code == 2

@@ -7,8 +7,15 @@ from fractions import Fraction
 import pytest
 
 from fbe import checks
-from fbe.circuit import CircuitError, Gate, export_text, import_text
-from fbe.expansion import DigitString, fbe_expand_trace, ifbe_evaluate_trace
+from fbe.blocks import Builder
+from fbe.circuit import CircuitError, Gate, _run_planes, export_text, import_text
+from fbe.expansion import (
+    DigitString,
+    fbe_expand,
+    fbe_expand_trace,
+    ifbe_evaluate,
+    ifbe_evaluate_trace,
+)
 from fbe.fixedpoint import DomainError, make, render
 from fbe.synth import SYNTH_SPEC, SynthConfig, SynthesizedCircuit, synthesize
 
@@ -214,6 +221,61 @@ def test_sparse_runs_every_input_like_basis(fn, policy, square):
     assert sc.circuit.simulate_sparse(start) == want
 
 
+# the distinct variants: exp and cos never square, so their
+# reversed_sqrt circuits repeat shift_add
+VARIANTS = [(fn, square) for fn in FORWARD + INVERSE
+            for square in ("shift_add", "reversed_sqrt")
+            if fn not in ("exp", "cos") or square == "shift_add"]
+
+
+def test_clean_scratch_is_one_register_per_role():
+    # Builder: one register per role under clean, one per step under garbage
+    b = Builder("clean")
+    w = b.scratch("AncW", 3, 0)
+    assert b.scratch("AncW", 3, 1) is w and w.name == "AncW"
+    sq = b.scratch("AncSq", 2, 0)
+    assert sq.name == "AncSq" and not set(sq.bits) & set(w.bits)
+    assert w.role == sq.role == "ancilla-clean"
+    g = Builder()
+    assert [g.scratch("AncW", 3, i).name for i in range(2)] == ["AncW0", "AncW1"]
+    assert g.scratch("W", 1).name == "W" and g.n == 7
+
+    # every step of a clean circuit computes into the one shared scratch
+    # register: each valid input, run in one bit-sliced batch, gives the
+    # recurrence's output and leaves every clean ancilla at zero
+    assert len(VARIANTS) == 10
+    for fn, square in VARIANTS:
+        n, m = (4, 8) if fn in FORWARD else (6, 8)
+        clean = synthesize(SynthConfig(fn, n, m, "clean", square))
+        garbage = synthesize(SynthConfig(fn, n, m, "garbage", square))
+        role = "AncW" if fn in ("log", "arccos", "exp", "cos") else "AncSq"
+        steps = n - 1 if fn in ("log", "arccos", "arccot", "cot") else n
+        scratch = [[r for r in sc.circuit.registers.values()
+                    if r.name.rstrip("0123456789") == role]
+                   for sc in (clean, garbage)]
+        assert [r.name for r in scratch[0]] == [role], (fn, square)
+        assert scratch[0][0].role == "ancilla-clean"
+        assert [r.name for r in scratch[1]] == [f"{role}{i}" for i in range(steps)]
+        assert clean.n_qubits < garbage.n_qubits, (fn, square)
+
+        if clean.group == 1:
+            args = [make(raw, clean.layout).value for raw in valid_raws(clean)]
+            starts = [clean.encode_input(x) for x in args]
+            want = [fbe_expand(clean.spec, x, n, m).digits for x in args]
+        else:
+            args = [DigitString(bits) for bits in itertools.product((0, 1), repeat=n)]
+            starts = [clean.encode_digits(ds) for ds in args]
+            want = [ifbe_evaluate(clean.spec, ds, m) for ds in args]
+        outs = _run_planes(clean.circuit._prepared(len(starts)), starts)
+        for x, out, expected in zip(args, outs, want):
+            if clean.group == 1:
+                assert clean.decode_digits(out).digits == expected, (fn, square, x)
+            else:
+                got, inf = clean.decode_value(out)
+                assert (got.raw, inf) == (expected[0].raw, expected[1]), (fn, square, x)
+            assert checks.clean_ancillae_zero(clean, out), (fn, square, x)
+
+
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
 def test_qubit_count_affine_in_m(fn):
     n = 4
@@ -229,7 +291,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "295085f8cb9c96f80b910c286f6368e95733bd671aa953f26ab7abf725c86b1b"
+BUILDER_DIGEST = "5edb64998658d9f6020b9db65afede3ec9e68aebaec905169b310fd92bb1e37e"
 
 
 def test_builder_circuits_digest_and_gate_checks():
