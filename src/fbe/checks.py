@@ -7,6 +7,7 @@ caller and returns tallies; the caller writes the report line.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from importlib.resources import files
 from typing import Optional
 
@@ -20,22 +21,33 @@ from .expansion import (
     ifbe_evaluate_trace,
     parse_digits,
 )
-from .fixedpoint import FixedPointError, make, parse, render
+from .fixedpoint import make, parse, render
 from .synth import SynthConfig, SynthesizedCircuit, synthesize
+
+
+@lru_cache(maxsize=None)
+def _valid_ranges(domain, lay) -> tuple[range, range]:
+    """The raw patterns a spec with this domain encodes at lay, values >= 0
+    then < 0: the domain ends in raw units, or with no domain (arccot)
+    every pattern but the most negative."""
+    full = 1 << lay.width
+    if domain is None:
+        lo, hi = 1 - full // 2, full // 2 - 1
+    else:
+        lo = (domain.lo << lay.frac_bits) + (not domain.lo_closed)
+        hi = (domain.hi << lay.frac_bits) - (not domain.hi_closed)
+    return range(max(lo, 0), hi + 1), range(full + lo, full + min(hi + 1, 0))
 
 
 def is_valid_raw(sc: SynthesizedCircuit, raw: int) -> bool:
     """Whether the classical encoder accepts this raw input pattern."""
-    try:
-        sc.spec.encode(make(raw, sc.layout).value, sc.layout)
-    except FixedPointError:
-        return False
-    return True
+    raw %= 1 << sc.layout.width
+    return any(raw in r for r in _valid_ranges(sc.spec.domain, sc.layout))
 
 
 def valid_raws(sc: SynthesizedCircuit):
-    """Every raw input pattern of an m-bit register the encoder accepts."""
-    return (raw for raw in range(1 << sc.config.m) if is_valid_raw(sc, raw))
+    """Every raw input pattern the encoder accepts, in increasing order."""
+    return itertools.chain(*_valid_ranges(sc.spec.domain, sc.layout))
 
 
 def clean_ancillae_zero(sc: SynthesizedCircuit, state: int) -> bool:

@@ -46,6 +46,8 @@ from functools import reduce
 from operator import and_, itemgetter, or_
 from typing import Iterable, Optional
 
+from .fixedpoint import _shown
+
 X_KINDS = ("x", "cx", "ccx", "mcx")
 # ops of the compiled program's entries, see Circuit._compile and _nest
 _XOR, _ADD, _SWAP, _H, _BLK = 0, 1, 2, 3, 4
@@ -154,11 +156,11 @@ class Register:
 
     def __post_init__(self):
         if self.role not in ROLES:
-            raise CircuitError(f"unknown role {self.role!r}")
+            raise CircuitError(f"unknown role {_shown(repr(self.role))}")
         if self.size != self.int_bits + self.frac_bits:
-            raise CircuitError(f"{self.name}: size {self.size} != field widths")
+            raise CircuitError(f"{_shown(self.name)}: size {self.size} != field widths")
         if self.size < 1 or self.start < 0:
-            raise CircuitError(f"{self.name}: bad span")
+            raise CircuitError(f"{_shown(self.name)}: bad span")
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -347,15 +349,15 @@ class Circuit:
 
     def add_register(self, reg: Register):
         if reg.start + reg.size > self.n_qubits:
-            raise CircuitError(f"{reg.name} spills past qubit {self.n_qubits - 1}")
+            raise CircuitError(f"{_shown(reg.name)} spills past qubit {self.n_qubits - 1}")
         if reg.name in self.registers:
-            raise CircuitError(f"duplicate register {reg.name}")
+            raise CircuitError(f"duplicate register {_shown(reg.name)}")
         self.registers[reg.name] = reg
 
     def add(self, gate: Gate):
         for q in gate.qubits:
             if not 0 <= q < self.n_qubits:
-                raise CircuitError(f"qubit {q} outside 0..{self.n_qubits - 1}")
+                raise CircuitError(f"qubit {_shown(q)} outside 0..{self.n_qubits - 1}")
         self.gates.append(gate)
         self._program = self._stretches = None
 
@@ -657,7 +659,7 @@ def import_text(text: str) -> Circuit:
                 raise CircuitError(f"line {lineno}: {e}") from None
             continue
         if head not in ("x", "cx", "ccx", "mcx", "swap", "cswap", "h"):
-            raise CircuitError(f"line {lineno}: unknown gate {head!r}")
+            raise CircuitError(f"line {lineno}: unknown gate {_shown(repr(head))}")
         if len(toks) != 2:
             raise CircuitError(f"line {lineno}: gate wants one operand list")
         qs = []
@@ -668,11 +670,12 @@ def import_text(text: str) -> Circuit:
                 neg = tok.startswith("!")
                 body = tok[neg:]
                 if not (body.startswith("q[") and body.endswith("]")):
-                    raise CircuitError(f"line {lineno}: bad operand {tok!r}")
+                    raise CircuitError(f"line {lineno}: bad operand {_shown(repr(tok))}")
                 try:
                     op = operands[tok] = (_index(body[2:-1]), neg)
                 except ValueError:
-                    raise CircuitError(f"line {lineno}: bad qubit index in {tok!r}") from None
+                    raise CircuitError(
+                        f"line {lineno}: bad qubit index in {_shown(repr(tok))}") from None
             q, neg = op
             negs |= neg << len(qs)
             qs.append(q)

@@ -487,7 +487,3 @@ def main(argv=None) -> int:
     except (FixedPointError, CircuitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

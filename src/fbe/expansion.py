@@ -13,7 +13,7 @@ times the width serves as the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -22,6 +22,7 @@ from .fixedpoint import (
     FixedPoint,
     Layout,
     WidthMismatch,
+    _raw_of,
     _shown,
     _trunc_raw,
     from_value,
@@ -38,6 +39,8 @@ _MAX_NUMBER_TEXT = 1000
 
 
 def _as_fraction(x: NumberLike) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, str) and len(x.strip()) > _MAX_NUMBER_TEXT:
         raise DomainError(f"{_shown(x.strip())} is longer than {_MAX_NUMBER_TEXT} characters")
     if isinstance(x, str) and "e" in x.lower():
@@ -98,25 +101,19 @@ def parse_digits(text: str, radix: int = 2) -> DigitString:
 
 @dataclass(frozen=True)
 class Interval:
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    """A domain with integer ends."""
+
+    lo: int
+    hi: int
     lo_closed: bool = True
     hi_closed: bool = False
-
-    def __contains__(self, x) -> bool:
-        v = Fraction(x)
-        if self.lo is not None and (v < self.lo or (v == self.lo and not self.lo_closed)):
-            return False
-        if self.hi is not None and (v > self.hi or (v == self.hi and not self.hi_closed)):
-            return False
-        return True
 
 
 @dataclass(frozen=True)
 class FunctionSpec:
     """One digit recurrence.
 
-    Group 1: encode + step, emitting one radix digit per step.
+    Group 1: encode (by default the domain test) + step, one radix digit per step.
     Group 2: init + absorb(digit) + finish.
     value_scale maps the emitted digit-string fraction back to the plain
     function: scale * DigitString.value() approximates target(x).
@@ -135,18 +132,32 @@ class FunctionSpec:
     init: Optional[Callable[[Layout], State]] = None
     absorb: Optional[Callable[[State, int, int, Layout], State]] = None
     finish: Optional[Callable[[State, Sequence[int], Layout], tuple[FixedPoint, bool]]] = None
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.group == 1 and self.encode is None:
+            object.__setattr__(self, "encode", _encode_interval(self.name, self.domain))
 
     def layout(self, m: int, n: int = 1) -> Layout:
-        if m < self.min_width:
-            raise WidthMismatch(f"{self.name} needs m >= {self.min_width}, got {m}")
-        return self.make_layout(m, n)
+        """The Layout for (m, n), made once: Layout is frozen, so shared."""
+        lay = self._layouts.get((m, n))
+        if lay is None:
+            if m < self.min_width:
+                raise WidthMismatch(f"{self.name} needs m >= {self.min_width}, got {m}")
+            lay = self._layouts[m, n] = self.make_layout(m, n)
+        return lay
 
 
 def _encode_interval(spec_name, domain):
+    """The encoder of a spec with this domain and no encoder of its own:
+    x = p/d against the integer ends on integers, then from_value's checks."""
+    lo, hi, lo_open, hi_open = domain.lo, domain.hi, not domain.lo_closed, not domain.hi_closed
+
     def enc(x: Fraction, lay: Layout) -> State:
-        if x not in domain:
+        p, d = x.numerator, x.denominator
+        if p < lo * d or p > hi * d or (lo_open and p == lo * d) or (hi_open and p == hi * d):
             raise DomainError(f"{_shown(x)} outside the domain of {spec_name}")
-        return from_value(x, lay).raw, 0
+        return _raw_of(x, lay), 0
 
     return enc
 
@@ -155,11 +166,6 @@ def _encode_interval(spec_name, domain):
 
 def _spec_log2() -> FunctionSpec:
     # x in [1,2): compare the exact square against 2, then keep x^2 or x^2/2
-    domain = Interval(Fraction(1), Fraction(2))
-
-    def lay(m, n):
-        return Layout(1, m - 1, False)
-
     def step(st: State, lay: Layout):
         raw, _ = st
         q = lay.frac_bits
@@ -168,9 +174,8 @@ def _spec_log2() -> FunctionSpec:
         return w, ((p >> (q + w)), 0)
 
     return FunctionSpec(
-        name="log2", group=1, radix=2, value_scale=1, domain=domain,
-        min_width=2, make_layout=lay, closed_form=math.log2,
-        encode=_encode_interval("log2", domain), step=step,
+        name="log2", group=1, radix=2, value_scale=1, domain=Interval(1, 2), min_width=2,
+        make_layout=lambda m, n: Layout(1, m - 1), closed_form=math.log2, step=step,
     )
 
 
@@ -178,11 +183,6 @@ def _spec_log2_wide() -> FunctionSpec:
     # x in [1,4), digits of log2(x)/2.  The register is conditionally
     # shifted right before squaring, so both the shift and the square
     # truncate, exactly like the gate version.
-    domain = Interval(Fraction(1), Fraction(4))
-
-    def lay(m, n):
-        return Layout(2, m - 2, False)
-
     def step(st: State, lay: Layout):
         raw, _ = st
         q = lay.frac_bits
@@ -191,9 +191,8 @@ def _spec_log2_wide() -> FunctionSpec:
         return w, ((u * u) >> q, 0)
 
     return FunctionSpec(
-        name="log2-wide", group=1, radix=2, value_scale=2, domain=domain,
-        min_width=3, make_layout=lay, closed_form=math.log2,
-        encode=_encode_interval("log2-wide", domain), step=step,
+        name="log2-wide", group=1, radix=2, value_scale=2, domain=Interval(1, 4), min_width=3,
+        make_layout=lambda m, n: Layout(2, m - 2), closed_form=math.log2, step=step,
     )
 
 
@@ -201,11 +200,6 @@ def _spec_arccos() -> FunctionSpec:
     # digits of arccos(x)/pi for x in [-1,1]; update |a| -> 2|a|^2 - 1
     # with the sign of the next value restored afterwards, and the a = 0
     # midpoint patched to +1 / digit 1.
-    domain = Interval(Fraction(-1), Fraction(1), True, True)
-
-    def lay(m, n):
-        return Layout(2, m - 2, True)
-
     def step(st: State, lay: Layout):
         raw, _ = st
         m = lay.width
@@ -226,10 +220,9 @@ def _spec_arccos() -> FunctionSpec:
         return w, (b, 0)
 
     return FunctionSpec(
-        name="arccos", group=1, radix=2, value_scale=1, domain=domain,
-        min_width=3, make_layout=lay,
-        closed_form=lambda x: math.acos(x) / math.pi,
-        encode=_encode_interval("arccos", domain), step=step,
+        name="arccos", group=1, radix=2, value_scale=1, domain=Interval(-1, 1, True, True),
+        min_width=3, make_layout=lambda m, n: Layout(2, m - 2, True),
+        closed_form=lambda x: math.acos(x) / math.pi, step=step,
     )
 
 
@@ -238,16 +231,12 @@ def _spec_arccot() -> FunctionSpec:
     # infinity sentinel (a frozen chain that keeps emitting digit 0), the
     # register meanwhile carries 1 as the representative pattern.
 
-    def lay(m, n):
-        ib = (m - 1) // 2
-        return Layout(1 + ib, m - 1 - ib, True)
-
     def enc(x: Fraction, lay: Layout) -> State:
-        fx = from_value(x, Layout(lay.int_bits, lay.frac_bits, True))
-        if fx.raw == 1 << (lay.width - 1):
+        raw = _raw_of(x, lay)
+        if raw == 1 << (lay.width - 1):
             # the most negative pattern has no magnitude inside the register
             raise DomainError(f"{x} is the excluded most-negative input")
-        return fx.raw, 0
+        return raw, 0
 
     def step(st: State, lay: Layout):
         raw, frozen = st
@@ -273,19 +262,13 @@ def _spec_arccot() -> FunctionSpec:
 
     return FunctionSpec(
         name="arccot", group=1, radix=2, value_scale=1, domain=None,
-        min_width=3, make_layout=lay,
-        closed_form=lambda x: math.atan2(1.0, x) / math.pi,
-        encode=enc, step=step,
+        min_width=3, make_layout=lambda m, n: Layout((m + 1) // 2, m // 2, True),
+        closed_form=lambda x: math.atan2(1.0, x) / math.pi, encode=enc, step=step,
     )
 
 
 def _spec_log2_ternary() -> FunctionSpec:
     # x in [1,8): one ternary digit of log2(x)/3 per cubing
-    domain = Interval(Fraction(1), Fraction(8))
-
-    def lay(m, n):
-        return Layout(3, m - 3, False)
-
     def step(st: State, lay: Layout):
         raw, _ = st
         q = lay.frac_bits
@@ -295,20 +278,14 @@ def _spec_log2_ternary() -> FunctionSpec:
         return w, (p >> (2 * q + 3 * w), 0)
 
     return FunctionSpec(
-        name="log2-ternary", group=1, radix=3, value_scale=3, domain=domain,
-        min_width=4, make_layout=lay, closed_form=math.log2,
-        encode=_encode_interval("log2-ternary", domain), step=step,
+        name="log2-ternary", group=1, radix=3, value_scale=3, domain=Interval(1, 8),
+        min_width=4, make_layout=lambda m, n: Layout(3, m - 3), closed_form=math.log2, step=step,
     )
 
 
 def _spec_log2_quaternary() -> FunctionSpec:
     # x in [1,4): quaternary digits of log2(x)/2; the interval boundaries
     # sit at powers of sqrt(2), so membership is decided on the exact x^4
-    domain = Interval(Fraction(1), Fraction(4))
-
-    def lay(m, n):
-        return Layout(2, m - 2, False)
-
     def step(st: State, lay: Layout):
         raw, _ = st
         q = lay.frac_bits
@@ -318,20 +295,14 @@ def _spec_log2_quaternary() -> FunctionSpec:
         return w, (p >> (3 * q + 2 * w), 0)
 
     return FunctionSpec(
-        name="log2-quaternary", group=1, radix=4, value_scale=2, domain=domain,
-        min_width=3, make_layout=lay, closed_form=math.log2,
-        encode=_encode_interval("log2-quaternary", domain), step=step,
+        name="log2-quaternary", group=1, radix=4, value_scale=2, domain=Interval(1, 4),
+        min_width=3, make_layout=lambda m, n: Layout(2, m - 2), closed_form=math.log2, step=step,
     )
 
 
 def _spec_log2_quaternary_wide() -> FunctionSpec:
     # x in [1,16): quaternary digits of log2(x)/4 with plain power-of-two
     # interval boundaries
-    domain = Interval(Fraction(1), Fraction(16))
-
-    def lay(m, n):
-        return Layout(4, m - 4, False)
-
     def step(st: State, lay: Layout):
         raw, _ = st
         q = lay.frac_bits
@@ -341,35 +312,34 @@ def _spec_log2_quaternary_wide() -> FunctionSpec:
 
     return FunctionSpec(
         name="log2-quaternary-wide", group=1, radix=4, value_scale=4,
-        domain=domain, min_width=5, make_layout=lay, closed_form=math.log2,
-        encode=_encode_interval("log2-quaternary-wide", domain), step=step,
+        domain=Interval(1, 16), min_width=5, make_layout=lambda m, n: Layout(4, m - 4),
+        closed_form=math.log2, step=step,
     )
 
 
 # ----------------------------------------------------------------- group 2
 
+def _start_at_one(lay: Layout) -> State:
+    return 1 << lay.frac_bits, 0
+
+
+def _finish_plain(st: State, digits, lay: Layout):
+    return make(st[0], lay), False
+
+
 def _spec_exp2() -> FunctionSpec:
     # x = 0.v(n-1)..v0 absorbed lsb first; a -> sqrt(a) or sqrt(2a)
-
-    def lay(m, n):
-        return Layout(1, m - 1, False)
-
-    def init(lay: Layout) -> State:
-        return 1 << lay.frac_bits, 0
 
     def absorb(st: State, v: int, i: int, lay: Layout) -> State:
         raw, _ = st
         # radicand extended to 2q frac bits, doubled when the digit is set
         return math.isqrt(raw << (lay.frac_bits + v)), 0
 
-    def finish(st: State, digits, lay: Layout):
-        return make(st[0], lay), False
-
     return FunctionSpec(
         name="exp2", group=2, radix=2, value_scale=1,
-        domain=Interval(Fraction(0), Fraction(1)), min_width=2,
-        make_layout=lay, closed_form=lambda x: 2.0 ** x,
-        init=init, absorb=absorb, finish=finish,
+        domain=Interval(0, 1), min_width=2,
+        make_layout=lambda m, n: Layout(1, m - 1), closed_form=lambda x: 2.0 ** x,
+        init=_start_at_one, absorb=absorb, finish=_finish_plain,
     )
 
 
@@ -388,12 +358,6 @@ def _spec_cos() -> FunctionSpec:
     # |cos(pi x)| chain: the parity of consecutive digits picks the sign
     # inside the half-angle update, the last digit restores the real sign.
 
-    def lay(m, n):
-        return Layout(2, m - 2, True)
-
-    def init(lay: Layout) -> State:
-        return 1 << lay.frac_bits, 0
-
     def absorb(st: State, v: int, i: int, lay: Layout) -> State:
         raw, prev = st
         return _cos_halfstep(raw, v ^ prev, lay.frac_bits), v
@@ -406,21 +370,16 @@ def _spec_cos() -> FunctionSpec:
 
     return FunctionSpec(
         name="cos", group=2, radix=2, value_scale=1,
-        domain=Interval(Fraction(0), Fraction(1)), min_width=3,
-        make_layout=lay, closed_form=lambda x: math.cos(math.pi * x),
-        init=init, absorb=absorb, finish=finish,
+        domain=Interval(0, 1), min_width=3,
+        make_layout=lambda m, n: Layout(2, m - 2, True),
+        closed_form=lambda x: math.cos(math.pi * x),
+        init=_start_at_one, absorb=absorb, finish=finish,
     )
 
 
 def _spec_cos_signed() -> FunctionSpec:
     # signed chain a -> (-1)^v sqrt((1 + (-1)^v a)/2); reference variant,
     # digit for digit equal to the unsigned chain plus sign restore
-
-    def lay(m, n):
-        return Layout(2, m - 2, True)
-
-    def init(lay: Layout) -> State:
-        return 1 << lay.frac_bits, 0
 
     def absorb(st: State, v: int, i: int, lay: Layout) -> State:
         raw, _ = st
@@ -434,14 +393,12 @@ def _spec_cos_signed() -> FunctionSpec:
             b = (-b) % full
         return b, 0
 
-    def finish(st: State, digits, lay: Layout):
-        return make(st[0], lay), False
-
     return FunctionSpec(
         name="cos-signed", group=2, radix=2, value_scale=1,
-        domain=Interval(Fraction(0), Fraction(1)), min_width=3,
-        make_layout=lay, closed_form=lambda x: math.cos(math.pi * x),
-        init=init, absorb=absorb, finish=finish,
+        domain=Interval(0, 1), min_width=3,
+        make_layout=lambda m, n: Layout(2, m - 2, True),
+        closed_form=lambda x: math.cos(math.pi * x),
+        init=_start_at_one, absorb=absorb, finish=_finish_plain,
     )
 
 
@@ -483,10 +440,9 @@ def _cot_finish(st: State, digits, lay: Layout):
 def _spec_cot() -> FunctionSpec:
     # |cot(pi x)| chain with a one-bit latch for the infinity sentinel;
     # x = 0 leaves the latch set and the finish reports it.
-
     return FunctionSpec(
         name="cot", group=2, radix=2, value_scale=1,
-        domain=Interval(Fraction(0), Fraction(1)), min_width=4,
+        domain=Interval(0, 1), min_width=4,
         make_layout=_cot_layout,
         closed_form=lambda x: math.cos(math.pi * x) / math.sin(math.pi * x),
         init=lambda lay: (1 << lay.frac_bits, 1),
@@ -519,50 +475,78 @@ def get_spec(name: str) -> FunctionSpec:
 
 # ------------------------------------------------------------------ drivers
 
-def fbe_expand(spec: FunctionSpec, x: NumberLike, n: int, m: int) -> DigitString:
-    """Emit the first n digits of the scaled function value at width m."""
-    ds, _ = fbe_expand_trace(spec, x, n, m)
-    return ds
+def _expand_raw(spec: FunctionSpec, st: State, n: int, lay: Layout,
+                trace: Optional[list] = None) -> tuple[int, ...]:
+    """The n digits spec emits from state st, on raw ints; trace, when
+    given, gets the register value after each step."""
+    digits = []
+    for _ in range(n):
+        d, st = spec.step(st, lay)
+        digits.append(d)
+        if trace is not None:
+            trace.append(st[0])
+    return tuple(digits)
 
 
-def fbe_expand_trace(spec: FunctionSpec, x: NumberLike, n: int, m: int):
+def _absorb_raw(spec: FunctionSpec, st: State, digits: Sequence[int], lay: Layout,
+                trace: Optional[list] = None) -> State:
+    """The state after absorbing digits (display order) lsb first from
+    state st, on raw ints; trace, when given, gets the register value
+    after each step."""
+    for i, v in enumerate(reversed(digits)):
+        st = spec.absorb(st, v, i, lay)
+        if trace is not None:
+            trace.append(st[0])
+    return st
+
+
+def _expand_start(spec: FunctionSpec, x: NumberLike, n: int, m: int):
     if spec.group != 1:
         raise DomainError(f"{spec.name} does not emit digits")
     if n < 1:
         raise DomainError("need at least one digit")
     lay = spec.layout(m, n)
-    st = spec.encode(_as_fraction(x), lay)
-    digits = []
-    trace = [make(st[0], lay)]
-    for _ in range(n):
-        d, st = spec.step(st, lay)
-        digits.append(d)
-        trace.append(make(st[0], lay))
-    return DigitString(tuple(digits), spec.radix), trace
+    return spec.encode(_as_fraction(x), lay), lay
 
 
-def ifbe_evaluate(spec: FunctionSpec, digits: DigitString, m: int) -> tuple[FixedPoint, bool]:
-    """Absorb digits lsb first and return (value, hit_infinity)."""
-    out, _ = ifbe_evaluate_trace(spec, digits, m)
-    return out
+def fbe_expand(spec: FunctionSpec, x: NumberLike, n: int, m: int) -> DigitString:
+    """Emit the first n digits of the scaled function value at width m."""
+    st, lay = _expand_start(spec, x, n, m)
+    return DigitString(_expand_raw(spec, st, n, lay), spec.radix)
 
 
-def ifbe_evaluate_trace(spec: FunctionSpec, digits: DigitString, m: int):
+def fbe_expand_trace(spec: FunctionSpec, x: NumberLike, n: int, m: int):
+    """fbe_expand plus the chain values a_0 .. a_n as FixedPoints."""
+    st, lay = _expand_start(spec, x, n, m)
+    trace = [st[0]]
+    ds = DigitString(_expand_raw(spec, st, n, lay, trace), spec.radix)
+    return ds, [make(raw, lay) for raw in trace]
+
+
+def _absorb_layout(spec: FunctionSpec, digits: DigitString, m: int) -> Layout:
     if spec.group != 2:
         raise DomainError(f"{spec.name} does not absorb digits")
     if spec.radix != digits.radix:
         raise DomainError("radix mismatch")
-    n = len(digits.digits)
-    if n < 1:
+    if not digits.digits:
         raise DomainError("need at least one digit")
-    lay = spec.layout(m, n)
+    return spec.layout(m, len(digits.digits))
+
+
+def ifbe_evaluate(spec: FunctionSpec, digits: DigitString, m: int) -> tuple[FixedPoint, bool]:
+    """Absorb digits lsb first and return (value, hit_infinity)."""
+    lay = _absorb_layout(spec, digits, m)
+    st = _absorb_raw(spec, spec.init(lay), digits.digits, lay)
+    return spec.finish(st, digits.digits, lay)
+
+
+def ifbe_evaluate_trace(spec: FunctionSpec, digits: DigitString, m: int):
+    """ifbe_evaluate plus the chain values a_0 .. a_n as FixedPoints."""
+    lay = _absorb_layout(spec, digits, m)
     st = spec.init(lay)
-    trace = [make(st[0], lay)]
-    for i in range(n):
-        v = digits.digits[n - 1 - i]  # lsb first
-        st = spec.absorb(st, v, i, lay)
-        trace.append(make(st[0], lay))
-    return spec.finish(st, digits.digits, lay), trace
+    trace = [st[0]]
+    st = _absorb_raw(spec, st, digits.digits, lay, trace)
+    return spec.finish(st, digits.digits, lay), [make(raw, lay) for raw in trace]
 
 
 def oracle_eval(spec: FunctionSpec, arg, n: int, m: int, factor: int = 4):

@@ -105,15 +105,18 @@ def make(raw: int, layout: Layout) -> FixedPoint:
 def from_value(value: Rational, layout: Layout, exact: bool = True) -> FixedPoint:
     """Encode a rational.  exact=True raises unless representable;
     otherwise the magnitude truncates toward zero first."""
-    v = Fraction(value)
+    return make(_raw_of(Fraction(value), layout, exact), layout)
+
+
+def _raw_of(v: Rational, layout: Layout, exact: bool = True) -> int:
+    """from_value's raw pattern, checks and errors for v, an int or a Fraction."""
     if exact and (1 << layout.frac_bits) % v.denominator:
-        raise DomainError(f"{_shown(value)} not representable with {layout.frac_bits} frac bits")
+        raise DomainError(f"{_shown(v)} not representable with {layout.frac_bits} frac bits")
     t = _trunc_raw(v, layout.frac_bits)
     lo = -(1 << (layout.width - 1)) if layout.signed else 0
-    hi = (1 << (layout.width - 1)) if layout.signed else (1 << layout.width)
-    if not lo <= t < hi:
-        raise FixedOverflow(f"{_shown(value)} outside range of {layout}")
-    return make(t, layout)
+    if not lo <= t < lo + (1 << layout.width):
+        raise FixedOverflow(f"{_shown(v)} outside range of {layout}")
+    return t % (1 << layout.width)
 
 
 def _check_same(a: FixedPoint, b: FixedPoint):
@@ -158,11 +161,10 @@ def increment(a: FixedPoint, bit: int = 0) -> FixedPoint:
     return make(a.raw + (1 << bit), a.layout)
 
 
-def _trunc_raw(value: Fraction, frac_bits: int) -> int:
-    # magnitude truncation toward zero at frac_bits
-    scaled = value * (1 << frac_bits)
-    t = abs(scaled.numerator) // scaled.denominator
-    return -t if scaled < 0 else t
+def _trunc_raw(value: Rational, frac_bits: int) -> int:
+    # magnitude truncation toward zero at frac_bits, on the integer ratio
+    t = (abs(value.numerator) << frac_bits) // value.denominator
+    return -t if value.numerator < 0 else t
 
 
 def square(a: FixedPoint) -> FixedPoint:

@@ -22,7 +22,6 @@ under garbage every step gets its own scratch register (AncW0, AncW1,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .blocks import (
     POLICIES,
@@ -40,7 +39,7 @@ from .blocks import (
     square_width,
 )
 from .circuit import Circuit, CircuitError
-from .expansion import DigitString, FunctionSpec, get_spec, parse_digits
+from .expansion import DigitString, FunctionSpec, _as_fraction, get_spec, parse_digits
 from .fixedpoint import FixedPoint, Layout, make
 
 SYNTH_SPEC = {
@@ -115,7 +114,7 @@ class SynthesizedCircuit:
         """Basis state with x loaded into RegI0 (forward evaluators)."""
         if self.group != 1:
             raise CircuitError(f"{self.config.function} takes digits, not a number")
-        raw, _ = self.spec.encode(Fraction(x), self.layout)
+        raw, _ = self.spec.encode(_as_fraction(x), self.layout)
         return self.circuit.registers["RegI0"].insert(0, raw)
 
     def encode_digits(self, digits) -> int:

@@ -1,6 +1,8 @@
 """Exercise the command line through main(argv); only the determinism
 check also runs it in subprocesses."""
 
+import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -9,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from fbe import cli
 from fbe.cli import main
+from fbe.expansion import builtin_specs
 from fbe.synth import SynthConfig, synthesize
 
 
@@ -44,6 +48,46 @@ def test_eval_ternary_radix(capsys):
     code, out, _ = run(capsys, "eval", "log2", "1.5", "--n", "7", "--radix", "3")
     assert code == 0
     assert "digits 0.120210" in out
+
+
+# numbers for the group-1 recurrences: domain ends and their neighbours,
+# the arccot range ends at m = 4, 8, 16, values representable at some
+# widths only, non-dyadic ones and text that is no number
+EVAL_NUMBERS = ("1", "1.5", "3/2", "2", "3.75", "4", "7.9375", "15", "16", "0",
+                "-1", "-0.5", "-2", "-8", "-128", "127.5", "1/3", "1.0625",
+                "0.1", "1e-3", "abc", "1/0", "")
+EVAL_DIGITS = (".1", ".1011", "0.0110", ".11111111", ".1010101010101010", ".0",
+               ".00000001", ".2", "1.1", "abc", "")
+# SHA-256 over (argv, exit code, stdout, stderr) of every eval_grid run
+EVAL_GRID_DIGEST = "c087f774be5f7125b2cab89125396fa8d705535d43d5822ad88b992eb32ba673"
+
+
+def eval_grid():
+    """fbe eval argv: every built-in function, then --radix 3 and 4 on
+    log2, log2-wide and exp2, each at n, m in {4, 8, 16} with and
+    without --trace."""
+    sizes = list(itertools.product(("4", "8", "16"), ("4", "8", "16"), ((), ("--trace",))))
+    for name, spec in sorted(builtin_specs().items()):
+        for arg, (n, m, trace) in itertools.product(
+                EVAL_NUMBERS if spec.group == 1 else EVAL_DIGITS, sizes):
+            yield ("eval", name, arg, "--n", n, "--m", m) + trace
+    for name, radix in itertools.product(("log2", "log2-wide", "exp2"), ("3", "4")):
+        for arg, (n, m, trace) in itertools.product(EVAL_NUMBERS, sizes):
+            yield ("eval", name, arg, "--n", n, "--m", m, "--radix", radix) + trace
+
+
+def test_eval_output_is_pinned_over_a_grid(capsys, monkeypatch):
+    # byte for byte what fbe eval printed and returned before the
+    # classical drivers moved onto raw ints; one parser serves every run
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    digest, codes = hashlib.sha256(), []
+    for argv in eval_grid():
+        code, out, err = run(capsys, *argv)
+        digest.update(repr((argv, code, out, err)).encode())
+        codes.append(code)
+    assert (len(codes), codes.count(0), codes.count(2)) == (6174, 1740, 4434)
+    assert digest.hexdigest() == EVAL_GRID_DIGEST
 
 
 def test_eval_radix_rejected_off_log(capsys):
@@ -166,6 +210,32 @@ def test_sim_refuses_non_ascii_digit_indices(capsys, tmp_path, line, where):
     assert err.startswith(f"error: {where}: bad qubit") and err.count("\n") == 1
 
 
+LONG_TOKEN_LINES = {
+    "index": ["x q[" + "9" * 5000 + "]"],
+    "index-in-range-of-int": ["x q[" + "9" * 4000 + "]"],
+    "operand": ["x " + "z" * 5000],
+    "gate": ["g" * 5000 + " q[0]"],
+    "role": ["reg R " + "r" * 5000 + " 0..3 int_bits 4 frac_bits 0"],
+    "register-widths": ["reg " + "R" * 5000 + " input 0..3 int_bits 4 frac_bits 1"],
+    "register-spill": ["reg " + "R" * 5000 + " input 0..99 int_bits 50 frac_bits 50"],
+    "duplicate-register": ["reg " + "R" * 5000 + " garbage 0..3 int_bits 4 frac_bits 0"] * 2,
+}
+
+
+@pytest.mark.parametrize("lines", LONG_TOKEN_LINES.values(), ids=LONG_TOKEN_LINES)
+def test_sim_quotes_long_tokens_by_their_ends(capsys, tmp_path, lines):
+    # a token thousands of characters long is quoted cut to its ends, so
+    # the error stays one short line
+    text = ["qubits 12", "reg RegI0 input 0..3 int_bits 4 frac_bits 0",
+            "reg RegO output 4..11 int_bits 8 frac_bits 0"] + lines
+    path = tmp_path / "bad.fbe"
+    path.write_text("\n".join(text) + "\n")
+    code, out, err = run(capsys, "sim", str(path), "0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {len(text)}: ") and err.count("\n") == 1
+    assert len(err.encode()) < 120, err
+
+
 def test_sim_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "sim", str(tmp_path / "nope.fbe"), ".0")
     assert code == 2
@@ -244,7 +314,7 @@ def test_verify_all_deterministic_and_exit_1(capsys):
     src = str(Path(__file__).resolve().parents[1] / "src")
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "fbe.cli", "verify", "all"],
+        proc = subprocess.run([sys.executable, "-m", "fbe", "verify", "all"],
                               capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout) == (code, out), seed
 

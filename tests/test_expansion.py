@@ -1,13 +1,18 @@
 """Digit recurrences against closed forms, frozen vectors, and each other."""
 
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from fbe import checks
 from fbe.expansion import (
     DigitString,
+    builtin_specs,
     derived_eval,
     error_budget,
     fbe_expand,
@@ -16,12 +21,13 @@ from fbe.expansion import (
     group1_value_bound,
     group1_value_enclosure,
     ifbe_evaluate,
+    ifbe_evaluate_trace,
     log2_domain_reduce,
     oracle_eval,
     parse_digits,
     plouffe_arctan_bits,
 )
-from fbe.fixedpoint import DomainError, make, render
+from fbe.fixedpoint import DomainError, FixedOverflow, FixedPointError, make, render
 
 
 def bits(*d):
@@ -245,6 +251,147 @@ def test_arccot_accepts_everything_else():
         if raw == 1 << (m - 1):
             continue
         fbe_expand(spec, make(raw, lay).value, 3, m)
+
+
+# ------------------------------------------ plain drivers against traced ones
+
+GROUP1 = [s for s in builtin_specs().values() if s.group == 1]
+GROUP2 = [s for s in builtin_specs().values() if s.group == 2]
+
+
+def outcome(f, *args):
+    """("ok", f(*args)), or ("raised", type, message) of its FixedPointError."""
+    try:
+        return "ok", f(*args)
+    except FixedPointError as e:
+        return "raised", type(e), str(e)
+
+
+def test_expand_matches_its_trace_on_every_raw():
+    # every raw pattern of every width m <= 9, at n = m: fbe_expand gives
+    # the traced digits or the same error, the last trace entry is where a
+    # bare step loop ends, and valid_raws lists exactly the raws the
+    # encoder takes, each of which encodes back to itself
+    for spec in GROUP1:
+        for m in range(spec.min_width, 10):
+            lay = spec.layout(m, m)
+            # what is_valid_raw and valid_raws read of a synthesized circuit
+            sc = SimpleNamespace(spec=spec, layout=lay, config=SimpleNamespace(m=m))
+            accepted = []
+            for raw in range(1 << m):
+                x = make(raw, lay).value
+                traced = outcome(fbe_expand_trace, spec, x, m, m)
+                plain = outcome(fbe_expand, spec, x, m, m)
+                assert checks.is_valid_raw(sc, raw) == (traced[0] == "ok"), (spec.name, m, raw)
+                if traced[0] != "ok":
+                    assert plain == traced
+                    continue
+                ds, trace = traced[1]
+                assert plain[1] == ds and plain[1].value() == ds.value()
+                st = spec.encode(x, lay)
+                assert st[0] == raw
+                for _ in range(m):
+                    _, st = spec.step(st, lay)
+                assert len(trace) == m + 1 and trace[-1] == make(st[0], lay)
+                accepted.append(raw)
+            assert list(checks.valid_raws(sc)) == accepted, (spec.name, m)
+
+
+def test_evaluate_matches_its_trace_on_every_string():
+    # every digit string of n <= 8, at the least width and at m = 10
+    for spec in GROUP2:
+        for m, n in itertools.product((spec.min_width, 10), range(1, 9)):
+            lay = spec.layout(m, n)
+            for digits in itertools.product((0, 1), repeat=n):
+                ds = DigitString(digits)
+                out, trace = ifbe_evaluate_trace(spec, ds, m)
+                assert ifbe_evaluate(spec, ds, m) == out
+                st = spec.init(lay)
+                for i, v in enumerate(reversed(digits)):
+                    st = spec.absorb(st, v, i, lay)
+                assert len(trace) == n + 1 and trace[-1] == make(st[0], lay)
+                assert out == spec.finish(st, digits, lay)
+
+
+def encoder_inputs(spec, m, rng):
+    """Domain ends, range ends and the most negative value with their
+    neighbours an ulp and half an ulp away, non-dyadic and huge values,
+    and 60 seeded ones, dyadic to q + 2 bits or over 3, 5 or 3 * 2^q."""
+    lay = spec.layout(m)
+    q, top = lay.frac_bits, 1 << (lay.int_bits - lay.signed)
+    ulp = Fraction(1, 1 << q)
+    xs = [Fraction(v) for v in (-top - 1, -top, -1, 0, 1, 2, 4, 8, 16, top, top + 1)]
+    xs += [v + s for v in xs for s in (ulp, -ulp, ulp / 2)]
+    xs += [Fraction(1, 3), Fraction(-5, 7), Fraction(3, 2), Fraction(10 ** 50 + 1, 2)]
+    for _ in range(60):
+        d = rng.choice((1 << rng.randrange(q + 3), 3, 5, 3 << q))
+        xs.append(Fraction(rng.randrange(-(top + 2) * d, (top + 2) * d), d))
+    return xs
+
+
+def outcome_text(res, text):
+    """An outcome as encode_outcomes writes it: text(result), or the
+    error's type and message."""
+    return text(res[1]) if res[0] == "ok" else f"{res[1].__name__}: {res[2]}"
+
+
+def encode_outcomes():
+    """One line per group-1 spec, width and encoder input: the raw or the
+    error of spec.encode, then the digits or the error of fbe_expand."""
+    rng = random.Random(2613)
+    for spec in GROUP1:
+        for m in (spec.min_width, 6, 9, 16):
+            lay = spec.layout(m)
+            for x in encoder_inputs(spec, m, rng):
+                enc = outcome_text(outcome(spec.encode, x, lay), lambda st: f"raw {st[0]}")
+                exp = outcome_text(outcome(fbe_expand, spec, x, 3, m),
+                                   lambda ds: f"digits {ds.digits}")
+                yield f"{spec.name} m={m} x={x}: {enc} | {exp}"
+
+
+ARCCOT_6 = "Layout(int_bits=3, frac_bits=3, signed=True)"
+# (spec, m, x) -> the error the encoder raises
+ENCODE_ERRORS = {
+    ("log2", 6, Fraction(1, 3)): (DomainError, "1/3 outside the domain of log2"),
+    ("log2", 6, Fraction(4, 3)): (DomainError, "4/3 not representable with 5 frac bits"),
+    ("log2", 6, Fraction(2)): (DomainError, "2 outside the domain of log2"),
+    ("log2", 6, Fraction(127, 64)): (DomainError, "127/64 not representable with 5 frac bits"),
+    ("log2-wide", 4, Fraction(9, 8)): (DomainError, "9/8 not representable with 2 frac bits"),
+    ("log2-wide", 4, Fraction(4)): (DomainError, "4 outside the domain of log2-wide"),
+    ("arccos", 6, Fraction(-17, 16)): (DomainError, "-17/16 outside the domain of arccos"),
+    ("log2-quaternary-wide", 5, Fraction(16)): (
+        DomainError, "16 outside the domain of log2-quaternary-wide"),
+    ("arccot", 6, Fraction(4)): (FixedOverflow, f"4 outside range of {ARCCOT_6}"),
+    ("arccot", 6, Fraction(-33, 8)): (FixedOverflow, f"-33/8 outside range of {ARCCOT_6}"),
+    ("arccot", 6, Fraction(1000, 3)): (DomainError, "1000/3 not representable with 3 frac bits"),
+    ("arccot", 6, Fraction(-4)): (DomainError, "-4 is the excluded most-negative input"),
+    ("arccot", 6, Fraction(10 ** 50 + 1, 2)): (
+        FixedOverflow, f"100000000000...0000000001/2 (53 characters) outside range of {ARCCOT_6}"),
+    ("log2", 6, Fraction(10 ** 50 + 1, 2)): (
+        DomainError, "100000000000...0000000001/2 (53 characters) outside the domain of log2"),
+}
+# closed ends are taken, the open upper ends are not (above)
+ENCODE_ENDS = {("log2", 6, Fraction(1)): 32, ("arccos", 6, Fraction(1)): 16,
+               ("arccos", 6, Fraction(-1)): 48, ("log2-wide", 4, Fraction(15, 4)): 15,
+               ("arccot", 6, Fraction(-31, 8)): 33}
+# SHA-256 over the encode_outcomes lines
+ENCODE_OUTCOMES_DIGEST = "8413e3765de2f95a1b400d64f745fe345c664e0e3511d7463f1f237d1f0e9827"
+
+
+def test_encoders_keep_their_checks_and_messages():
+    # the domain, then representability, then the layout range, then the
+    # excluded most-negative arccot input, with the messages as they were
+    for (name, m, x), (kind, message) in ENCODE_ERRORS.items():
+        spec = get_spec(name)
+        with pytest.raises(kind) as info:
+            spec.encode(x, spec.layout(m))
+        assert str(info.value) == message
+    for (name, m, x), raw in ENCODE_ENDS.items():
+        spec = get_spec(name)
+        assert spec.encode(x, spec.layout(m)) == (raw, 0)
+    lines = list(encode_outcomes())
+    assert len(lines) == 3024
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ENCODE_OUTCOMES_DIGEST
 
 
 # ------------------------------------------------------------ digit strings

@@ -16,25 +16,11 @@ from fbe.expansion import (
     ifbe_evaluate,
     ifbe_evaluate_trace,
 )
-from fbe.fixedpoint import DomainError, make, render
-from fbe.synth import SYNTH_SPEC, SynthConfig, SynthesizedCircuit, synthesize
+from fbe.fixedpoint import make, render
+from fbe.synth import SYNTH_SPEC, SynthConfig, synthesize
 
 FORWARD = ("log", "arccos", "arccot")
 INVERSE = ("exp", "cos", "cot")
-
-
-def valid_raws(sc: SynthesizedCircuit):
-    """Raw patterns the classical encoder accepts at this layout."""
-    out = []
-    for raw in range(1 << sc.config.m):
-        fp = make(raw, sc.layout)
-        try:
-            st = sc.spec.encode(fp.value, sc.layout)
-        except DomainError:
-            continue
-        assert st[0] == raw
-        out.append(raw)
-    return out
 
 
 def run_forward(sc, raw):
@@ -46,7 +32,7 @@ def run_forward(sc, raw):
 @pytest.mark.parametrize("policy", ("garbage", "clean"))
 def test_forward_exhaustive_bit_exact(fn, policy):
     sc = synthesize(SynthConfig(fn, 3, 6, policy))
-    for raw in valid_raws(sc):
+    for raw in checks.valid_raws(sc):
         x = make(raw, sc.layout).value
         want, trace = fbe_expand_trace(sc.spec, x, 3, 6)
         state, got = run_forward(sc, raw)
@@ -91,7 +77,7 @@ def test_square_methods_and_policies_agree(fn):
             sc = synthesize(SynthConfig(fn, n, m, policy, method))
             if sc.group == 1:
                 rows = [run_forward(sc, raw)[1].digits
-                        for raw in valid_raws(sc)[::5]]
+                        for raw in list(checks.valid_raws(sc))[::5]]
             else:
                 rows = []
                 for bits in itertools.product((0, 1), repeat=n):
@@ -211,7 +197,7 @@ def test_sparse_runs_every_input_like_basis(fn, policy, square):
     # amplitude, goes through the bit-sliced stretch kernel at once
     sc = synthesize(SynthConfig(fn, 3, 6, policy, square))
     if sc.group == 1:
-        inputs = [sc.encode_input(make(raw, sc.layout).value) for raw in valid_raws(sc)]
+        inputs = [sc.encode_input(make(raw, sc.layout).value) for raw in checks.valid_raws(sc)]
     else:
         inputs = [sc.encode_digits(DigitString(bits))
                   for bits in itertools.product((0, 1), repeat=3)]
@@ -259,7 +245,7 @@ def test_clean_scratch_is_one_register_per_role():
         assert clean.n_qubits < garbage.n_qubits, (fn, square)
 
         if clean.group == 1:
-            args = [make(raw, clean.layout).value for raw in valid_raws(clean)]
+            args = [make(raw, clean.layout).value for raw in checks.valid_raws(clean)]
             starts = [clean.encode_input(x) for x in args]
             want = [fbe_expand(clean.spec, x, n, m).digits for x in args]
         else:
