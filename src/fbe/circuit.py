@@ -7,21 +7,25 @@ one condition fuse into one XOR of their targets, and the cascades that
 increment or decrement a field of contiguous qubits (the widening-control
 ladders of blocks.increment and blocks.decrement, also replayed reversed)
 fuse into one conditional add of +1 or -1 on that field; any other gate
-stays an entry of its own.  Synthesis applies each block under the
-digit that chooses it, so most entries share one or two context
-controls: once a program has run 16 states or terms, _nest folds each
-run of entries that share a context into one block entry, tested once
-per state, and nests again inside it.  The nested program takes the
-flat one's place.  Basis simulation runs the program through the kernel
-_run, one state at a time.  Every entry but h maps basis states one to
-one, so the sparse mode runs each h-free stretch as a permutation of its
-terms, with amplitudes following their terms, and splits amplitudes only
-at the h entries between stretches.  A stretch of up to 11 terms goes
-through _run term by term; a stretch of more goes through _run_planes
-once, bit-sliced, one int per touched qubit with a bit per term.
-Compile keeps masks only for the qubits gates touch, so its memory does
-not grow with the declared qubit count.  Gate lists, resource counts and
-the text form never see the fusion or the nesting.
+stays an entry of its own.  Once a program has run 16 states or terms,
+the list is fused again with one more entry, the register add: each
+MAJ/UMA ripple adder of blocks.add_into (about 6w gates, none of which
+fuse; found by fbe.ripple) becomes one entry dst <- dst + src + anc, and
+its reversed replay one dst <- dst - src - anc, each a few big-int
+operations.  Synthesis applies each block under the digit that chooses
+it, so most entries share one or two context controls: _nest then folds
+each run of entries that share a context into one block entry, tested
+once per state, and nests again inside it.  That program takes the flat
+one's place.  Basis simulation runs the program through the kernel _run,
+one state at a time.  Every entry but h maps basis states one to one, so
+the sparse mode runs each h-free stretch as a permutation of its terms,
+with amplitudes following their terms, and splits amplitudes only at the
+h entries between stretches.  A stretch of up to 11 terms goes through
+_run term by term; a stretch of more goes through _run_planes once,
+bit-sliced, one int per touched qubit with a bit per term.  Compile keeps
+masks only for the qubits gates touch, so its memory does not grow with
+the declared qubit count.  Gate lists, resource counts and the text form
+never see the fusion or the nesting.
 
 A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
 whose fields read by name as well.  Its checks run where gates come from
@@ -49,10 +53,10 @@ from typing import Iterable, Optional
 from .fixedpoint import _shown
 
 X_KINDS = ("x", "cx", "ccx", "mcx")
-# ops of the compiled program's entries, see Circuit._compile and _nest
-_XOR, _ADD, _SWAP, _H, _BLK = 0, 1, 2, 3, 4
-# states and terms a compiled program runs flat before it is nested
-# (see Circuit._prepared)
+# ops of the compiled program's entries, see _fuse, ripple.find and _nest
+_XOR, _ADD, _SWAP, _H, _BLK, _RADD = 0, 1, 2, 3, 4, 5
+# states and terms a compiled program runs flat before the register-add
+# program, nested, takes its place (see Circuit._prepared)
 _NEST_AFTER = 16
 # terms from which a sparse stretch runs bit-sliced; below it _run term
 # by term is faster on nested programs (crossover 11-15 terms)
@@ -220,11 +224,88 @@ def _nest_level(prog, shared, seen, lo, hi, outer) -> list:
     return out
 
 
+def _fuse(gates, prog: list, bit) -> None:
+    """Fuse the gate list, in one pass, into entries (cm, cv, op, mask,
+    step) appended to prog; bit maps a qubit to its mask.
+
+    A run of X-family gates under one condition is one _XOR entry whose
+    mask is the XOR of the targets; XOR, not OR, because two equal gates
+    cancel.  A cascade in which each gate's controls are the next gate's
+    plus that gate's target, positive, and each target is one qubit below
+    the last, increments the field mask of qubits lo..lo+w-1 under the
+    last gate's condition: an _ADD entry with step 2^lo, run as
+    v = s & mask; s ^= (v ^ (v + step)) & mask.  The mirror cascade, each
+    target one qubit above the last and added to the next gate's
+    controls, decrements the field under the first gate's condition:
+    step -2^lo.  Targets never lie in the condition, so it holds or fails
+    for the whole entry.  Any other gate (swap, cswap, h, or an X off
+    both patterns) is an entry of its own."""
+    # the open X-family entry (op is None when none is open) and the
+    # condition and target of its last gate, which a cascade goes on
+    # from; lt is 0 once a run holds two gates under one condition
+    op = cm = cv = mask = step = lcm = lcv = lt = None
+    for kind, targets, controls, neg in gates:
+        gcm = gcv = sum(map(bit, controls))
+        while neg:
+            low = neg & -neg
+            gcv -= bit(controls[low.bit_length() - 1])
+            neg ^= low
+        t = bit(targets[0])
+        if kind not in X_KINDS:
+            if op is not None:
+                prog.append((cm, cv, op, mask, step))
+                op = None
+            if kind == "h":
+                prog.append((0, 0, _H, t, 0))
+            else:
+                prog.append((gcm, gcv, _SWAP, t | bit(targets[1]), 0))
+            continue
+        if op is not None:
+            if step == 0 and gcm == cm and gcv == cv:
+                mask ^= t
+                lt = 0
+                continue
+            if step >= 0 and t == lt >> 1 and lcm == gcm | t and lcv == gcv | t:
+                # increment: the condition shrinks to this gate's
+                op, cm, cv, mask, step = _ADD, gcm, gcv, mask | t, t
+                lcm, lcv, lt = gcm, gcv, t
+                continue
+            if step <= 0 and t == lt << 1 and gcm == lcm | lt and gcv == lcv | lt:
+                # decrement: the condition stays the first gate's
+                op, mask, step = _ADD, mask | t, -(mask & -mask)
+                lcm, lcv, lt = gcm, gcv, t
+                continue
+            prog.append((cm, cv, op, mask, step))
+        op, cm, cv, mask, step = _XOR, gcm, gcv, t, 0
+        lcm, lcv, lt = gcm, gcv, t
+    if op is not None:
+        prog.append((cm, cv, op, mask, step))
+
+
+def _fuse_adders(gates) -> list:
+    """The flat program of the gate list with each ripple adder that
+    ripple.find finds as one register-add entry; _fuse fuses the gates
+    between them."""
+    # imported here, once a program is swapped: a circuit run fewer
+    # times never compiles the module
+    from .ripple import find
+
+    prog, bit, lo = [], _Masks().__getitem__, 0
+    for start, end, entry in find(gates, bit):
+        _fuse(gates[lo:start], prog, bit)
+        prog.append(entry)
+        lo = end
+    _fuse(gates[lo:] if lo else gates, prog, bit)
+    return prog
+
+
 def _run(prog, s: int) -> int:
     """Run basis state s through compiled entries (cm, cv, op, mask,
     step); the one kernel both simulation modes share.  Each entry acts
     when s & cm == cv, a block by running its entries, and every op but
-    h maps basis states one to one."""
+    h maps basis states one to one.  A register add reads src and anc off
+    s and adds (src + anc) * step to the field, step being +-2^lo with lo
+    the field's lowest qubit, masked to the field so that it wraps."""
     for cm, cv, op, mask, step in prog:
         if s & cm == cv:
             if op == _XOR:
@@ -234,6 +315,10 @@ def _run(prog, s: int) -> int:
             elif op == _ADD:
                 v = s & mask
                 s ^= (v ^ (v + step)) & mask
+            elif op == _RADD:
+                dm, sm, lo, a = mask
+                v = s & dm
+                s ^= (v ^ (v + (((s & sm) >> lo) + (s >> a & 1)) * step)) & dm
             elif op == _SWAP:
                 v = s & mask
                 if v and v != mask:
@@ -244,10 +329,15 @@ def _run(prog, s: int) -> int:
 
 
 def _touched(prog) -> int:
-    """The OR of every cm | mask, through the blocks."""
+    """The OR of every cm | mask, through the blocks; a register add
+    touches the qubits it reads as well as its field."""
     touched = 0
     for cm, _, op, mask, _ in prog:
-        touched |= cm | (_touched(mask) if op == _BLK else mask)
+        if op == _BLK:
+            mask = _touched(mask)
+        elif op == _RADD:
+            mask = mask[0] | mask[1] | 1 << mask[3]
+        touched |= cm | mask
     return touched
 
 
@@ -260,12 +350,14 @@ def _run_planes(prog, states, qubits=None, touched=None) -> list[int]:
     is skipped whole.  _XOR flips its target planes under the condition,
     _ADD ripples a carry (step > 0) or a borrow up the field from its
     lowest qubit until the plane empties, dropping what leaves the top
-    as the wrap of _run does, and _SWAP exchanges its two planes under
-    it.  Only the touched qubits, the OR of every cm | mask through the
-    blocks, are packed and unpacked; a qubit equal in every term gets a
-    constant plane, and untouched bits pass through.  Packing a qubit
-    that varies, and unpacking, go through one character per qubit and
-    term, so both take time and memory linear in the term count.  qubits
+    as the wrap of _run does, _RADD does the same with a full adder or
+    subtractor per src qubit, anc's plane the carry or borrow in, and
+    _SWAP exchanges its two planes under it.  Only the touched qubits,
+    the OR of every cm | mask through the blocks (a register add's src
+    and anc too), are packed and unpacked; a qubit equal in every term
+    gets a constant plane, and untouched bits pass through.  Packing a
+    qubit that varies, and unpacking, go through one character per qubit
+    and term, so both take time and memory linear in the term count.  qubits
     maps a mask to its qubits, lowest first (Circuit._qubits), and
     touched is _touched(prog) when the caller has it already."""
     qs = _Qubits() if qubits is None else qubits
@@ -326,6 +418,20 @@ def _planes(prog, planes, within, qs):
                 cond &= p if step > 0 else ~p
                 if not cond:
                     break
+        elif op == _RADD:  # a full adder or subtractor per source bit
+            dst, src = qs[mask[0]], qs[mask[1]]
+            c = cond & planes[mask[3]]  # the carry or the borrow in
+            for q, r in zip(dst, src):
+                p, x = planes[q], planes[r] & cond
+                t = p ^ x
+                planes[q] = t ^ c
+                c = x & p | c & t if step > 0 else x & ~p | c & ~t
+            for q in dst[len(src):]:
+                if not c:
+                    break
+                p = planes[q]
+                planes[q] = p ^ c
+                c &= p if step > 0 else ~p
         elif op == _SWAP:
             a, b = qs[mask]
             pa, pb = planes[a], planes[b]
@@ -375,85 +481,37 @@ class Circuit:
     # ------------------------------------------------------------- running
 
     def _compile(self):
-        """Fuse the gate list, in one pass, into entries
-        (cm, cv, op, mask, step) that act when s & cm == cv.
-
-        A run of X-family gates under one condition is one _XOR entry
-        whose mask is the XOR of the targets; XOR, not OR, because two
-        equal gates cancel.  A cascade in which each gate's controls are
-        the next gate's plus that gate's target, positive, and each
-        target is one qubit below the last, increments the field mask of
-        qubits lo..lo+w-1 under the last gate's condition: an _ADD entry
-        with step 2^lo, run as v = s & mask; s ^= (v ^ (v + step)) & mask.
-        The mirror cascade, each target one qubit above the last and
-        added to the next gate's controls, decrements the field under
-        the first gate's condition: step -2^lo.  Targets never lie in
-        the condition, so it holds or fails for the whole entry.  Any
-        other gate (swap, cswap, h, or an X off both patterns) is an
-        entry of its own.  The program stays flat until _prepared nests
-        it in place; Circuit.add drops it, and the next call compiles
-        afresh.
-        """
-        if self._program is not None:
-            return self._program
-        self._runs = 0
-        prog = []
-        bit = _Masks().__getitem__
-        # the open X-family entry (op is None when none is open) and the
-        # condition and target of its last gate, which a cascade goes on
-        # from; lt is 0 once a run holds two gates under one condition
-        op = cm = cv = mask = step = lcm = lcv = lt = None
-        for kind, targets, controls, neg in self.gates:
-            gcm = gcv = sum(map(bit, controls))
-            while neg:
-                low = neg & -neg
-                gcv -= bit(controls[low.bit_length() - 1])
-                neg ^= low
-            t = bit(targets[0])
-            if kind not in X_KINDS:
-                if op is not None:
-                    prog.append((cm, cv, op, mask, step))
-                    op = None
-                if kind == "h":
-                    prog.append((0, 0, _H, t, 0))
-                else:
-                    prog.append((gcm, gcv, _SWAP, t | bit(targets[1]), 0))
-                continue
-            if op is not None:
-                if step == 0 and gcm == cm and gcv == cv:
-                    mask ^= t
-                    lt = 0
-                    continue
-                if step >= 0 and t == lt >> 1 and lcm == gcm | t and lcv == gcv | t:
-                    # increment: the condition shrinks to this gate's
-                    op, cm, cv, mask, step = _ADD, gcm, gcv, mask | t, t
-                    lcm, lcv, lt = gcm, gcv, t
-                    continue
-                if step <= 0 and t == lt << 1 and gcm == lcm | lt and gcv == lcv | lt:
-                    # decrement: the condition stays the first gate's
-                    op, mask, step = _ADD, mask | t, -(mask & -mask)
-                    lcm, lcv, lt = gcm, gcv, t
-                    continue
-                prog.append((cm, cv, op, mask, step))
-            op, cm, cv, mask, step = _XOR, gcm, gcv, t, 0
-            lcm, lcv, lt = gcm, gcv, t
-        if op is not None:
-            prog.append((cm, cv, op, mask, step))
-        self._program = prog
-        return prog
+        """The program: at first the gate list fused in one pass (_fuse)
+        into entries (cm, cv, op, mask, step) that act when s & cm == cv,
+        with no register adds: the pass that finds them (_fuse_adders)
+        takes 0.7-1.3 times as long as this one on the sweep circuits,
+        which a circuit run only a few times does not win back.  It
+        stays flat until _prepared puts the nested register-add program
+        in its place; Circuit.add drops it, and the next call compiles
+        afresh."""
+        if self._program is None:
+            self._runs = 0
+            self._program = []
+            _fuse(self.gates, self._program, _Masks().__getitem__)
+        return self._program
 
     def _prepared(self, states: int):
         """The compiled program, for a run of `states` states or terms.
-        Once _NEST_AFTER have run through it since compile, the nested
-        program (_nest) takes the flat one's place: nesting costs 7-24
-        flat runs of a sweep circuit, and each nested run saves 11-45 %
-        of one."""
+        Once _NEST_AFTER have run through the flat one since compile,
+        the gate list is fused again with each MAJ/UMA ripple adder as
+        one register-add entry (_fuse_adders), and that program, nested
+        (_nest), takes the flat one's place.  A circuit run only a few
+        times, such as one just imported to be checked, never pays for
+        the swap.  On the 20 sweep-exhaustive circuits the swap costs
+        0.8-1.7 compiles, 10-47 flat runs, and each later run saves
+        45-89 % of a flat one (BENCH_adder_fusion.json)."""
         prog = self._compile()
         runs = self._runs
         self._runs = runs + states
         if runs < _NEST_AFTER <= runs + states:
-            prog = self._program = _nest(prog)
-            self._stretches = None
+            # drop the flat program before its successor is built
+            self._program = self._stretches = prog = None
+            prog = self._program = _nest(_fuse_adders(self.gates))
         return prog
 
     def _split(self, prog):

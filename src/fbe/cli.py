@@ -75,6 +75,8 @@ def cmd_eval(args) -> int:
             raise DomainError(f"--radix only applies to log2, not {name!r}")
         name = RADIX_SPECS[args.radix]
     spec = get_spec(name)
+    if args.n < 1:  # group 2 takes its digit count from the argument
+        raise DomainError("need at least one digit")
     if spec.group == 1:
         ds, trace = fbe_expand_trace(spec, args.arg, args.n, args.m)
         print(f"digits {ds.text(_digit_point(spec))}")

@@ -6,11 +6,12 @@ import tracemalloc
 
 import pytest
 
-from fbe import circuit
+from fbe import circuit, ripple
 from fbe.circuit import (
     _ADD,
     _BLK,
     _H,
+    _RADD,
     _SWAP,
     _XOR,
     Circuit,
@@ -79,21 +80,31 @@ def cascade(rng, bits, ctx, increment):
 
 
 def fusable_circuit(rng, n, pieces, with_h=False):
-    """Increment and decrement cascades on contiguous and scattered
-    qubits under mixed-polarity contexts, same-control runs with
-    adjacent duplicates, and single gates (swap, cswap, h) between."""
+    """Increment and decrement cascades and MAJ/UMA adders, forward and
+    reversed, on contiguous and scattered qubits under mixed-polarity
+    contexts, same-control runs with adjacent duplicates, and single
+    gates (swap, cswap, h) between."""
     c = Circuit(n)
     for _ in range(pieces):
-        piece = rng.choice(["cascade", "cascade", "run", "gate"])
-        w = rng.randrange(1, n)
+        piece = rng.choice(["cascade", "cascade", "run", "gate", "add"])
+        w = rng.randrange(3 if piece == "add" else 1, n)
         if rng.random() < 0.5:
             lo = rng.randrange(n - w + 1)
             bits = list(range(lo, lo + w))
         else:
             bits = rng.sample(range(n), w)
+        if piece == "add":
+            # src and dst split bits, src the lower or the upper part
+            ws = rng.randrange(1, w // 2 + 1)
+            src, dst = ((bits[:ws], bits[ws:]) if rng.random() < 0.5
+                        else (bits[-ws:], bits[:-ws]))
         rest = [q for q in range(n) if q not in bits]
         ctx = [(q, rng.random() < 0.5) for q in rng.sample(rest, rng.randrange(min(3, len(rest)) + 1))]
-        if piece == "cascade":
+        if piece == "add":
+            anc = rng.choice(rest)
+            gates = add_under(rng, [k for k in ctx if k[0] != anc], src, dst, anc)
+            c.extend(gates if rng.random() < 0.5 else gates[::-1])
+        elif piece == "cascade":
             c.extend(cascade(rng, bits, ctx, rng.random() < 0.5))
         elif piece == "run":
             for q in bits:
@@ -106,9 +117,11 @@ def fusable_circuit(rng, n, pieces, with_h=False):
 
 def add_under(rng, ctx, src, dst, anc):
     """add_into's MAJ/UMA ripple of src into dst under the (qubit,
-    positive?) context ctx, the carry incrementing dst's high bits."""
+    positive?) context ctx, the carry incrementing dst's high bits.  A
+    context qubit is left off the gates that target it or hold it as a
+    ladder control."""
     def flip(t, ctl):
-        ctl = list(ctx) + ctl
+        ctl += [c for c in ctx if c[0] != t and c[0] not in dict(ctl)]
         rng.shuffle(ctl)
         return xgate(t, ctl)
 
@@ -211,9 +224,10 @@ def test_fused_program_matches_gate_by_gate():
             assert got.keys() == want.keys(), (trial, s)
             assert all(abs(got[k] - want[k]) < 1e-12 for k in want), (trial, s)
     # every kind of entry the fusion makes was exercised: increments,
-    # decrements, multi-target runs, single flips, swaps
+    # decrements, register adds and subtracts, multi-target runs, single
+    # flips, swaps
     assert {(_XOR, 0, True), (_XOR, 0, False), (_ADD, 1, False), (_ADD, -1, False),
-            (_SWAP, 0, False)} <= ops
+            (_RADD, 1, False), (_RADD, -1, False), (_SWAP, 0, False)} <= ops
 
 
 def test_sparse_permutes_amplitude_dicts():
@@ -258,8 +272,9 @@ def test_sparse_planes_match_term_by_term():
             c.extend(shifted(fusable_circuit(rng, n, 16).gates, 2))
             prog = c._compile()
             nested = circuit._nest(prog)
+            adders = circuit._nest(circuit._fuse_adders(c.gates))
             ops |= {(op, (step > 0) - (step < 0), bin(cm ^ cv).count("1") > 0)
-                    for cm, cv, op, _, step in flatten(nested)}
+                    for cm, cv, op, _, step in flatten(adders)}
             free = [q for q in range(n + 5) if q not in (2, n + 1)]
             keys = set()
             while len(keys) < size:
@@ -269,9 +284,12 @@ def test_sparse_planes_match_term_by_term():
             want = [circuit._run(prog, s) for s in states]
             assert circuit._run_planes(prog, states) == want
             assert circuit._run_planes(nested, states) == want
+            assert circuit._run_planes(adders, states) == want
             assert c.simulate_sparse(start) == ref_sparse(c, start), size
-    # negative controls, swaps under them, increments and decrements
-    assert {(_SWAP, 0, True), (_ADD, 1, True), (_ADD, -1, True), (_XOR, 0, True)} <= ops
+    # negative controls, swaps under them, increments, decrements,
+    # register adds and subtracts
+    assert {(_SWAP, 0, True), (_ADD, 1, True), (_ADD, -1, True), (_XOR, 0, True),
+            (_RADD, 1, True), (_RADD, -1, True)} <= ops
 
 
 def test_sparse_planes_wrap_fields():
@@ -401,6 +419,127 @@ def test_nested_planes_match_flat():
             assert circuit._run_planes(flat, states) == want, size
 
 
+def ripple_layout(rng, w, wd, ctx_pos, gap=False):
+    """Qubits for add_under, laid out in a shuffled order: src (w) and
+    dst (wd) as ascending blocks, anc and one context qubit per entry of
+    ctx_pos, positive or not, so either block may lie lowest and anc or
+    the context between them.  With gap, an idle qubit splits dst above
+    its qubit w - 1.  Returns (src, dst, anc, ctx, qubit count)."""
+    order = ["src", "dst", "anc"] + list(ctx_pos)
+    rng.shuffle(order)
+    q, ctx = 0, []
+    for item in order:
+        if item == "src":
+            src, q = list(range(q, q + w)), q + w
+        elif item == "dst":
+            dst = list(range(q, q + wd + gap))
+            if gap:
+                del dst[rng.randrange(w, wd)]
+            q += wd + gap
+        elif item == "anc":
+            anc, q = q, q + 1
+        else:
+            ctx, q = ctx + [(q, item)], q + 1
+    return src, dst, anc, ctx, q
+
+
+def gate_by_gate(gates, n):
+    out = []
+    for s in range(1 << n):
+        for g in gates:
+            s = ref_apply(g, s, n)
+        out.append(s)
+    return out
+
+
+def adder_program_runs(gates, n):
+    """Every basis state through the adder-fused program, flat (_run)
+    and nested (_run and _run_planes), and through simulate_sparse, each
+    against the gate list applied gate by gate; returns the flat program."""
+    want = gate_by_gate(gates, n)
+    c = Circuit(n)
+    c.extend(gates)
+    flat = circuit._fuse_adders(c.gates)
+    nested = circuit._nest(flat)
+    states = list(range(1 << n))
+    assert [circuit._run(flat, s) for s in states] == want
+    assert [circuit._run(nested, s) for s in states] == want
+    assert circuit._run_planes(nested, states) == want
+    start = {s: complex(s + 1, -s) for s in states}
+    assert c.simulate_sparse(start) == {t: start[s] for s, t in zip(states, want)}
+    if len(states) >= circuit._NEST_AFTER:  # the sparse run swapped it in
+        assert c._compile() == nested
+    return flat
+
+
+def test_register_add_matches_gate_by_gate():
+    # add_into's ripple, forward and reversed, src 1-4 qubits, dst w to
+    # w + 3, under 0-2 context controls of either polarity, on every
+    # basis state (at most 2^13): one register-add entry, as the gates
+    rng = random.Random(83)
+    for w in range(1, 5):
+        for extra in range(4):
+            ctx_pos = [(w + extra + i) % 2 == 0 for i in range((w + extra) % 3)]
+            src, dst, anc, ctx, n = ripple_layout(rng, w, w + extra, ctx_pos)
+            gates = add_under(rng, ctx, src, dst, anc)
+            for sign, order in ((1, gates), (-1, gates[::-1])):
+                flat = adder_program_runs(order, n)
+                assert [(op, step) for _, _, op, _, step in flat] == [
+                    (_RADD, sign << dst[0])], (w, extra, sign)
+
+
+def test_register_add_near_misses_stay_gate_by_gate():
+    # an add with one ladder gate dropped, one ladder control's polarity
+    # flipped, a dst with a gap, a context that holds a dst qubit or a
+    # carry-in that is one is no add: no register-add entry, and every
+    # state as the gates.  Each mutation lies in the last MAJ/UMA stage,
+    # the carry's cascade or dst's upper part, which every shorter add
+    # inside the ladder (its stages k..w-1 with src[k-1] as the carry
+    # in) shares, or in a ladder of one stage.  The cascade's top gate
+    # is never dropped: without it the gates add into a dst one qubit
+    # narrower, an add still
+    rng = random.Random(89)
+    for trial in range(30):
+        miss = ("drop", "polarity", "gap", "context", "carry")[trial % 5]
+        w = 1 if miss == "carry" else rng.randrange(1, 4)
+        wd = w + rng.randrange(miss in ("gap", "carry"), 3)
+        ctx_pos = [rng.random() < 0.5 for _ in range(rng.randrange(2))]
+        src, dst, anc, ctx, n = ripple_layout(rng, w, wd, ctx_pos, gap=miss == "gap")
+        if miss == "context":
+            ctx = ctx + [(rng.choice(dst[w - 1:]), rng.random() < 0.5)]
+        elif miss == "carry":
+            anc = rng.choice(dst[1:])
+        gates = add_under(rng, ctx, src, dst, anc)
+        # the last MAJ stage, the cascade and the last UMA stage
+        last = rng.choice([i for i in range(3 * w - 3, 3 * w + 3 + wd - w)
+                           if i != 3 * w or wd == w])
+        if miss == "drop":
+            del gates[last]
+        elif miss == "polarity":
+            kind, targets, controls, neg = g = gates[last]
+            i = rng.choice([i for i, q in enumerate(controls) if q not in dict(ctx)])
+            gates[last] = Gate(kind, targets, controls, neg ^ 1 << i)
+        for order in (gates, gates[::-1]):
+            flat = adder_program_runs(order, n)
+            assert _RADD not in [e[2] for e in flat], (trial, miss)
+
+
+def test_register_add_scan_names_no_gates_the_list_lacks(monkeypatch):
+    # a first MAJ stage, then X gates down from qubit 2,001 to 2 under
+    # the carry alone: targets of an increment of dst[1:], but without
+    # its widening controls, so the candidate is refused before ladder
+    # names 2,000 gates of up to 2,001 controls each
+    def named(*args):
+        raise AssertionError(f"ladder{args[2:]}")
+
+    monkeypatch.setattr(ripple, "ladder", named)
+    gates = [xgate(1, [(0, True)]), xgate(2002, [(0, True)]), xgate(0, [(2002, True), (1, True)])]
+    gates += [xgate(q, [(0, True)]) for q in range(2001, 1, -1)]
+    c = Circuit(2003)
+    c.extend(gates)
+    assert _RADD not in [e[2] for e in circuit._fuse_adders(c.gates)]
+
+
 def test_nest_contexts_polarity_and_rejoin():
     # one context qubit of opposite polarity shares nothing; a run goes
     # on under its first two entries' context and ends at the first
@@ -433,7 +572,8 @@ def test_circuit_nests_at_the_threshold():
             assert c._compile() is flat
         c.simulate_basis(s + 1)
         nested = c._compile()
-        assert check_blocks(nested) >= 1 and list(flatten(nested)) == flat
+        assert check_blocks(nested) >= 1
+        assert list(flatten(nested)) == circuit._fuse_adders(c.gates)
         assert all(c.simulate_basis(s) == circuit._run(flat, s) for s in range(1 << n))
         assert c._compile() is nested
         if not added:

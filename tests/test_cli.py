@@ -117,6 +117,17 @@ def test_eval_needs_a_digit_like_synth(capsys, n):
     assert run(capsys, "synth", "log", "--n", n, "--m", "5")[2] == err
 
 
+@pytest.mark.parametrize("function", ["exp2", "cos", "cos-signed", "cot"])
+def test_eval_group2_refuses_a_digit_count_below_one(capsys, function):
+    # group 2 reads its digits off the argument, yet --n < 1 is refused
+    # as for group 1; a valid --n stays ignored
+    for n in ("-5", "0"):
+        assert run(capsys, "eval", function, ".1011", "--n", n) == (
+            2, "", "error: need at least one digit\n")
+    assert (run(capsys, "eval", function, ".1011", "--n", "1")
+            == run(capsys, "eval", function, ".1011", "--n", "16"))
+
+
 def test_synth_deterministic_bytes(capsys, tmp_path):
     a, b = tmp_path / "a.fbe", tmp_path / "b.fbe"
     assert run(capsys, "synth", "arccot", "--n", "2", "--m", "5",
