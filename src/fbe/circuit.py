@@ -29,17 +29,19 @@ never see the fusion or the nesting.
 
 A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
 whose fields read by name as well.  Its checks run where gates come from
-outside: the Gate constructor (and xgate) checks the shape and that no
-qubit repeats, Circuit.add and Circuit.extend check every qubit against
-the register file, and import_text runs both on each gate line.  Gates
-that blocks.Builder makes skip them by construction: it allocates every
-qubit it names and builds its records with tuple.__new__.
+outside: the Gate constructor (and xgate) checks the shape against one
+table and that no qubit repeats, Circuit.add and Circuit.extend check
+every qubit against the register file, and import_text runs all of them
+in one call per distinct gate line.  Gates that blocks.Builder makes
+skip them by construction: it allocates every qubit it names and builds
+its records with tuple.__new__.
 
 The text form is line oriented and round-trips exactly.  Synthesis
-replays blocks with the same gate objects, so the text repeats itself:
-export formats each gate object once, and import parses and checks each
-distinct gate line once, appending the same Gate on every repeat, and
-parses each distinct operand token once.
+replays blocks, so the text repeats itself: export formats each distinct
+gate once, and each qubit's operand once, and import parses and checks
+each distinct gate line once, appending the same Gate on every repeat,
+and parses each distinct operand token once.  Compile, too, reads each
+distinct gate's condition once.
 """
 
 from __future__ import annotations
@@ -66,22 +68,22 @@ ROLES = ("input", "output", "ancilla-clean", "garbage")
 MAX_TEXT_QUBITS = 1 << 20
 
 
-class _Masks(dict):
-    """1 << q for each qubit q looked up, made on first lookup: a mask
-    per declared qubit would take memory quadratic in the qubit count."""
+class _Memo(dict):
+    """f(key) for each key looked up, made on first lookup: a mask 1 << q
+    or an operand "q[i]" per declared qubit would take memory quadratic
+    or linear in the qubit count.  f is pure, so no value goes stale."""
 
-    def __missing__(self, q: int) -> int:
-        self[q] = m = 1 << q
-        return m
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = v = self.f(key)
+        return v
 
 
-class _Qubits(dict):
-    """The qubits of each mask looked up, lowest first, made on first
-    lookup; a pure function of the mask, so it never goes stale."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        self[mask] = t = tuple(q for q, c in enumerate(bin(mask)[:1:-1]) if c == "1")
-        return t
+def _qubits_of(mask: int) -> tuple[int, ...]:
+    """The qubits of mask, lowest first."""
+    return tuple(q for q, c in enumerate(bin(mask)[:1:-1]) if c == "1")
 
 
 class CircuitError(Exception):
@@ -101,23 +103,7 @@ class Gate(tuple):
 
     def __new__(cls, kind: str, targets: tuple[int, ...],
                 controls: tuple[int, ...] = (), neg_mask: int = 0) -> "Gate":
-        nt, nc = len(targets), len(controls)
-        ok = (
-            (kind == "x" and nt == 1 and nc == 0)
-            or (kind == "cx" and nt == 1 and nc == 1)
-            or (kind == "ccx" and nt == 1 and nc == 2)
-            or (kind == "mcx" and nt == 1 and nc >= 3)
-            or (kind == "swap" and nt == 2 and nc == 0)
-            or (kind == "cswap" and nt == 2 and nc == 1)
-            or (kind == "h" and nt == 1 and nc == 0)
-        )
-        if not ok:
-            raise CircuitError(f"bad gate shape {kind} targets={nt} controls={nc}")
-        if len(set(targets) | set(controls)) != nt + nc:
-            raise CircuitError(f"{kind} reuses a qubit: {targets} {controls}")
-        if neg_mask >> nc:
-            raise CircuitError("neg_mask wider than the control list")
-        return tuple.__new__(cls, (kind, targets, controls, neg_mask))
+        return _checked(kind, targets, controls, neg_mask)
 
     kind = property(itemgetter(0))
     targets = property(itemgetter(1))
@@ -134,6 +120,30 @@ class Gate(tuple):
 
     def __repr__(self) -> str:
         return "Gate(kind=%r, targets=%r, controls=%r, neg_mask=%r)" % self
+
+
+# kind -> (targets, fewest controls, most controls)
+_SHAPES = {"x": (1, 0, 0), "cx": (1, 1, 1), "ccx": (1, 2, 2), "mcx": (1, 3, float("inf")),
+           "swap": (2, 0, 0), "cswap": (2, 1, 1), "h": (1, 0, 0)}
+
+
+def _checked(kind: str, targets: tuple[int, ...], controls: tuple[int, ...],
+             neg: int, n_qubits: Optional[int] = None) -> Gate:
+    """The Gate after its checks: shape, no qubit repeated, neg_mask width,
+    then, given n_qubits, the first qubit (controls first) not below it."""
+    nt, nc = len(targets), len(controls)
+    shape = _SHAPES.get(kind)
+    if shape is None or nt != shape[0] or not shape[1] <= nc <= shape[2]:
+        raise CircuitError(f"bad gate shape {kind} targets={nt} controls={nc}")
+    qs = controls + targets
+    if len(set(qs)) != nt + nc:
+        raise CircuitError(f"{kind} reuses a qubit: {targets} {controls}")
+    if neg >> nc:
+        raise CircuitError("neg_mask wider than the control list")
+    if n_qubits is not None and max(qs) >= n_qubits:
+        q = next(q for q in qs if q >= n_qubits)
+        raise CircuitError(f"qubit {_shown(q)} outside 0..{n_qubits - 1}")
+    return tuple.__new__(Gate, (kind, targets, controls, neg))
 
 
 def xgate(target: int, controls: Iterable[tuple[int, bool]] = ()) -> Gate:
@@ -159,6 +169,9 @@ class Register:
     signed: bool = False
 
     def __post_init__(self):
+        # the text form reads a name as one token up to whitespace or #
+        if self.name.split() != [self.name] or "#" in self.name:
+            raise CircuitError(f"bad register name {_shown(repr(self.name))}")
         if self.role not in ROLES:
             raise CircuitError(f"unknown role {_shown(repr(self.role))}")
         if self.size != self.int_bits + self.frac_bits:
@@ -224,9 +237,12 @@ def _nest_level(prog, shared, seen, lo, hi, outer) -> list:
     return out
 
 
-def _fuse(gates, prog: list, bit) -> None:
+def _fuse(gates, prog: list, bit, conds: dict) -> None:
     """Fuse the gate list, in one pass, into entries (cm, cv, op, mask,
-    step) appended to prog; bit maps a qubit to its mask.
+    step) appended to prog; bit maps a qubit to its mask.  conds, which
+    the caller keeps across calls, maps each gate read to (cm, cv, first
+    target's mask, its own entry unless X-family), keyed by value: a
+    repeated gate is read once, and its entries share the ints.
 
     A run of X-family gates under one condition is one _XOR entry whose
     mask is the XOR of the targets; XOR, not OR, because two equal gates
@@ -244,21 +260,25 @@ def _fuse(gates, prog: list, bit) -> None:
     # condition and target of its last gate, which a cascade goes on
     # from; lt is 0 once a run holds two gates under one condition
     op = cm = cv = mask = step = lcm = lcv = lt = None
-    for kind, targets, controls, neg in gates:
-        gcm = gcv = sum(map(bit, controls))
-        while neg:
-            low = neg & -neg
-            gcv -= bit(controls[low.bit_length() - 1])
-            neg ^= low
-        t = bit(targets[0])
-        if kind not in X_KINDS:
+    for g in gates:
+        c = conds.get(g)
+        if c is None:
+            kind, targets, controls, neg = g
+            gcm = gcv = sum(map(bit, controls))
+            while neg:
+                low = neg & -neg
+                gcv -= bit(controls[low.bit_length() - 1])
+                neg ^= low
+            t = bit(targets[0])
+            own = (None if kind in X_KINDS else (0, 0, _H, t, 0) if kind == "h"
+                   else (gcm, gcv, _SWAP, t | bit(targets[1]), 0))
+            c = conds[g] = (gcm, gcv, t, own)
+        gcm, gcv, t, own = c
+        if own is not None:
             if op is not None:
                 prog.append((cm, cv, op, mask, step))
                 op = None
-            if kind == "h":
-                prog.append((0, 0, _H, t, 0))
-            else:
-                prog.append((gcm, gcv, _SWAP, t | bit(targets[1]), 0))
+            prog.append(own)
             continue
         if op is not None:
             if step == 0 and gcm == cm and gcv == cv:
@@ -290,12 +310,12 @@ def _fuse_adders(gates) -> list:
     # times never compiles the module
     from .ripple import find
 
-    prog, bit, lo = [], _Masks().__getitem__, 0
+    prog, bit, conds, lo = [], _Memo((1).__lshift__).__getitem__, {}, 0
     for start, end, entry in find(gates, bit):
-        _fuse(gates[lo:start], prog, bit)
+        _fuse(gates[lo:start], prog, bit, conds)
         prog.append(entry)
         lo = end
-    _fuse(gates[lo:] if lo else gates, prog, bit)
+    _fuse(gates[lo:] if lo else gates, prog, bit, conds)
     return prog
 
 
@@ -360,7 +380,7 @@ def _run_planes(prog, states, qubits=None, touched=None) -> list[int]:
     and term, so both take time and memory linear in the term count.  qubits
     maps a mask to its qubits, lowest first (Circuit._qubits), and
     touched is _touched(prog) when the caller has it already."""
-    qs = _Qubits() if qubits is None else qubits
+    qs = _Memo(_qubits_of) if qubits is None else qubits
     if touched is None:
         touched = _touched(prog)
     if not touched:  # only uncontrolled entries whose targets cancelled
@@ -451,7 +471,7 @@ class Circuit:
         self._program = None
         self._stretches = None  # _program split for simulate_sparse
         self._runs = 0  # states and terms run since the last compile
-        self._qubits = _Qubits()
+        self._qubits = _Memo(_qubits_of)
 
     def add_register(self, reg: Register):
         if reg.start + reg.size > self.n_qubits:
@@ -492,7 +512,7 @@ class Circuit:
         if self._program is None:
             self._runs = 0
             self._program = []
-            _fuse(self.gates, self._program, _Masks().__getitem__)
+            _fuse(self.gates, self._program, _Memo((1).__lshift__).__getitem__, {})
         return self._program
 
     def _prepared(self, states: int):
@@ -613,23 +633,12 @@ class Circuit:
 
 # ------------------------------------------------------------- text format
 
-def _gate_text(g: Gate, expand_negative_controls: bool) -> str:
-    """A gate's line; with expansion, a negative control instead becomes
-    a positive one between two x lines on its qubit."""
-    kind, targets, controls, neg = g
-    pre = post = ""
-    if expand_negative_controls and neg:
-        flips = "".join(f"x q[{q}]\n" for i, q in enumerate(controls) if (neg >> i) & 1)
-        pre, post, neg = flips, "\n" + flips[:-1], 0
-    ops = [f"!q[{q}]" if (neg >> i) & 1 else f"q[{q}]" for i, q in enumerate(controls)]
-    ops += [f"q[{t}]" for t in targets]
-    return f"{pre}{kind} {','.join(ops)}{post}"
-
-
 def export_text(c: Circuit, expand_negative_controls: bool = False) -> str:
     """Serialize; neg controls keep their ! prefix unless expansion into
-    x-conjugated positive controls is requested.  Each gate object is
-    formatted once, however often the list repeats it."""
+    x-conjugated positive controls is requested, each negative control a
+    positive one between two x lines on its qubit.  Each distinct gate is
+    formatted once, however often the list repeats it, and each qubit's
+    operand once."""
     lines = [f"qubits {c.n_qubits}"]
     for r in c.registers.values():
         hi = r.start + r.size - 1
@@ -638,11 +647,24 @@ def export_text(c: Circuit, expand_negative_controls: bool = False) -> str:
         if r.signed:
             line += " signed"
         lines.append(line)
-    done: dict[int, str] = {}
+    names = _Memo("q[{}]".format)
+    done: dict[Gate, str] = {}
     for g in c.gates:
-        text = done.get(id(g))
+        text = done.get(g)
         if text is None:
-            text = done[id(g)] = _gate_text(g, expand_negative_controls)
+            kind, targets, controls, neg = g
+            ops = list(map(names.__getitem__, controls + targets))
+            flips = ""
+            while neg:
+                low = neg & -neg
+                i = low.bit_length() - 1
+                if expand_negative_controls:
+                    flips += f"x {ops[i]}\n"
+                else:
+                    ops[i] = "!" + ops[i]
+                neg ^= low
+            text = f"{kind} {','.join(ops)}"
+            text = done[g] = f"{flips}{text}\n{flips[:-1]}" if flips else text
         lines.append(text)
     return "\n".join(lines) + "\n"
 
@@ -666,7 +688,8 @@ def import_text(text: str) -> Circuit:
     bad one is named in the error.  A gate line seen before in this text
     was already checked against this circuit, so it appends the same
     Gate without being parsed again; an operand token parsed before
-    reuses its (qubit, negated) pair, and the gate is checked as usual."""
+    reuses its (qubit, negated) pair, and the gate is checked as usual,
+    by _checked, which builds the record."""
     c: Optional[Circuit] = None
     seen: dict[str, Gate] = {}
     operands: dict[str, tuple[int, bool]] = {}  # only tokens that parsed
@@ -675,10 +698,9 @@ def import_text(text: str) -> Circuit:
         if g is not None:  # only checked gate lines are kept, so c is set
             append(g)
             continue
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
+        toks = rawline.split("#", 1)[0].split()
+        if not toks:
             continue
-        toks = line.split()
         head = toks[0]
         if head == "qubits":
             if c is not None:
@@ -716,7 +738,7 @@ def import_text(text: str) -> Circuit:
             except CircuitError as e:
                 raise CircuitError(f"line {lineno}: {e}") from None
             continue
-        if head not in ("x", "cx", "ccx", "mcx", "swap", "cswap", "h"):
+        if head not in _SHAPES:
             raise CircuitError(f"line {lineno}: unknown gate {_shown(repr(head))}")
         if len(toks) != 2:
             raise CircuitError(f"line {lineno}: gate wants one operand list")
@@ -737,16 +759,16 @@ def import_text(text: str) -> Circuit:
             q, neg = op
             negs |= neg << len(qs)
             qs.append(q)
-        n_ctl = len(qs) - (2 if head in ("swap", "cswap") else 1)
+        n_ctl = len(qs) - _SHAPES[head][0]
         if n_ctl < 0:
             raise CircuitError(f"line {lineno}: not enough operands")
         if negs >> n_ctl:
             raise CircuitError(f"line {lineno}: target cannot be negated")
         try:
-            g = Gate(head, tuple(qs[n_ctl:]), tuple(qs[:n_ctl]), negs)
-            c.add(g)
+            g = _checked(head, tuple(qs[n_ctl:]), tuple(qs[:n_ctl]), negs, c.n_qubits)
         except CircuitError as e:
             raise CircuitError(f"line {lineno}: {e}") from None
+        append(g)
         seen[rawline] = g
     if c is None:
         raise CircuitError("empty circuit text")

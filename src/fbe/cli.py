@@ -106,9 +106,11 @@ def _config(args, n=None, m=None) -> SynthConfig:
 def _report_lines(sc: SynthesizedCircuit) -> list[str]:
     r = sc.circuit.resource_count()
     cfg = sc.config
+    # exp and cos never square, whichever method the config names
+    square = "none" if cfg.function in ("exp", "cos") else cfg.square_method
     lines = [
         f"# family {cfg.function} n {cfg.n} m {cfg.m} "
-        f"policy {cfg.policy} square {cfg.square_method}",
+        f"policy {cfg.policy} square {square}",
         f"# qubits {r['qubits']} gates {r['gates']} "
         f"toffoli-equivalent {r['toffoli_equivalent']} "
         f"cx-equivalent {r['cx_equivalent']}",

@@ -1,5 +1,6 @@
 """Circuit IR: simulation against a naive reference, text round-trips."""
 
+import hashlib
 import random
 import re
 import tracemalloc
@@ -731,6 +732,17 @@ def test_register_validation():
         c.add_register(Register("A", "input", 0, 4, 2, 2))
 
 
+@pytest.mark.parametrize("name", ["A B", "A#1", "", "A\nx q[0]"],
+                         ids=["space", "hash", "empty", "newline"])
+def test_register_names_the_text_cannot_read_are_refused(name):
+    # each of these once exported as text that import_text refused
+    with pytest.raises(CircuitError, match=r"^bad register name '"):
+        Register(name, "input", 0, 2, 1, 1)
+    c = Circuit(2)
+    c.add_register(Register("A_1", "input", 0, 2, 1, 1))
+    assert import_text(export_text(c)).registers == c.registers
+
+
 def test_export_import_roundtrip():
     rng = random.Random(23)
     c = random_circuit(rng, 8, 120)
@@ -899,6 +911,95 @@ def test_import_fuzz_names_first_bad_line(capsys, tmp_path):
         assert main(["sim", str(path), "01.000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and err.count("\n") == 1
+
+
+PIN_KINDS = ("x", "cx", "ccx", "mcx", "swap", "cswap", "h", "frob", "CX", "qubits", "reg")
+PIN_DIGITS = ("\u0664", "\u00b2", "\uff13", "1_0", "+3", "-1", "")
+
+
+def pin_mutant(rng, lines, n_qubits):
+    """One to three edits of a text's lines: drop, duplicate or swap
+    lines, swap a line's kind, put a ! on an operand, repeat a qubit,
+    push one out of range, write an index in other digits, add a token
+    or a comment."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        ops = list(re.finditer(r"q\[(\d+)\]", line))
+        op = rng.randrange(10)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, line)
+        elif op == 2:
+            k = rng.randrange(len(lines))
+            lines[i], lines[k] = lines[k], line
+        elif op == 3:
+            lines[i] = rng.choice(PIN_KINDS) + line[line.find(" "):]
+        elif op == 8:
+            lines[i] = line + rng.choice((" q[0]", " junk", ",q[1]", ","))
+        elif op == 9:
+            j = rng.randrange(len(line) + 1)
+            lines[i] = line[:j] + "  # " + line[j:]
+            if rng.random() < 0.3:
+                lines.insert(i, "# note")
+        elif ops:
+            a = rng.choice(ops)
+            s, e = a.span(1)
+            if op == 4:  # ! on an operand, often the target
+                a = ops[-1] if rng.random() < 0.6 else a
+                lines[i] = line[:a.start()] + "!" + line[a.start():]
+            elif op == 5:  # repeat another operand's qubit
+                lines[i] = line[:s] + rng.choice(ops).group(1) + line[e:]
+            elif op == 6:  # out of range
+                q = n_qubits + rng.choice((0, 1, 7, 10 ** 6))
+                lines[i] = line[:s] + str(q) + line[e:]
+            else:
+                lines[i] = line[:s] + rng.choice(PIN_DIGITS) + line[e:]
+    return lines
+
+
+# SHA-256 over the import_text outcomes of test_import_outcomes_are_pinned
+IMPORT_OUTCOMES_DIGEST = "2065230f1420cd362df293793b9fdefdeb73c1ae921019e540a19de423de9713"
+
+
+def test_import_outcomes_are_pinned():
+    # every mutant's outcome: the error message, line number included,
+    # or the digest of the accepted circuit's own export
+    rng = random.Random("import_text/pin")
+    sources = [synthesize(SynthConfig("log", n=2, m=5, policy="clean")).circuit,
+               synthesize(SynthConfig("cot", n=2, m=5)).circuit,
+               random_circuit(random.Random(31), 9, 60, with_h=True)]
+    sources[2].add_register(Register("RegI0", "input", 0, 4, 2, 2, signed=True))
+    outcomes = []
+    for c in sources:
+        lines = export_text(c).splitlines()
+        for _ in range(400):
+            mutant = "\n".join(pin_mutant(rng, lines, c.n_qubits))
+            try:
+                got = import_text(mutant)
+            except CircuitError as e:
+                outcomes.append(f"error {e}")
+                continue
+            outcomes.append("ok " + hashlib.sha256(export_text(got).encode()).hexdigest())
+    errors = sum(o.startswith("error") for o in outcomes)
+    assert 400 < errors < 1100
+    assert len({o.split(":")[1] for o in outcomes if o.startswith("error line")}) > 10
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == IMPORT_OUTCOMES_DIGEST
+
+
+def test_import_names_the_first_bad_qubit():
+    # controls first, then targets, each in the order written
+    with pytest.raises(CircuitError, match=r"^line 2: qubit 7 outside 0\.\.4$"):
+        import_text("qubits 5\nccx q[7],q[9],q[0]\n")
+    with pytest.raises(CircuitError, match=r"^line 2: qubit 9 outside 0\.\.4$"):
+        import_text("qubits 5\nccx q[1],q[9],q[7]\n")
+    with pytest.raises(CircuitError, match=r"^line 3: qubit 5 outside 0\.\.4$"):
+        import_text("qubits 5\nx q[4]\ncswap !q[1],q[3],q[5]\n")
+    with pytest.raises(CircuitError, match=r"^line 3: qubit 8 outside 0\.\.4$"):
+        import_text("qubits 5\nx q[4]\ncswap !q[8],q[6],q[5]\n")
 
 
 def test_compile_memory_follows_touched_qubits():

@@ -147,6 +147,21 @@ def test_synth_report_comments(capsys):
     assert "reg RegO output" in out
 
 
+def test_synth_report_names_no_square_for_exp_and_cos(capsys):
+    # exp and cos never square: both methods give one text, reported as none
+    for fn, want in (("exp", "none"), ("cos", "none"), ("log", None)):
+        texts = []
+        for square in ("shift-add", "reversed-sqrt"):
+            code, out, _ = run(capsys, "synth", fn, "--n", "2", "--m", "5",
+                               "--square", square, "--report")
+            assert code == 0
+            report = [line for line in out.splitlines() if line.startswith("# family")]
+            assert report == [f"# family {fn} n 2 m 5 policy garbage "
+                              f"square {want or square.replace('-', '_')}"]
+            texts.append(out[:out.index("# family")])
+        assert (texts[0] == texts[1]) == (want == "none")
+
+
 def test_synth_unknown_family_exits_2(capsys):
     code, _, err = run(capsys, "synth", "sinh", "--n", "2", "--m", "4")
     assert code == 2
