@@ -17,15 +17,19 @@ it, so most entries share one or two context controls: _nest then folds
 each run of entries that share a context into one block entry, tested
 once per state, and nests again inside it.  That program takes the flat
 one's place.  Basis simulation runs the program through the kernel _run,
-one state at a time.  Every entry but h maps basis states one to one, so
-the sparse mode runs each h-free stretch as a permutation of its terms,
-with amplitudes following their terms, and splits amplitudes only at the
-h entries between stretches.  A stretch of up to 11 terms goes through
-_run term by term; a stretch of more goes through _run_planes once,
-bit-sliced, one int per touched qubit with a bit per term.  Compile keeps
-masks only for the qubits gates touch, so its memory does not grow with
-the declared qubit count.  Gate lists, resource counts and the text form
-never see the fusion or the nesting.
+one state at a time, until 256 states or terms have run since compile;
+then fbe.codegen writes the nested program out as Python source, each
+entry an if statement on s with its op inline, and compiles it, and
+basis simulation calls that function instead.  Every entry but h maps
+basis states one to one, so the sparse mode runs each h-free stretch as
+a permutation of its terms, with amplitudes following their terms, and
+splits amplitudes only at the h entries between stretches.  A stretch
+of up to 11 terms goes through _run term by term; a stretch of more
+goes through _run_planes once, bit-sliced, one int per touched qubit
+with a bit per term.  Compile keeps masks only for the qubits gates
+touch, so its memory does not grow with the declared qubit count.  Gate
+lists, resource counts and the text form never see the fusion, the
+nesting or the generated code.
 
 A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
 whose fields read by name as well.  Its checks run where gates come from
@@ -46,6 +50,7 @@ distinct gate's condition once.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -60,6 +65,11 @@ _XOR, _ADD, _SWAP, _H, _BLK, _RADD = 0, 1, 2, 3, 4, 5
 # states and terms a compiled program runs flat before the register-add
 # program, nested, takes its place (see Circuit._prepared)
 _NEST_AFTER = 16
+# states and terms a compiled program runs before simulate_basis runs it
+# as generated Python code (codegen.kernel): on the 20 sweep-exhaustive
+# circuits generation costs 3-63 ms, each later state runs 1.5-2.2x
+# faster, and it pays back after 140-700 states (BENCH_generated_kernel.json)
+_GENERATE_AFTER = 256
 # terms from which a sparse stretch runs bit-sliced; below it _run term
 # by term is faster on nested programs (crossover 11-15 terms)
 _PLANES_FROM = 12
@@ -471,6 +481,7 @@ class Circuit:
         self._program = None
         self._stretches = None  # _program split for simulate_sparse
         self._runs = 0  # states and terms run since the last compile
+        self._generated = None  # the nested program as a Python function
         self._qubits = _Memo(_qubits_of)
 
     def add_register(self, reg: Register):
@@ -485,7 +496,7 @@ class Circuit:
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"qubit {_shown(q)} outside 0..{self.n_qubits - 1}")
         self.gates.append(gate)
-        self._program = self._stretches = None
+        self._program = self._stretches = self._generated = None
 
     def extend(self, gates: Iterable[Gate]):
         for g in gates:
@@ -557,9 +568,21 @@ class Circuit:
             raise CircuitError("state outside the register file")
 
     def simulate_basis(self, state: int) -> int:
-        """Run one computational-basis state through the gate list."""
+        """Run one computational-basis state through the gate list: the
+        compiled program through _run until _GENERATE_AFTER states or
+        terms have run since compile, then that program, nested by then,
+        as generated Python code (codegen.kernel)."""
         self._check_state(state)
-        return _run(self._prepared(1), state)
+        run = self._generated
+        if run is None:
+            prog = self._prepared(1)
+            if self._runs < _GENERATE_AFTER:
+                return _run(prog, state)
+            # imported here: a circuit run fewer times never compiles it
+            from .codegen import kernel
+
+            run = self._generated = kernel(prog)
+        return run(state)
 
     def simulate_sparse(self, state, cap: int = 1 << 20) -> dict[int, complex]:
         """Exact sparse-state simulation from one basis state or a
@@ -689,7 +712,20 @@ def import_text(text: str) -> Circuit:
     was already checked against this circuit, so it appends the same
     Gate without being parsed again; an operand token parsed before
     reuses its (qubit, negated) pair, and the gate is checked as usual,
-    by _checked, which builds the record."""
+    by _checked, which builds the record.  The parse makes many tuples
+    and no reference cycles, so it runs with the cyclic GC paused: the
+    collections its allocations would start free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_text(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_text(text: str) -> Circuit:
+    """import_text's parse."""
     c: Optional[Circuit] = None
     seen: dict[str, Gate] = {}
     operands: dict[str, tuple[int, bool]] = {}  # only tokens that parsed

@@ -484,8 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the parser, built on the first call of main: building it takes about
+# as long as a short command runs
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (FixedPointError, CircuitError, ValueError, OSError) as exc:

@@ -735,7 +735,10 @@ def error_budget(name: str, n: int, m: int) -> ErrorBudget:
     the high-precision expansion at n = m), which `fbe verify
     group1-exact` reports red: a value within an ulp of f(x) can still
     differ in every digit (.0111... against .1000...).  The proven
-    guarantee for those recurrences is group1_value_bound.  Group 2
+    guarantee for those recurrences is group1_value_bound, and their
+    guaranteed_exact_bits is the largest k with both ends of that bound
+    within 2^-k (m - 3 for log2-wide at n = m, about q + 1 for arccot),
+    or 0 where no bound is proven.  Group 2
     entries are value bounds on |chain - exact|.  These restate the
     analysis the constructions were designed around; the verification
     suite reports how each one fares.
@@ -746,10 +749,16 @@ def error_budget(name: str, n: int, m: int) -> ErrorBudget:
     step = Fraction(1, 1 << q)
     if name in ("log2", "log2-wide", "arccot", "log2-ternary",
                 "log2-quaternary", "log2-quaternary-wide"):
+        try:
+            lo, hi = group1_value_bound(name, n, m)
+        except (DomainError, WidthMismatch):
+            bits = 0
+        else:
+            w = max(-lo, hi)
+            bits = (w.denominator // w.numerator).bit_length() - 1
         return ErrorBudget(name, n, m, q, step, None,
                            "strict claim: all m digits exact at n = m "
-                           "(fails; see group1_value_bound)",
-                           m if n >= m else n)
+                           "(fails; see group1_value_bound)", bits)
     if name == "arccos":
         bound = Fraction(1, 1 << (q // 2 + 1)) - step
         return ErrorBudget(name, n, m, q, step, bound,

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from fbe import circuit, ripple
+from fbe import circuit, codegen, ripple
 from fbe.circuit import (
     _ADD,
     _BLK,
@@ -455,8 +455,9 @@ def gate_by_gate(gates, n):
 
 def adder_program_runs(gates, n):
     """Every basis state through the adder-fused program, flat (_run)
-    and nested (_run and _run_planes), and through simulate_sparse, each
-    against the gate list applied gate by gate; returns the flat program."""
+    and nested (_run, generated code and _run_planes), and through
+    simulate_sparse, each against the gate list applied gate by gate;
+    returns the flat program."""
     want = gate_by_gate(gates, n)
     c = Circuit(n)
     c.extend(gates)
@@ -465,6 +466,7 @@ def adder_program_runs(gates, n):
     states = list(range(1 << n))
     assert [circuit._run(flat, s) for s in states] == want
     assert [circuit._run(nested, s) for s in states] == want
+    assert list(map(codegen.kernel(nested), states)) == want
     assert circuit._run_planes(nested, states) == want
     start = {s: complex(s + 1, -s) for s in states}
     assert c.simulate_sparse(start) == {t: start[s] for s, t in zip(states, want)}
@@ -575,21 +577,120 @@ def test_circuit_nests_at_the_threshold():
         nested = c._compile()
         assert check_blocks(nested) >= 1
         assert list(flatten(nested)) == circuit._fuse_adders(c.gates)
+        # simulate_basis runs the nested program as generated code once
+        # _GENERATE_AFTER states have gone through since compile
+        for s in range(circuit._NEST_AFTER, circuit._GENERATE_AFTER - 1):
+            assert c.simulate_basis(s) == circuit._run(flat, s)
+            assert c._generated is None
+        c.simulate_basis(s + 1)
+        generated = c._generated
+        assert generated is not None
         assert all(c.simulate_basis(s) == circuit._run(flat, s) for s in range(1 << n))
-        assert c._compile() is nested
+        assert c._compile() is nested and c._generated is generated
         if not added:
             c.add(g)
+            assert c._program is c._generated is None
             assert c._compile() == flat + [(2, 2, _XOR, 1, 0)]
-    # a sparse start of _NEST_AFTER terms nests before it runs
+    # a sparse start of _NEST_AFTER terms nests before it runs; sparse
+    # runs never generate code, however many terms they bring
     d = Circuit(n)
     d.extend(c.gates)
     start = {s: 1.0 + 0j for s in range(circuit._NEST_AFTER)}
     assert d.simulate_sparse(start) == ref_sparse(d, start)
     assert check_blocks(d._compile()) >= 1
+    start = {s: 1.0 + 0j for s in range(1 << n)}
+    assert d.simulate_sparse(start) == ref_sparse(d, start)
+    assert d._runs > circuit._GENERATE_AFTER and d._generated is None
     d.add(g)
     e = Circuit(n)
     e.extend(d.gates)
     assert d.simulate_sparse(3) == e.simulate_sparse(3) == ref_sparse(e, 3)
+
+
+def generated_cases(rng):
+    """Seeded fusable circuits and context circuits, forward and
+    inverted: their gates, qubit count and every basis state through the
+    gate list, gate by gate."""
+    for trial in range(12):
+        n = rng.randrange(6, 9)
+        c = fusable_circuit(rng, n, 14) if trial % 3 == 0 else context_circuit(rng, n, 8)
+        if trial % 3 == 2:
+            c = c.inverse()
+        yield c.gates, n, gate_by_gate(c.gates, n)
+
+
+def test_generated_kernel_matches_gate_by_gate(monkeypatch):
+    # the nested register-add program as generated code equals _run on
+    # it and the gate list on every basis state, whole and cut into
+    # functions of at most 6 lines and 2 levels, so that runs of entries
+    # are split between functions and blocks hoisted into their own
+    rng = random.Random(97)
+    ops, negs, functions = set(), set(), []
+    for gates, n, want in generated_cases(rng):
+        nested = circuit._nest(circuit._fuse_adders(gates))
+        states = range(1 << n)
+        assert [circuit._run(nested, s) for s in states] == want
+        whole = codegen.kernel(nested)
+        with monkeypatch.context() as m:
+            m.setattr(codegen, "CHUNK_LINES", 6)
+            m.setattr(codegen, "MAX_DEPTH", 2)
+            cut = codegen.kernel(nested)
+        for run in (whole, cut):
+            assert list(map(run, states)) == want
+        ops |= {(op, (step > 0) - (step < 0), cm != 0)
+                for cm, cv, op, _, step in flatten(nested)}
+        negs |= {op for cm, cv, op, _, _ in flatten(nested) if cm != cv}
+        assert sum(k.startswith("_f") for k in whole.__globals__) == 1
+        defined = [f for k, f in cut.__globals__.items() if k.startswith("_f")]
+        functions.append(len(defined))
+        # each function's source: its def line, at most 6 lines of body
+        # and its return line
+        assert all(max(line for *_, line in f.__code__.co_lines() if line) <= 8
+                   for f in defined)
+    # swaps and cswaps, +-1 cascades, register adds and subtracts, each
+    # under a condition, and negative controls on each kind
+    assert {(_XOR, 0, True), (_SWAP, 0, False), (_SWAP, 0, True), (_ADD, 1, True),
+            (_ADD, -1, True), (_RADD, 1, True), (_RADD, -1, True)} <= ops
+    assert {_XOR, _SWAP, _ADD, _RADD} <= negs
+    assert min(functions) > 1
+
+
+def test_generated_kernel_nests_deep():
+    # a staircase of gate pairs under controls {0}, {0, 1}, .. {0..129}
+    # nests 129 blocks deep, past the 100 indentation levels Python
+    # reads: the generated code calls functions for the deep blocks
+    n = 132
+    c = Circuit(n)
+    for k in range(130):
+        ctl = [(q, True) for q in range(k + 1)]
+        c.extend([xgate(130, ctl), xgate(131, ctl)])
+    nested = circuit._nest(circuit._fuse_adders(c.gates))
+    assert check_blocks(nested) >= 129
+    run = codegen.kernel(nested)
+    rng = random.Random(101)
+    for j in range(n):
+        s = (1 << j) - 1 | rng.randrange(4) << 130 if j < 130 else rng.randrange(1 << n)
+        assert run(s) == circuit._run(nested, s) == circuit._run(c._compile(), s), j
+
+
+def test_generated_kernel_refuses_h():
+    # an h entry raises as _run does, whether the code is generated by
+    # hand or by simulate_basis after _GENERATE_AFTER refused states
+    rng = random.Random(103)
+    c = context_circuit(rng, 7, 6)
+    c.add(Gate("h", (3,)))
+    c.extend(context_circuit(rng, 7, 2).gates)
+    nested = circuit._nest(circuit._fuse_adders(c.gates))
+    run = codegen.kernel(nested)
+    message = "^h gate present, use simulate_sparse$"
+    for s in (0, 5):
+        for kernel in (run, lambda s: circuit._run(nested, s)):
+            with pytest.raises(CircuitError, match=message):
+                kernel(s)
+    for s in range(circuit._GENERATE_AFTER + 1):
+        with pytest.raises(CircuitError, match=message):
+            c.simulate_basis(s % 128)
+    assert c._generated is not None
 
 
 def test_sparse_split_once_per_program(monkeypatch):

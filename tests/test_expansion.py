@@ -427,8 +427,16 @@ def test_error_budget_entries():
     b = error_budget("arccos", 8, 16)
     assert b.q == 14 and b.guaranteed_exact_bits == 9
     assert b.bound == Fraction(1, 1 << 8) - Fraction(1, 1 << 14)
+    # group 1: what group1_value_bound proves, not the strict digit claim
     b = error_budget("log2-wide", 10, 10)
-    assert b.bound is None and b.guaranteed_exact_bits == 10
+    assert b.bound is None and b.guaranteed_exact_bits == 7
+    lo, hi = group1_value_bound("log2-wide", 10, 10)
+    assert lo == 0 and Fraction(1, 1 << 8) < hi <= Fraction(1, 1 << 7)
+    b = error_budget("arccot", 10, 10)
+    assert b.guaranteed_exact_bits == 6
+    lo, hi = group1_value_bound("arccot", 10, 10)
+    assert Fraction(1, 1 << 7) < hi <= Fraction(1, 1 << 6) and -lo < hi
+    assert error_budget("log2", 10, 10).guaranteed_exact_bits == 0
 
 
 @pytest.mark.parametrize("name", ("log2-wide", "arccot"))
