@@ -1,35 +1,35 @@
 """Reversible gate-list circuits over x, cx, ccx, mcx, swap, cswap, h.
 
 Circuits here are flat gate lists plus named registers.  Simulation
-compiles the list once, in one pass, into a fused mask program and then
-runs any number of inputs through it.  Consecutive X-family gates under
-one condition fuse into one XOR of their targets, and the cascades that
-increment or decrement a field of contiguous qubits (the widening-control
-ladders of blocks.increment and blocks.decrement, also replayed reversed)
-fuse into one conditional add of +1 or -1 on that field; any other gate
-stays an entry of its own.  Once a program has run 16 states or terms,
-the list is fused again with one more entry, the register add: each
-MAJ/UMA ripple adder of blocks.add_into (about 6w gates, none of which
-fuse; found by fbe.ripple) becomes one entry dst <- dst + src + anc, and
-its reversed replay one dst <- dst - src - anc, each a few big-int
-operations.  Synthesis applies each block under the digit that chooses
-it, so most entries share one or two context controls: _nest then folds
-each run of entries that share a context into one block entry, tested
-once per state, and nests again inside it.  That program takes the flat
-one's place.  Basis simulation runs the program through the kernel _run,
-one state at a time, until 256 states or terms have run since compile;
-then fbe.codegen writes the nested program out as Python source, each
-entry an if statement on s with its op inline, and compiles it, and
-basis simulation calls that function instead.  Every entry but h maps
-basis states one to one, so the sparse mode runs each h-free stretch as
-a permutation of its terms, with amplitudes following their terms, and
-splits amplitudes only at the h entries between stretches.  A stretch
-of up to 11 terms goes through _run term by term; a stretch of more
-goes through _run_planes once, bit-sliced, one int per touched qubit
-with a bit per term.  Compile keeps masks only for the qubits gates
-touch, so its memory does not grow with the declared qubit count.  Gate
-lists, resource counts and the text form never see the fusion, the
-nesting or the generated code.
+runs a compiled program in one of two stages, and one count switches
+them: the states and terms run since the circuit last changed.  Until
+that count reaches _COMPILE_AFTER the circuit runs its flat program, the
+list fused in one pass into mask entries.  Consecutive X-family gates
+under one condition fuse into one XOR of their targets, and the cascades
+that increment or decrement a field of contiguous qubits (the
+widening-control ladders of blocks.increment and blocks.decrement, also
+replayed reversed) fuse into one conditional add of +1 or -1 on that
+field; any other gate stays an entry of its own.  From then on it runs
+the compiled program: the list fused again with one more entry, the
+register add: each MAJ/UMA ripple adder of blocks.add_into (about 6w
+gates, none of which fuse; found by fbe.ripple) becomes one entry
+dst <- dst + src + anc, and its reversed replay one dst <- dst - src -
+anc, each a few big-int operations.  Synthesis applies each block under
+the digit that chooses it, so most entries share one or two context
+controls: _nest then folds each run of entries that share a context into
+one block entry, tested once per state, and nests again inside it.
+Basis simulation runs the flat program through the kernel _run, one
+state at a time, and the compiled one as the Python code fbe.codegen
+writes out, each entry an if statement on s with its op inline.  Every
+entry but h maps basis states one to one, so the sparse mode runs each
+h-free stretch of either program as a permutation of its terms, with
+amplitudes following their terms, and splits amplitudes only at the h
+entries between stretches.  A stretch of up to 11 terms goes through
+_run term by term; a stretch of more goes through _run_planes once,
+bit-sliced, one int per touched qubit with a bit per term.  Compile
+keeps masks only for the qubits gates touch, so its memory does not grow
+with the declared qubit count.  Gate lists, resource counts and the text
+form never see the fusion, the nesting or the generated code.
 
 A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
 whose fields read by name as well.  Its checks run where gates come from
@@ -45,7 +45,7 @@ replays blocks, so the text repeats itself: export formats each distinct
 gate once, and each qubit's operand once, and import parses and checks
 each distinct gate line once, appending the same Gate on every repeat,
 and parses each distinct operand token once.  Compile, too, reads each
-distinct gate's condition once.
+distinct gate's condition once (_read), for _fuse and ripple.find alike.
 """
 
 from __future__ import annotations
@@ -62,14 +62,17 @@ from .fixedpoint import _shown
 X_KINDS = ("x", "cx", "ccx", "mcx")
 # ops of the compiled program's entries, see _fuse, ripple.find and _nest
 _XOR, _ADD, _SWAP, _H, _BLK, _RADD = 0, 1, 2, 3, 4, 5
-# states and terms a compiled program runs flat before the register-add
-# program, nested, takes its place (see Circuit._prepared)
-_NEST_AFTER = 16
-# states and terms a compiled program runs before simulate_basis runs it
-# as generated Python code (codegen.kernel): on the 20 sweep-exhaustive
-# circuits generation costs 3-63 ms, each later state runs 1.5-2.2x
-# faster, and it pays back after 140-700 states (BENCH_generated_kernel.json)
-_GENERATE_AFTER = 256
+# states and terms a circuit runs through its flat program after its
+# last change; the run that reaches it builds the compiled program (see
+# Circuit._prepared).  On the 20 sweep-exhaustive circuits the build
+# costs 14-67 flat runs, generating its code 20-71, and each later state
+# runs 3.1-10.9x faster.  Over N = 1, 2, 4, ..., 4096 runs, 65 has the
+# lowest mean ratio to the best cost knowing N above 50 (1.22-1.23; 64:
+# 1.29, 128: 1.36), 33 the lowest of all (1.19-1.20), but at 33 the 50
+# states per circuit of acceptance criterion 5 take 25 % longer
+# (BENCH_two_stages.json).  superposition's first round call, 1 + 64
+# terms, crosses it; synth-grid's 3 states per circuit do not.
+_COMPILE_AFTER = 65
 # terms from which a sparse stretch runs bit-sliced; below it _run term
 # by term is faster on nested programs (crossover 11-15 terms)
 _PLANES_FROM = 12
@@ -247,12 +250,29 @@ def _nest_level(prog, shared, seen, lo, hi, outer) -> list:
     return out
 
 
+def _read(g, bit, conds: dict) -> tuple:
+    """Gate g read as (cm, cv, first target's mask, its own entry unless
+    X-family), bit mapping a qubit to its mask, and stored in conds under
+    g.  A compile keeps one conds, keyed by value, for _fuse and
+    ripple.find alike, which look a gate up there first: a repeated gate
+    is read once, and its entries share the ints."""
+    kind, targets, controls, neg = g
+    cm = cv = sum(map(bit, controls))
+    while neg:
+        low = neg & -neg
+        cv -= bit(controls[low.bit_length() - 1])
+        neg ^= low
+    t = bit(targets[0])
+    own = (None if kind in X_KINDS else (0, 0, _H, t, 0) if kind == "h"
+           else (cm, cv, _SWAP, t | bit(targets[1]), 0))
+    c = conds[g] = (cm, cv, t, own)
+    return c
+
+
 def _fuse(gates, prog: list, bit, conds: dict) -> None:
     """Fuse the gate list, in one pass, into entries (cm, cv, op, mask,
-    step) appended to prog; bit maps a qubit to its mask.  conds, which
-    the caller keeps across calls, maps each gate read to (cm, cv, first
-    target's mask, its own entry unless X-family), keyed by value: a
-    repeated gate is read once, and its entries share the ints.
+    step) appended to prog; each gate is looked up in conds, or read
+    into it by _read, and bit maps a qubit to its mask.
 
     A run of X-family gates under one condition is one _XOR entry whose
     mask is the XOR of the targets; XOR, not OR, because two equal gates
@@ -271,19 +291,7 @@ def _fuse(gates, prog: list, bit, conds: dict) -> None:
     # from; lt is 0 once a run holds two gates under one condition
     op = cm = cv = mask = step = lcm = lcv = lt = None
     for g in gates:
-        c = conds.get(g)
-        if c is None:
-            kind, targets, controls, neg = g
-            gcm = gcv = sum(map(bit, controls))
-            while neg:
-                low = neg & -neg
-                gcv -= bit(controls[low.bit_length() - 1])
-                neg ^= low
-            t = bit(targets[0])
-            own = (None if kind in X_KINDS else (0, 0, _H, t, 0) if kind == "h"
-                   else (gcm, gcv, _SWAP, t | bit(targets[1]), 0))
-            c = conds[g] = (gcm, gcv, t, own)
-        gcm, gcv, t, own = c
+        gcm, gcv, t, own = conds.get(g) or _read(g, bit, conds)
         if own is not None:
             if op is not None:
                 prog.append((cm, cv, op, mask, step))
@@ -316,12 +324,12 @@ def _fuse_adders(gates) -> list:
     """The flat program of the gate list with each ripple adder that
     ripple.find finds as one register-add entry; _fuse fuses the gates
     between them."""
-    # imported here, once a program is swapped: a circuit run fewer
+    # imported here, on the first compiled program: a circuit run fewer
     # times never compiles the module
     from .ripple import find
 
     prog, bit, conds, lo = [], _Memo((1).__lshift__).__getitem__, {}, 0
-    for start, end, entry in find(gates, bit):
+    for start, end, entry in find(gates, bit, conds):
         _fuse(gates[lo:start], prog, bit, conds)
         prog.append(entry)
         lo = end
@@ -480,8 +488,8 @@ class Circuit:
         self.registers: dict[str, Register] = {}
         self._program = None
         self._stretches = None  # _program split for simulate_sparse
-        self._runs = 0  # states and terms run since the last compile
-        self._generated = None  # the nested program as a Python function
+        self._runs = 0  # states and terms run since the last change
+        self._generated = None  # the compiled program as a Python function
         self._qubits = _Memo(_qubits_of)
 
     def add_register(self, reg: Register):
@@ -497,6 +505,7 @@ class Circuit:
                 raise CircuitError(f"qubit {_shown(q)} outside 0..{self.n_qubits - 1}")
         self.gates.append(gate)
         self._program = self._stretches = self._generated = None
+        self._runs = 0
 
     def extend(self, gates: Iterable[Gate]):
         for g in gates:
@@ -511,39 +520,30 @@ class Circuit:
 
     # ------------------------------------------------------------- running
 
-    def _compile(self):
-        """The program: at first the gate list fused in one pass (_fuse)
-        into entries (cm, cv, op, mask, step) that act when s & cm == cv,
-        with no register adds: the pass that finds them (_fuse_adders)
-        takes 0.7-1.3 times as long as this one on the sweep circuits,
-        which a circuit run only a few times does not win back.  It
-        stays flat until _prepared puts the nested register-add program
-        in its place; Circuit.add drops it, and the next call compiles
-        afresh."""
-        if self._program is None:
-            self._runs = 0
-            self._program = []
-            _fuse(self.gates, self._program, _Memo((1).__lshift__).__getitem__, {})
-        return self._program
-
     def _prepared(self, states: int):
-        """The compiled program, for a run of `states` states or terms.
-        Once _NEST_AFTER have run through the flat one since compile,
-        the gate list is fused again with each MAJ/UMA ripple adder as
-        one register-add entry (_fuse_adders), and that program, nested
-        (_nest), takes the flat one's place.  A circuit run only a few
-        times, such as one just imported to be checked, never pays for
-        the swap.  On the 20 sweep-exhaustive circuits the swap costs
-        0.8-1.7 compiles, 10-47 flat runs, and each later run saves
-        45-89 % of a flat one (BENCH_adder_fusion.json)."""
-        prog = self._compile()
+        """The program for a run of `states` states or terms.  Until
+        _COMPILE_AFTER have run since the last change, this run counted,
+        it is the flat program: the gate list fused in one pass (_fuse)
+        into entries (cm, cv, op, mask, step) that act when s & cm == cv.
+        The run that reaches _COMPILE_AFTER drops it and builds the
+        compiled program in its place, with no flat compile first when
+        it is the first run: the gate list fused with each MAJ/UMA ripple
+        adder as one register-add entry (_fuse_adders), then nested
+        (_nest).  That takes 0.7-2.4 flat compiles on the sweep circuits,
+        which a circuit run only a few times, such as one just imported
+        to be checked, does not win back.  Circuit.add drops the program
+        and the count."""
         runs = self._runs
         self._runs = runs + states
-        if runs < _NEST_AFTER <= runs + states:
+        if runs + states < _COMPILE_AFTER:
+            if self._program is None:
+                self._program = []
+                _fuse(self.gates, self._program, _Memo((1).__lshift__).__getitem__, {})
+        elif runs < _COMPILE_AFTER:
             # drop the flat program before its successor is built
-            self._program = self._stretches = prog = None
-            prog = self._program = _nest(_fuse_adders(self.gates))
-        return prog
+            self._program = self._stretches = None
+            self._program = _nest(_fuse_adders(self.gates))
+        return self._program
 
     def _split(self, prog):
         """The program split for simulate_sparse: one [entries, touched,
@@ -569,14 +569,14 @@ class Circuit:
 
     def simulate_basis(self, state: int) -> int:
         """Run one computational-basis state through the gate list: the
-        compiled program through _run until _GENERATE_AFTER states or
-        terms have run since compile, then that program, nested by then,
-        as generated Python code (codegen.kernel)."""
+        flat program through _run, then, from the run that reaches
+        _COMPILE_AFTER, the compiled program as generated Python code
+        (codegen.kernel)."""
         self._check_state(state)
         run = self._generated
         if run is None:
             prog = self._prepared(1)
-            if self._runs < _GENERATE_AFTER:
+            if self._runs < _COMPILE_AFTER:
                 return _run(prog, state)
             # imported here: a circuit run fewer times never compiles it
             from .codegen import kernel
@@ -592,7 +592,7 @@ class Circuit:
         run through _run one by one, that many or more through
         _run_planes together.  The stretches and the qubits each one
         touches come from _split, once per program.  The terms of the
-        start count towards nesting the program.  h splits amplitudes by
+        start count towards _COMPILE_AFTER.  h splits amplitudes by
         1/sqrt(2) and drops the terms that cancel to zero.
         Raises SimulationLimit once an entry leaves more than cap terms."""
         amps = {state: 1.0 + 0j} if isinstance(state, int) else dict(state)

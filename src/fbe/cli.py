@@ -96,11 +96,8 @@ def cmd_eval(args) -> int:
 
 # ------------------------------------------------------------------- synth
 
-def _config(args, n=None, m=None) -> SynthConfig:
-    return SynthConfig(
-        _family(args.function), n or args.n, m or args.m,
-        args.policy, args.square.replace("-", "_"),
-    )
+def _config(args, family: str) -> SynthConfig:
+    return SynthConfig(family, args.n, args.m, args.policy, args.square.replace("-", "_"))
 
 
 def _report_lines(sc: SynthesizedCircuit) -> list[str]:
@@ -123,7 +120,7 @@ def _report_lines(sc: SynthesizedCircuit) -> list[str]:
 
 
 def cmd_synth(args) -> int:
-    sc = synthesize(_config(args))
+    sc = synthesize(_config(args, _family(args.function)))
     text = sc.export()
     if args.output:
         with open(args.output, "w") as fh:
@@ -142,6 +139,10 @@ def _load_synthesized(path: str):
         c = import_text(fh.read())
     if "RegO" not in c.registers or "RegI0" not in c.registers:
         raise CircuitError(f"{path}: missing RegO/RegI0 register headers")
+    # a digit input in RegO reads its value off the last RegI* output
+    if c.registers["RegO"].role != "output" and not any(
+            r.role == "output" for r in _chain_registers(c)):
+        raise CircuitError(f"{path}: RegO is not an output, and no RegI register is one")
     return c
 
 
@@ -409,10 +410,8 @@ def cmd_bench(args) -> int:
     # every family is synthesized before the first line, so a refused
     # run prints nothing to stdout
     _check_widths(args)
-    counts = [(family, synthesize(SynthConfig(
-        family, args.n, args.m, args.policy,
-        args.square.replace("-", "_"))).circuit.resource_count())
-        for family in sorted(SYNTH_SPEC)]
+    counts = [(family, synthesize(_config(args, family)).circuit.resource_count())
+              for family in sorted(SYNTH_SPEC)]
     print(f"resource counts at n={args.n} m={args.m} "
           f"policy={args.policy} square={args.square}")
     for family, r in counts:

@@ -4,18 +4,18 @@ kernel(prog) returns a function of one basis state that does what
 circuit._run(prog, s) does, without the interpreter loop: each entry is
 written out as `if s & cm == cv:` and its op inline, a block as an
 indented body, so a state pays for a few big-int operations per entry
-and no tuple unpacking or op dispatch.  Circuit.simulate_basis switches
-to it once a circuit has run _GENERATE_AFTER states since compile (see
-Circuit.simulate_basis).  The source holds only ints, formatted :#x, and fixed
-text.
+and no tuple unpacking or op dispatch.  Circuit.simulate_basis runs
+every state through it once the circuit holds its compiled program (see
+circuit._COMPILE_AFTER).  The source holds only ints, formatted :#x, and
+fixed text.
 
 Compile's transient memory grows with the source it parses, so the
 source is compiled in functions of at most CHUNK_LINES lines each:
 a longer run of entries is cut between entries into functions called in
 turn, and a block whose body would not fit, or would nest deeper than
 MAX_DEPTH levels, becomes a call to the functions holding its body.
-This module is loaded on the first generation, so a circuit that never
-runs that many states never compiles it.
+This module is loaded on the first generation, so a process whose
+circuits never run that many states never compiles it.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
 """Find the MAJ/UMA ripple adders of blocks.add_into in a gate list.
 
 The compiled program (circuit) runs each such adder as one register-add
-entry once a circuit has run 16 states or terms: circuit._fuse_adders
-asks find for the spans to replace.  ladder names the gates add_into
-emits, so a span is fused only when it is exactly that pattern, whose
-effect, dst <- dst + src + anc, is add_into's by its proof; a change to
-add_into stops the fusion instead of changing what the entry does.
-This module is loaded on the first swap, so a circuit that runs only a
-few states, one just imported to be checked say, never compiles it.
+entry once a circuit has run circuit._COMPILE_AFTER states or terms:
+circuit._fuse_adders asks find for the spans to replace.  ladder names
+the gates add_into emits, so a span is fused only when it is exactly
+that pattern, whose effect, dst <- dst + src + anc, is add_into's by its
+proof; a change to add_into stops the fusion instead of changing what
+the entry does.  This module is loaded on the first compiled program,
+so a process whose circuits run only a few states, ones just imported
+to be checked say, never compiles it.
 """
 
 from __future__ import annotations
 
-from .circuit import _RADD, X_KINDS
+from .circuit import _RADD, X_KINDS, _read
 
 
 def ladder(ctx: tuple, neg: int, anc: int, z: int, y: int, w: int, wd: int) -> list:
@@ -37,7 +38,7 @@ def ladder(ctx: tuple, neg: int, anc: int, z: int, y: int, w: int, wd: int) -> l
     return out
 
 
-def find(gates, bit):
+def find(gates, bit, conds):
     """Find the MAJ/UMA ripple adders of blocks.add_into in the gate
     list, in one pass, and yield (start, end, entry) for each: the gates
     [start, end) map every basis state to one with the field
@@ -46,7 +47,8 @@ def find(gates, bit):
     reversed pattern (sub_from, Builder.inverted, Builder.uncompute)
     subtracts.  The entry is (cm, cv, _RADD, (dst mask, src mask, src's
     lowest qubit, anc's qubit), step), step 2^lo for an add and -2^lo for
-    a subtract, lo the field's lowest qubit.
+    a subtract, lo the field's lowest qubit.  bit and conds are the
+    compile's, which circuit._read fills for find and _fuse alike.
 
     Three X-family gates with k, k and k + 1 controls open a candidate:
     a first MAJ stage, or a last UMA stage replayed reversed, matched on
@@ -63,13 +65,8 @@ def find(gates, bit):
     def cond(g):
         # (cm, cv, target) of gate g, as circuit._fuse reads them; target
         # 0, matching nothing, for a swap, cswap or h
-        kind, targets, controls, neg = g
-        cm = cv = sum(map(bit, controls))
-        while neg:
-            low = neg & -neg
-            cv -= bit(controls[low.bit_length() - 1])
-            neg ^= low
-        return cm, cv, bit(targets[0]) if kind in X_KINDS else 0
+        cm, cv, t, own = conds.get(g) or _read(g, bit, conds)
+        return cm, cv, t if own is None else 0
 
     def target(i):
         return gates[i][1][0] if i < n else -1

@@ -216,9 +216,10 @@ def test_fused_program_matches_gate_by_gate():
             assert c.simulate_basis(s) == want, (trial, s)
             if s % 7 == 0:
                 assert c.simulate_sparse(s) == {want: 1.0 + 0j}, (trial, s)
-        # every state has run through the program, so it is nested by now
+        # every state has run through the program, so from n = 6 on (74
+        # states and terms or more) it holds the compiled one
         ops |= {(op, (step > 0) - (step < 0), op == _XOR and bin(mask).count("1") > 1)
-                for _, _, op, mask, step in flatten(c._compile())}
+                for _, _, op, mask, step in flatten(c._prepared(0))}
         hc = fusable_circuit(rng, n, 10, with_h=True)
         for s in rng.sample(range(1 << n), 4):
             got, want = hc.simulate_sparse(s), ref_sparse(hc, s)
@@ -247,7 +248,7 @@ def test_sparse_permutes_amplitude_dicts():
             hc.add(Gate("h", (rng.randrange(n),)))
         hc.add(Gate("h", (rng.randrange(n),)))
         hc.extend(fusable_circuit(rng, n, 5).gates)
-        assert [e[2] for e in hc._compile()].count(_H) == 4
+        assert [e[2] for e in hc._prepared(0)].count(_H) == 4
         sub = dict(rng.sample(sorted(start.items()), 5))
         got, want = hc.simulate_sparse(sub), ref_sparse(hc, sub)
         assert got.keys() == want.keys(), trial
@@ -271,7 +272,7 @@ def test_sparse_planes_match_term_by_term():
         for _ in range(2):
             c = Circuit(n + 5)
             c.extend(shifted(fusable_circuit(rng, n, 16).gates, 2))
-            prog = c._compile()
+            prog = c._prepared(0)
             nested = circuit._nest(prog)
             adders = circuit._nest(circuit._fuse_adders(c.gates))
             ops |= {(op, (step > 0) - (step < 0), bin(cm ^ cv).count("1") > 0)
@@ -302,7 +303,7 @@ def test_sparse_planes_wrap_fields():
                        for i in range(4)]))
     c.extend([xgate(bits[i], [(1, False)] + [(b, True) for b in bits[:i]])
               for i in range(4)])
-    assert [(op, step, mask) for _, _, op, mask, step in c._compile()] == [
+    assert [(op, step, mask) for _, _, op, mask, step in c._prepared(0)] == [
         (_ADD, 4, 0b111100), (_ADD, -4, 0b111100)]
     start = {}
     for rest in range(16):
@@ -321,7 +322,7 @@ def test_sparse_planes_cancelled_targets():
     # x x fuses to one entry that touches no qubit
     c = Circuit(2)
     c.extend([Gate("x", (0,)), Gate("x", (0,))])
-    assert c._compile() == [(0, 0, _XOR, 0, 0)]
+    assert c._prepared(0) == [(0, 0, _XOR, 0, 0)]
     assert c.simulate_sparse({0: 1 + 0j, 2: 0.5j}) == {0: 1 + 0j, 2: 0.5j}
 
 
@@ -384,7 +385,7 @@ def test_nest_keeps_program_order_and_results():
     for trial in range(16):
         n = rng.randrange(7, 10)
         c = context_circuit(rng, n, 10, with_h=trial % 2 == 1)
-        flat = c._compile()
+        flat = c._prepared(0)
         nested = circuit._nest(flat)
         assert list(flatten(nested)) == flat, trial
         assert len(nested) < len(flat)
@@ -412,7 +413,7 @@ def test_nested_planes_match_flat():
     for size in (2, 64, 257):
         for _ in range(3):
             c = context_circuit(rng, n, 12)
-            flat = c._compile()
+            flat = c._prepared(0)
             nested = circuit._nest(flat)
             states = rng.sample(range(1 << n), size)
             want = [circuit._run(flat, s) for s in states]
@@ -470,8 +471,8 @@ def adder_program_runs(gates, n):
     assert circuit._run_planes(nested, states) == want
     start = {s: complex(s + 1, -s) for s in states}
     assert c.simulate_sparse(start) == {t: start[s] for s, t in zip(states, want)}
-    if len(states) >= circuit._NEST_AFTER:  # the sparse run swapped it in
-        assert c._compile() == nested
+    if len(states) >= circuit._COMPILE_AFTER:  # the sparse run built it
+        assert c._prepared(0) == nested
     return flat
 
 
@@ -560,51 +561,76 @@ def test_nest_contexts_polarity_and_rejoin():
 
 
 def test_circuit_nests_at_the_threshold():
-    # the program runs flat until _NEST_AFTER states or terms have gone
-    # through it since compile, then the nested one takes its place; add
-    # drops it, and the count starts again on the new flat program
+    # the program runs flat until _COMPILE_AFTER states or terms have
+    # gone through it since the last change; the run that reaches it
+    # builds _nest(_fuse_adders(gates)) in its place, which basis runs
+    # call as generated code from then on; add drops both and the count
     rng = random.Random(71)
     n = 8
     c = context_circuit(rng, n, 8)
     g = xgate(0, [(1, True)])
     for added in (False, True):
-        flat = c._compile()
+        flat = c._prepared(0)
         assert check_blocks(flat) == 0
-        for s in range(circuit._NEST_AFTER - 1):
-            c.simulate_basis(s)
-            assert c._compile() is flat
-        c.simulate_basis(s + 1)
-        nested = c._compile()
-        assert check_blocks(nested) >= 1
-        assert list(flatten(nested)) == circuit._fuse_adders(c.gates)
-        # simulate_basis runs the nested program as generated code once
-        # _GENERATE_AFTER states have gone through since compile
-        for s in range(circuit._NEST_AFTER, circuit._GENERATE_AFTER - 1):
+        for s in range(circuit._COMPILE_AFTER - 1):
             assert c.simulate_basis(s) == circuit._run(flat, s)
-            assert c._generated is None
+            assert c._prepared(0) is flat and c._generated is None
         c.simulate_basis(s + 1)
+        nested = c._prepared(0)
+        assert nested == circuit._nest(circuit._fuse_adders(c.gates))
+        assert check_blocks(nested) >= 1
         generated = c._generated
         assert generated is not None
         assert all(c.simulate_basis(s) == circuit._run(flat, s) for s in range(1 << n))
-        assert c._compile() is nested and c._generated is generated
+        assert c._prepared(0) is nested and c._generated is generated
         if not added:
             c.add(g)
-            assert c._program is c._generated is None
-            assert c._compile() == flat + [(2, 2, _XOR, 1, 0)]
-    # a sparse start of _NEST_AFTER terms nests before it runs; sparse
-    # runs never generate code, however many terms they bring
+            assert c._program is c._generated is None and c._runs == 0
+            assert c._prepared(0) == flat + [(2, 2, _XOR, 1, 0)]
+    # sparse runs count terms: _COMPILE_AFTER - 1 of them stay flat, the
+    # next run builds the compiled program, and no sparse run generates
+    # code, however many terms it brings
     d = Circuit(n)
     d.extend(c.gates)
-    start = {s: 1.0 + 0j for s in range(circuit._NEST_AFTER)}
+    start = {s: 1.0 + 0j for s in range(circuit._COMPILE_AFTER - 1)}
     assert d.simulate_sparse(start) == ref_sparse(d, start)
-    assert check_blocks(d._compile()) >= 1
+    assert check_blocks(d._prepared(0)) == 0
+    assert d.simulate_sparse(3) == ref_sparse(d, 3)
+    assert d._prepared(0) == circuit._nest(circuit._fuse_adders(d.gates))
     start = {s: 1.0 + 0j for s in range(1 << n)}
     assert d.simulate_sparse(start) == ref_sparse(d, start)
-    assert d._runs > circuit._GENERATE_AFTER and d._generated is None
+    assert d._generated is None
     d.add(g)
+    assert d._program is None and d._runs == 0
     e = Circuit(n)
     e.extend(d.gates)
     assert d.simulate_sparse(3) == e.simulate_sparse(3) == ref_sparse(e, 3)
+
+
+def test_first_run_past_the_threshold_fuses_no_flat_program(monkeypatch):
+    # a first sparse run of _COMPILE_AFTER terms or more builds the
+    # compiled program straight away: _fuse sees only the gates between
+    # its register adds, never the whole list
+    c = synthesize(SynthConfig("exp", 3, 6)).circuit
+    start = {s: complex(s, 1) for s in range(128)}
+    want = {}
+    for s, a in start.items():
+        t = s
+        for gate in c.gates:
+            t = ref_apply(gate, t, c.n_qubits)
+        want[t] = a
+    fused = []
+    fuse = circuit._fuse
+
+    def counted(gates, *rest):
+        fused.append(len(gates))
+        return fuse(gates, *rest)
+
+    monkeypatch.setattr(circuit, "_fuse", counted)
+    assert c.simulate_sparse(start) == want
+    assert fused and len(c.gates) not in fused
+    assert len(start) >= circuit._COMPILE_AFTER
+    assert _RADD in [e[2] for e in flatten(c._prepared(0))]
 
 
 def generated_cases(rng):
@@ -670,12 +696,12 @@ def test_generated_kernel_nests_deep():
     rng = random.Random(101)
     for j in range(n):
         s = (1 << j) - 1 | rng.randrange(4) << 130 if j < 130 else rng.randrange(1 << n)
-        assert run(s) == circuit._run(nested, s) == circuit._run(c._compile(), s), j
+        assert run(s) == circuit._run(nested, s) == circuit._run(c._prepared(0), s), j
 
 
 def test_generated_kernel_refuses_h():
     # an h entry raises as _run does, whether the code is generated by
-    # hand or by simulate_basis after _GENERATE_AFTER refused states
+    # hand or by simulate_basis after _COMPILE_AFTER refused states
     rng = random.Random(103)
     c = context_circuit(rng, 7, 6)
     c.add(Gate("h", (3,)))
@@ -687,7 +713,7 @@ def test_generated_kernel_refuses_h():
         for kernel in (run, lambda s: circuit._run(nested, s)):
             with pytest.raises(CircuitError, match=message):
                 kernel(s)
-    for s in range(circuit._GENERATE_AFTER + 1):
+    for s in range(circuit._COMPILE_AFTER + 1):
         with pytest.raises(CircuitError, match=message):
             c.simulate_basis(s % 128)
     assert c._generated is not None
@@ -730,19 +756,19 @@ def test_sparse_split_once_per_program(monkeypatch):
         return split
 
     assert not walked(0)  # one term a run: no touched mask needed
-    split = check_split(c._compile())
+    split = check_split(c._prepared(0))
     assert all(t is None for _, t, _ in split)
     assert not walked(1) and c._stretches is split
-    start = {s: 1.0 + 0j for s in range(circuit._NEST_AFTER)}
-    assert walked(start)  # the nested program gets its own split
-    assert check_blocks(c._compile()) >= 1
-    split = check_split(c._compile())
+    start = {s: 1.0 + 0j for s in range(circuit._COMPILE_AFTER)}
+    assert walked(start)  # the compiled program gets its own split
+    assert check_blocks(c._prepared(0)) >= 1
+    split = check_split(c._prepared(0))
     assert all(t is not None for st, t, _ in split if st)
     assert not walked(start) and c._stretches is split
     c.add(Gate("x", (0,)))
     assert c._program is c._stretches is None
     assert not walked(5)
-    check_split(c._compile())
+    check_split(c._prepared(0))
 
 
 def test_sparse_edge_behaviour():
@@ -767,7 +793,7 @@ def test_sparse_edge_behaviour():
 def test_fused_program_is_smaller():
     c = synthesize(SynthConfig("cot", n=6, m=10, policy="clean")).circuit
     assert len(c.gates) == 22546
-    assert len(c._compile()) < 0.6 * len(c.gates)
+    assert len(c._prepared(0)) < 0.6 * len(c.gates)
 
 
 def test_gate_validation():
@@ -1108,7 +1134,7 @@ def test_compile_memory_follows_touched_qubits():
     c.add(Gate("cx", (29999,), (0,)))
     tracemalloc.start()
     try:
-        c._compile()
+        c._prepared(0)
         assert c.simulate_basis(1) == 1 | 1 << 29999
         with pytest.raises(CircuitError):
             c.simulate_basis(1 << 30000)

@@ -217,6 +217,17 @@ def test_sim_width_mismatch_exits_2(capsys, tmp_path):
     assert "wants" in err
 
 
+def test_sim_refuses_digit_input_without_a_value_output(capsys, tmp_path):
+    # RegO holds the digits, so the value is read off the last RegI*
+    # output register, and this text has none
+    path = tmp_path / "f.txt"
+    path.write_text("qubits 2\nreg RegO input 0..0 int_bits 0 frac_bits 1\n"
+                    "reg RegI0 garbage 1..1 int_bits 1 frac_bits 0\n")
+    code, out, err = run(capsys, "sim", str(path), ".1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: RegO is not an output, and no RegI register is one\n"
+
+
 @pytest.mark.parametrize("line, where", [
     ("x q[1_0]", "line 4"), ("x q[+3]", "line 4"), ("x q[\u0664]", "line 4"),
     ("qubits \u0661\u0660", "line 1")],
