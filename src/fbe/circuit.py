@@ -26,7 +26,9 @@ h-free stretch of either program as a permutation of its terms, with
 amplitudes following their terms, and splits amplitudes only at the h
 entries between stretches.  A stretch of up to 11 terms goes through
 _run term by term; a stretch of more goes through _run_planes once,
-bit-sliced, one int per touched qubit with a bit per term.  Compile
+bit-sliced, one int per touched qubit with a bit per term, its entries
+run by the interpreter _planes on the flat program and, on the compiled
+one, as the Python code fbe.codegen writes out over the planes.  Compile
 keeps masks only for the qubits gates touch, so its memory does not grow
 with the declared qubit count.  Gate lists, resource counts and the text
 form never see the fusion, the nesting or the generated code.
@@ -379,7 +381,7 @@ def _touched(prog) -> int:
     return touched
 
 
-def _run_planes(prog, states, qubits=None, touched=None) -> list[int]:
+def _run_planes(prog, states, qubits=None, touched=None, kernel=None) -> list[int]:
     """Run the distinct basis states through h-free compiled entries at
     once, bit-sliced (Biham, FSE 1997): one int per touched qubit whose
     bit k is that qubit in states[k].  An entry's condition is the AND
@@ -397,7 +399,9 @@ def _run_planes(prog, states, qubits=None, touched=None) -> list[int]:
     qubit that varies, and unpacking, go through one character per qubit
     and term, so both take time and memory linear in the term count.  qubits
     maps a mask to its qubits, lowest first (Circuit._qubits), and
-    touched is _touched(prog) when the caller has it already."""
+    touched is _touched(prog) when the caller has it already.  The
+    entries run through kernel, codegen.planes(prog, qubits[touched],
+    qubits), when given, and through the interpreter _planes if not."""
     qs = _Memo(_qubits_of) if qubits is None else qubits
     if touched is None:
         touched = _touched(prog)
@@ -406,26 +410,32 @@ def _run_planes(prog, states, qubits=None, touched=None) -> list[int]:
     full = (1 << len(states)) - 1
     every = reduce(and_, states)
     some = reduce(or_, states)
-    planes = {}
-    for q in qs[touched]:
+    order = qs[touched]
+    planes = []
+    for q in order:
         b = 1 << q
         if not some & b:
-            planes[q] = 0
+            planes.append(0)
         elif every & b:
-            planes[q] = full
+            planes.append(full)
         else:
-            planes[q] = int("".join(["01"[s >> q & 1] for s in reversed(states)]), 2)
-    _planes(prog, planes, full, qs)
+            planes.append(int("".join(["01"[s >> q & 1] for s in reversed(states)]), 2))
+    if kernel is None:
+        by_qubit = dict(zip(order, planes))
+        _planes(prog, by_qubit, full, qs)
+        planes = list(by_qubit.values())
+    else:
+        kernel(planes, full)
     # unpack: one bit string per plane, msb first, so that zip reads
     # term k's touched bits off as one string (gaps of untouched qubits
     # as zeros), which int() turns back into the term
     n = len(states)
     cols = []
     top = touched.bit_length()
-    for q in reversed(qs[touched]):
+    for q, p in zip(reversed(order), reversed(planes)):
         if top - q > 1:
             cols.append(("0" * (top - q - 1),) * n)
-        cols.append(format(planes[q], f"0{n}b"))
+        cols.append(format(p, f"0{n}b"))
         top = q
     rows = [int("".join(r), 2) << top for r in zip(*cols)]
     rows.reverse()
@@ -547,19 +557,22 @@ class Circuit:
 
     def _split(self, prog):
         """The program split for simulate_sparse: one [entries, touched,
-        h] list per stretch between h entries, h the mask of the h entry
-        that ends the stretch, 0 after the last one.  touched, the OR of
-        the entries' cm | mask through the blocks (_touched), is None
-        until the stretch first runs bit-sliced: a program run one term
-        at a time never needs it.  Made on the first sparse run of each
-        program, flat or nested, and dropped when the program is."""
+        kernel, h] list per stretch between h entries, h the mask of the
+        h entry that ends the stretch, 0 after the last one.  touched,
+        the OR of the entries' cm | mask through the blocks (_touched),
+        is None until the stretch first runs bit-sliced: a program run
+        one term at a time never needs it.  kernel, the stretch as
+        generated code (codegen.planes), is None until the stretch of
+        the compiled program first runs bit-sliced, and stays None for
+        the flat one.  Made on the first sparse run of each program,
+        flat or nested, and dropped when the program is."""
         if self._stretches is None:
             self._stretches = []
             lo = 0
             # a last h entry of mask 0 ends the last stretch
             for hi, (_, _, op, mask, _) in enumerate(prog + [(0, 0, _H, 0, 0)]):
                 if op == _H:
-                    self._stretches.append([prog[lo:hi], None, mask])
+                    self._stretches.append([prog[lo:hi], None, None, mask])
                     lo = hi + 1
         return self._stretches
 
@@ -590,23 +603,34 @@ class Circuit:
         basis states, so each stretch between h entries permutes the
         terms, each keeping its amplitude: fewer than _PLANES_FROM terms
         run through _run one by one, that many or more through
-        _run_planes together.  The stretches and the qubits each one
-        touches come from _split, once per program.  The terms of the
-        start count towards _COMPILE_AFTER.  h splits amplitudes by
-        1/sqrt(2) and drops the terms that cancel to zero.
+        _run_planes together, a stretch of the flat program through the
+        interpreter _planes, one of the compiled program as the Python
+        code codegen.planes writes out, generated on its first such run.
+        The stretches, the qubits each one touches and its generated code
+        come from _split, once per program.  The terms of the start
+        count towards _COMPILE_AFTER.  h splits amplitudes by 1/sqrt(2)
+        and drops the terms that cancel to zero.
         Raises SimulationLimit once an entry leaves more than cap terms."""
         amps = {state: 1.0 + 0j} if isinstance(state, int) else dict(state)
         for s in amps:
             self._check_state(s)
         inv_sqrt2 = 2 ** -0.5
-        for part in self._split(self._prepared(len(amps))):
-            stretch, touched, mask = part
+        prog = self._prepared(len(amps))
+        compiled = self._runs >= _COMPILE_AFTER
+        for part in self._split(prog):
+            stretch, touched, run, mask = part
             if stretch:
                 if len(amps) >= _PLANES_FROM:
                     if touched is None:
                         touched = part[1] = _touched(stretch)
+                    if run is None and compiled:
+                        # imported here: a circuit run fewer times never
+                        # compiles it
+                        from .codegen import planes
+
+                        run = part[2] = planes(stretch, self._qubits[touched], self._qubits)
                     amps = dict(zip(_run_planes(stretch, list(amps), self._qubits,
-                                                touched), amps.values()))
+                                                touched, run), amps.values()))
                 else:
                     amps = {_run(stretch, s): a for s, a in amps.items()}
                 if len(amps) > cap:

@@ -1,13 +1,21 @@
 """Translate a nested compiled program into Python source and compile it.
 
-kernel(prog) returns a function of one basis state that does what
-circuit._run(prog, s) does, without the interpreter loop: each entry is
-written out as `if s & cm == cv:` and its op inline, a block as an
-indented body, so a state pays for a few big-int operations per entry
-and no tuple unpacking or op dispatch.  Circuit.simulate_basis runs
-every state through it once the circuit holds its compiled program (see
-circuit._COMPILE_AFTER).  The source holds only ints, formatted :#x, and
-fixed text.
+Two writers share one chunker.  kernel(prog) returns a function of one
+basis state that does what circuit._run(prog, s) does, without the
+interpreter loop: each entry is written out as `if s & cm == cv:` and
+its op inline, a block as an indented body, so a state pays for a few
+big-int operations per entry and no tuple unpacking or op dispatch.
+Circuit.simulate_basis runs every state through it once the circuit
+holds its compiled program (see circuit._COMPILE_AFTER).  planes(prog,
+order, qubits) returns a function of a list of bit-sliced planes, plane
+i being qubit order[i], and the condition of the terms it runs, that
+does what circuit._planes does on them: each entry is written out as
+`c1 = c0 & P[3] & ~P[7]` and `if c1:`, its op inline on the planes, a
+block as an indented body under its own condition variable.
+Circuit.simulate_sparse runs each stretch of the compiled program
+through it when the stretch runs bit-sliced.  The source holds only
+ints (the basis writer's masks formatted :#x, the planes writer's
+plane indices in decimal) and fixed text.
 
 Compile's transient memory grows with the source it parses, so the
 source is compiled in functions of at most CHUNK_LINES lines each:
@@ -15,7 +23,7 @@ a longer run of entries is cut between entries into functions called in
 turn, and a block whose body would not fit, or would nest deeper than
 MAX_DEPTH levels, becomes a call to the functions holding its body.
 This module is loaded on the first generation, so a process whose
-circuits never run that many states never compiles it.
+circuits never run that many states or terms never compiles it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .circuit import _ADD, _BLK, _RADD, _SWAP, _XOR, CircuitError
 CHUNK_LINES = 400
 # indentation levels within one function; Python's tokenizer stops at 100
 MAX_DEPTH = 40
+_H_RAISES = 'raise CircuitError("h gate present, use simulate_sparse")'
 
 
 def _op(op, mask, step) -> list[str]:
@@ -50,7 +59,7 @@ def _op(op, mask, step) -> list[str]:
                 f"if v and v != {mask:#x}:",
                 f"    s ^= {mask:#x}"]
     # an h entry always fires, as in _run
-    return ['raise CircuitError("h gate present, use simulate_sparse")']
+    return [_H_RAISES]
 
 
 def _cond(cm: int, cv: int) -> str:
@@ -62,47 +71,132 @@ def _cond(cm: int, cv: int) -> str:
     return f"if s & {cm:#x} == {cv:#x}:"
 
 
-class _Kernel:
-    """Compiles the functions of one kernel into one namespace."""
+class _Basis:
+    """The basis writer: functions of the state s."""
 
-    def __init__(self):
+    tail = "return s"
+
+    def params(self, level) -> str:
+        return "s"
+
+    def call(self, name, level) -> str:
+        return f"s = {name}(s)"
+
+    def cond(self, cm, cv, level) -> tuple[list[str], int]:
+        return ([_cond(cm, cv)] if cm else []), level
+
+    def op(self, op, mask, step, level) -> tuple[list[str], int]:
+        return _op(op, mask, step), op == _SWAP
+
+
+def _ripple(planes, up: bool) -> list[str]:
+    """The loop rippling the carry (up) or the borrow k through the
+    planes of these indices in turn until k is empty, as _planes does,
+    dropping what leaves the top as the wrap does."""
+    return [f"for i in {tuple(planes)}:", "    p = P[i]", "    P[i] = p ^ k",
+            f"    k &= {'' if up else '~'}p", "    if not k:", "        break"]
+
+
+class _Planes:
+    """The planes writer: functions of the plane list P and the
+    condition c<level> of the blocks around them."""
+
+    tail = "return"
+
+    def __init__(self, order, qubits):
+        self.index = {q: i for i, q in enumerate(order)}
+        self.qubits = qubits
+
+    def planes(self, mask) -> list[int]:
+        return [self.index[q] for q in self.qubits[mask]]
+
+    def params(self, level) -> str:
+        return f"P, c{level}"
+
+    def call(self, name, level) -> str:
+        return f"{name}(P, c{level})"
+
+    def cond(self, cm, cv, level) -> tuple[list[str], int]:
+        if not cm:
+            return [], level
+        terms = ([f"c{level}"] + [f"P[{i}]" for i in self.planes(cv)]
+                 + [f"~P[{i}]" for i in self.planes(cm ^ cv)])
+        return [f"c{level + 1} = {' & '.join(terms)}", f"if c{level + 1}:"], level + 1
+
+    def op(self, op, mask, step, level) -> tuple[list[str], int]:
+        c = f"c{level}"
+        if op == _XOR:
+            return [f"P[{i}] ^= {c}" for i in self.planes(mask)], 0
+        if op == _ADD:
+            # the condition is the carry into the field's lowest qubit
+            return [f"k = {c}"] + _ripple(self.planes(mask), step > 0), 2
+        if op == _RADD:
+            # a full adder or subtractor per source qubit, anc's plane
+            # the carry or the borrow in, then the carry's ripple on
+            dm, sm, _, a = mask
+            dst, src = self.planes(dm), self.planes(sm)
+            # t = p ^ x: the carry out is k where t is set and x (= p)
+            # where not, the borrow out x where t is set and k where not
+            lines = [f"k = {c} & P[{self.index[a]}]"]
+            carry = "x ^ (x ^ k) & t" if step > 0 else "k ^ (k ^ x) & t"
+            for i, j in zip(dst, src):
+                lines += [f"x = P[{j}] & {c}", f"t = P[{i}] ^ x", f"P[{i}] = t ^ k",
+                          f"k = {carry}"]
+            if len(dst) == len(src):  # no carry out: the field wraps
+                return lines[:-1], 0
+            return lines + _ripple(dst[len(src):], step > 0), 2
+        if op == _SWAP:
+            a, b = self.planes(mask)
+            return [f"k = (P[{a}] ^ P[{b}]) & {c}", f"P[{a}] ^= k", f"P[{b}] ^= k"], 0
+        return [_H_RAISES], 0
+
+
+class _Kernel:
+    """Compiles the functions of one kernel, written by one writer,
+    into one namespace."""
+
+    def __init__(self, writer):
+        self.write = writer
         self.ns = {"CircuitError": CircuitError}
         self.defined = 0
 
-    def define(self, lines: list[str]) -> str:
-        """Compile lines as the body of a new function of s; its name."""
+    def define(self, lines: list[str], level: int) -> str:
+        """Compile lines as the body of a new function of the writer's
+        parameters at this level; its name."""
         name = f"_f{self.defined}"
         self.defined += 1
-        src = "".join([f"def {name}(s):\n"] + [f"    {line}\n" for line in lines]
-                      + ["    return s\n"])
+        src = "".join([f"def {name}({self.write.params(level)}):\n"]
+                      + [f"    {line}\n" for line in lines] + [f"    {self.write.tail}\n"])
         exec(compile(src, "<fbe kernel>", "exec"), self.ns)
         return name
 
-    def calls(self, chunks: list[list[str]]) -> list[str]:
+    def calls(self, chunks: list[list[str]], level: int) -> list[str]:
         """Each chunk compiled as a function, the calls in order; packed
         into functions again while they run past CHUNK_LINES."""
-        calls = [f"s = {self.define(c)}(s)" for c in chunks]
+        call = self.write.call
+        calls = [call(self.define(c, level), level) for c in chunks]
         while len(calls) > CHUNK_LINES:
-            calls = [f"s = {self.define(calls[i:i + CHUNK_LINES])}(s)"
+            calls = [call(self.define(calls[i:i + CHUNK_LINES], level), level)
                      for i in range(0, len(calls), CHUNK_LINES)]
         return calls
 
-    def body(self, prog) -> tuple[list[str], int]:
+    def body(self, prog, level: int = 0) -> tuple[list[str], int]:
         """(lines, depth): prog's entries as at most CHUNK_LINES
-        lines at indentation 0, nesting at most MAX_DEPTH levels."""
+        lines at indentation 0, nesting at most MAX_DEPTH levels, inside
+        the blocks of condition level `level`."""
         chunks, lines, depth = [], [], 0
         for cm, cv, op, mask, step in prog:
+            head, inner = self.write.cond(cm, cv, level)
             if op == _BLK:
-                stmt, d = self.body(mask)
+                stmt, d = self.body(mask, inner)
                 if d >= MAX_DEPTH or len(stmt) >= CHUNK_LINES:
-                    stmt, d = self.calls([stmt]), 0
+                    stmt, d = self.calls([stmt], inner), 0
             else:
-                stmt = _op(op, mask, step)
-                d = op == _SWAP
+                stmt, d = self.write.op(op, mask, step, inner)
             if not stmt:
                 continue
-            if cm:
-                stmt = [_cond(cm, cv)] + [f"    {line}" for line in stmt]
+            if head:
+                stmt = head + [f"    {line}" for line in stmt]
                 d += 1
             if lines and len(lines) + len(stmt) > CHUNK_LINES:
                 chunks.append(lines)
@@ -111,10 +205,23 @@ class _Kernel:
             depth = max(depth, d)
         if not chunks:
             return lines, depth
-        return self.calls(chunks + [lines] if lines else chunks), 0
+        return self.calls(chunks + [lines] if lines else chunks, level), 0
+
+
+def _compiled(writer, prog):
+    k = _Kernel(writer)
+    return k.ns[k.define(k.body(prog)[0], 0)]
 
 
 def kernel(prog):
     """A compiled function of a basis state s, equal to _run(prog, s)."""
-    k = _Kernel()
-    return k.ns[k.define(k.body(prog)[0])]
+    return _compiled(_Basis(), prog)
+
+
+def planes(prog, order, qubits):
+    """A compiled function of a plane list P, plane i being qubit
+    order[i], and the condition c0 of the terms it runs, that does in
+    place what _planes(prog, planes, c0, qubits) does; order holds every
+    qubit the h-free entries touch, and qubits maps a mask to its
+    qubits, lowest first."""
+    return _compiled(_Planes(order, qubits), prog)

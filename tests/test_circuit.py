@@ -1,9 +1,13 @@
 """Circuit IR: simulation against a naive reference, text round-trips."""
 
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -260,15 +264,30 @@ def shifted(gates, by):
             for k, t, c, neg in gates]
 
 
-def test_sparse_planes_match_term_by_term():
-    # many-term stretches run bit-sliced: 2, 31, 64, 65 and 257 distinct
-    # terms, each with its own amplitude, on seeded circuits over qubits
-    # 2..n+1 of n+5, so untouched qubits lie below and above; qubit 2 is
-    # 0 and qubit n+1 is 1 in every term, the rest vary
+def planes_kernels(prog, monkeypatch):
+    """prog as generated planes code (codegen.planes), whole and cut into
+    functions of at most 6 lines and 2 levels, so that runs of entries
+    are split between functions and blocks hoisted into their own."""
+    qs = circuit._Memo(circuit._qubits_of)
+    order = qs[circuit._touched(prog)]
+    whole = codegen.planes(prog, order, qs)
+    with monkeypatch.context() as m:
+        m.setattr(codegen, "CHUNK_LINES", 6)
+        m.setattr(codegen, "MAX_DEPTH", 2)
+        cut = codegen.planes(prog, order, qs)
+    return whole, cut
+
+
+def test_sparse_planes_match_term_by_term(monkeypatch):
+    # many-term stretches run bit-sliced: 2, 12, 31, 64, 65 and 257
+    # distinct terms, each with its own amplitude, on seeded circuits over
+    # qubits 2..n+1 of n+5, so untouched qubits lie below and above; qubit
+    # 2 is 0 and qubit n+1 is 1 in every term, the rest vary.  The
+    # compiled program runs through _planes and as generated planes code
     rng = random.Random(53)
     n = 11
     ops = set()
-    for size in (2, 31, 64, 65, 257):
+    for size in (2, 12, 31, 64, 65, 257):
         for _ in range(2):
             c = Circuit(n + 5)
             c.extend(shifted(fusable_circuit(rng, n, 16).gates, 2))
@@ -287,6 +306,8 @@ def test_sparse_planes_match_term_by_term():
             assert circuit._run_planes(prog, states) == want
             assert circuit._run_planes(nested, states) == want
             assert circuit._run_planes(adders, states) == want
+            for run in planes_kernels(adders, monkeypatch):
+                assert circuit._run_planes(adders, states, kernel=run) == want
             assert c.simulate_sparse(start) == ref_sparse(c, start), size
     # negative controls, swaps under them, increments, decrements,
     # register adds and subtracts
@@ -294,9 +315,10 @@ def test_sparse_planes_match_term_by_term():
             (_RADD, 1, True), (_RADD, -1, True)} <= ops
 
 
-def test_sparse_planes_wrap_fields():
+def test_sparse_planes_wrap_fields(monkeypatch):
     # a field of all ones under +1 wraps to zero, one of all zeros under
-    # -1 to all ones; the increment fires on q0 = 1, the decrement on q1 = 0
+    # -1 to all ones; the increment fires on q0 = 1, the decrement on q1 = 0,
+    # through _planes and as generated planes code
     bits = [2, 3, 4, 5]
     c = Circuit(8)
     c.extend(reversed([xgate(bits[i], [(0, True)] + [(b, True) for b in bits[:i]])
@@ -316,14 +338,25 @@ def test_sparse_planes_wrap_fields():
     assert got[0b111100] == start[0]  # +1 skipped, -1 wraps
     assert got[0b111110] == start[0b111110]  # -1 undoes the +1's wrap
     assert got[0b10] == start[0b10]  # neither fires
+    states = list(start)
+    want = [circuit._run(c._prepared(0), s) for s in states]
+    for run in planes_kernels(c._prepared(0), monkeypatch):
+        assert circuit._run_planes(c._prepared(0), states, kernel=run) == want
 
 
-def test_sparse_planes_cancelled_targets():
-    # x x fuses to one entry that touches no qubit
+def test_sparse_planes_cancelled_targets(monkeypatch):
+    # x x fuses to one entry that touches no qubit, for which planes code
+    # is no code; under a control the entry is skipped whole
     c = Circuit(2)
     c.extend([Gate("x", (0,)), Gate("x", (0,))])
     assert c._prepared(0) == [(0, 0, _XOR, 0, 0)]
     assert c.simulate_sparse({0: 1 + 0j, 2: 0.5j}) == {0: 1 + 0j, 2: 0.5j}
+    run = codegen.planes(c._prepared(0), [], circuit._Memo(circuit._qubits_of))
+    assert run.__code__.co_code == (lambda P, c0: None).__code__.co_code
+    under = [(2, 2, _XOR, 0, 0), (0, 0, _XOR, 4, 0)]
+    states = list(range(16))
+    for run in planes_kernels(under, monkeypatch):
+        assert circuit._run_planes(under, states, kernel=run) == [s ^ 4 for s in states]
 
 
 def test_sparse_stretch_kernels_follow_the_term_count(monkeypatch):
@@ -646,16 +679,18 @@ def generated_cases(rng):
 
 
 def test_generated_kernel_matches_gate_by_gate(monkeypatch):
-    # the nested register-add program as generated code equals _run on
-    # it and the gate list on every basis state, whole and cut into
-    # functions of at most 6 lines and 2 levels, so that runs of entries
-    # are split between functions and blocks hoisted into their own
+    # the nested register-add program as generated code, basis and
+    # planes, equals _run and _planes on it and the gate list on every
+    # basis state, whole and cut into functions of at most 6 lines and 2
+    # levels, so that runs of entries are split between functions and
+    # blocks hoisted into their own
     rng = random.Random(97)
     ops, negs, functions = set(), set(), []
     for gates, n, want in generated_cases(rng):
         nested = circuit._nest(circuit._fuse_adders(gates))
-        states = range(1 << n)
+        states = list(range(1 << n))
         assert [circuit._run(nested, s) for s in states] == want
+        assert circuit._run_planes(nested, states) == want
         whole = codegen.kernel(nested)
         with monkeypatch.context() as m:
             m.setattr(codegen, "CHUNK_LINES", 6)
@@ -663,16 +698,25 @@ def test_generated_kernel_matches_gate_by_gate(monkeypatch):
             cut = codegen.kernel(nested)
         for run in (whole, cut):
             assert list(map(run, states)) == want
+        sliced = planes_kernels(nested, monkeypatch)
+        for run in sliced:
+            assert circuit._run_planes(nested, states, kernel=run) == want
         ops |= {(op, (step > 0) - (step < 0), cm != 0)
                 for cm, cv, op, _, step in flatten(nested)}
         negs |= {op for cm, cv, op, _, _ in flatten(nested) if cm != cv}
-        assert sum(k.startswith("_f") for k in whole.__globals__) == 1
-        defined = [f for k, f in cut.__globals__.items() if k.startswith("_f")]
-        functions.append(len(defined))
         # each function's source: its def line, at most 6 lines of body
-        # and its return line
-        assert all(max(line for *_, line in f.__code__.co_lines() if line) <= 8
-                   for f in defined)
+        # and its return line; a planes entry may alone run longer (a
+        # register add writes 4 lines per source qubit)
+        qs = circuit._Memo(circuit._qubits_of)
+        write = codegen._Planes(qs[circuit._touched(nested)], qs)
+        longest = max(len(write.cond(cm, cv, 0)[0] + write.op(op, mask, step, 1)[0])
+                      for cm, cv, op, mask, step in flatten(nested))
+        for (whole, cut), most in (((whole, cut), 6), (sliced, max(6, longest))):
+            assert sum(k.startswith("_f") for k in whole.__globals__) == 1
+            defined = [f for k, f in cut.__globals__.items() if k.startswith("_f")]
+            functions.append(len(defined))
+            assert all(max(line for *_, line in f.__code__.co_lines() if line) <= most + 2
+                       for f in defined)
     # swaps and cswaps, +-1 cascades, register adds and subtracts, each
     # under a condition, and negative controls on each kind
     assert {(_XOR, 0, True), (_SWAP, 0, False), (_SWAP, 0, True), (_ADD, 1, True),
@@ -681,10 +725,11 @@ def test_generated_kernel_matches_gate_by_gate(monkeypatch):
     assert min(functions) > 1
 
 
-def test_generated_kernel_nests_deep():
+def test_generated_kernel_nests_deep(monkeypatch):
     # a staircase of gate pairs under controls {0}, {0, 1}, .. {0..129}
     # nests 129 blocks deep, past the 100 indentation levels Python
-    # reads: the generated code calls functions for the deep blocks
+    # reads: the generated code, basis and planes, calls functions for
+    # the deep blocks
     n = 132
     c = Circuit(n)
     for k in range(130):
@@ -697,11 +742,16 @@ def test_generated_kernel_nests_deep():
     for j in range(n):
         s = (1 << j) - 1 | rng.randrange(4) << 130 if j < 130 else rng.randrange(1 << n)
         assert run(s) == circuit._run(nested, s) == circuit._run(c._prepared(0), s), j
+    states = sorted({(1 << j) - 1 | rng.randrange(4) << 130 for j in range(131)})
+    want = [circuit._run(nested, s) for s in states]
+    for run in planes_kernels(nested, monkeypatch):
+        assert circuit._run_planes(nested, states, kernel=run) == want
 
 
 def test_generated_kernel_refuses_h():
     # an h entry raises as _run does, whether the code is generated by
-    # hand or by simulate_basis after _COMPILE_AFTER refused states
+    # hand or by simulate_basis after _COMPILE_AFTER refused states, and
+    # as _planes does in generated planes code
     rng = random.Random(103)
     c = context_circuit(rng, 7, 6)
     c.add(Gate("h", (3,)))
@@ -713,30 +763,77 @@ def test_generated_kernel_refuses_h():
         for kernel in (run, lambda s: circuit._run(nested, s)):
             with pytest.raises(CircuitError, match=message):
                 kernel(s)
+    qs = circuit._Memo(circuit._qubits_of)
+    sliced = codegen.planes(nested, qs[circuit._touched(nested)], qs)
+    with pytest.raises(CircuitError, match=message):
+        circuit._run_planes(nested, list(range(16)), kernel=sliced)
+    with pytest.raises(CircuitError, match=message):
+        circuit._run_planes(nested, list(range(16)))
     for s in range(circuit._COMPILE_AFTER + 1):
         with pytest.raises(CircuitError, match=message):
             c.simulate_basis(s % 128)
     assert c._generated is not None
 
 
+def test_lazy_modules_wait_for_the_compiled_program():
+    # in a fresh interpreter, neither import fbe nor basis and sparse
+    # runs that stay below _COMPILE_AFTER, bit-sliced ones among them,
+    # load codegen or ripple; the run that reaches it loads both
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = """if True:
+        import sys
+        import fbe
+        from fbe import circuit
+        from fbe.circuit import Circuit, Gate
+
+        lazy = {"fbe.codegen", "fbe.ripple"}
+        assert not lazy & set(sys.modules), "import"
+        c = Circuit(6)
+        c.extend([Gate("cx", (1,), (0,)), Gate("ccx", (3,), (1, 2)), Gate("h", (4,)),
+                  Gate("cswap", (2, 5), (4,))])
+        d = Circuit(6)
+        d.extend(c.gates[:2])
+        below = circuit._COMPILE_AFTER - 1
+        for s in range(below):
+            d.simulate_basis(s)
+        c.simulate_sparse({s: 1.0 + 0j for s in range(below)})
+        assert circuit._PLANES_FROM <= below
+        assert not lazy & set(sys.modules), "runs"
+        d.simulate_basis(0)
+        c.simulate_sparse(0)
+        assert lazy <= set(sys.modules), "compiled"
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sparse_split_once_per_program(monkeypatch):
     # the stretches between h entries are cut on the first sparse run of
     # a program, flat or nested, and reused by later runs; a stretch's
-    # touched mask is walked for once, on its first bit-sliced run; both
-    # are dropped with the program
+    # touched mask is walked for once, on its first bit-sliced run, and
+    # its planes code generated once, on its first bit-sliced run of the
+    # compiled program, never for the flat one; all are dropped with the
+    # program
     rng = random.Random(73)
     n = 8
     c = context_circuit(rng, n, 6, with_h=True)
     c.add(Gate("h", (1,)))
     c.add(Gate("h", (2,)))  # an empty stretch between two h entries
-    walks = []
+    walks, builds = [], []
     touched = circuit._touched
+    planes = codegen.planes
 
     def counted(prog):
         walks.append(len(prog))
         return touched(prog)
 
+    def built(prog, *rest):
+        builds.append(prog)
+        return planes(prog, *rest)
+
     monkeypatch.setattr(circuit, "_touched", counted)
+    monkeypatch.setattr(codegen, "planes", built)
 
     def walked(start):
         # whether this sparse run walked the program for touched masks
@@ -748,27 +845,35 @@ def test_sparse_split_once_per_program(monkeypatch):
         split = c._stretches
         assert len(split) == sum(e[2] == _H for e in prog) + 1
         rebuilt = []
-        for stretch, mask, h in split:
+        for stretch, mask, kernel, h in split:
             assert mask in (None, touched(stretch))
             assert _H not in [e[2] for e in stretch]
             rebuilt += stretch + ([(0, 0, _H, h, 0)] if h else [])
-        assert rebuilt == prog and split[-1][2] == 0
+        assert rebuilt == prog and split[-1][3] == 0
         return split
 
     assert not walked(0)  # one term a run: no touched mask needed
     split = check_split(c._prepared(0))
-    assert all(t is None for _, t, _ in split)
+    assert all(t is None and k is None for _, t, k, _ in split)
     assert not walked(1) and c._stretches is split
+    # the flat program's stretches run bit-sliced through _planes
+    assert walked({s: 1.0 + 0j for s in range(circuit._PLANES_FROM)})
+    assert any(t is not None for _, t, _, _ in split)
+    assert not builds and all(k is None for _, _, k, _ in split)
     start = {s: 1.0 + 0j for s in range(circuit._COMPILE_AFTER)}
     assert walked(start)  # the compiled program gets its own split
     assert check_blocks(c._prepared(0)) >= 1
     split = check_split(c._prepared(0))
-    assert all(t is not None for st, t, _ in split if st)
+    assert all(t is not None for st, t, _, _ in split if st)
+    # every non-empty stretch ran bit-sliced and got its code, once
+    kernels = [k for st, _, k, _ in split if st]
+    assert None not in kernels and builds == [st for st, *_ in split if st]
     assert not walked(start) and c._stretches is split
+    assert [k for st, _, k, _ in split if st] == kernels and len(builds) == len(kernels)
     c.add(Gate("x", (0,)))
     assert c._program is c._stretches is None
     assert not walked(5)
-    check_split(c._prepared(0))
+    assert all(k is None for _, _, k, _ in check_split(c._prepared(0)))
 
 
 def test_sparse_edge_behaviour():
