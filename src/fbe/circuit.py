@@ -28,10 +28,11 @@ entries between stretches.  A stretch of up to 11 terms goes through
 _run term by term; a stretch of more goes through _run_planes once,
 bit-sliced, one int per touched qubit with a bit per term, its entries
 run by the interpreter _planes on the flat program and, on the compiled
-one, as the Python code fbe.codegen writes out over the planes.  Compile
-keeps masks only for the qubits gates touch, so its memory does not grow
-with the declared qubit count.  Gate lists, resource counts and the text
-form never see the fusion, the nesting or the generated code.
+one from its second bit-sliced run, as the Python code fbe.codegen writes
+out over the planes.  Compile keeps masks only for the qubits gates
+touch, so its memory does not grow with the declared qubit count.  Gate
+lists, resource counts and the text form never see the fusion, the
+nesting or the generated code.
 
 A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
 whose fields read by name as well.  Its checks run where gates come from
@@ -563,9 +564,9 @@ class Circuit:
         is None until the stretch first runs bit-sliced: a program run
         one term at a time never needs it.  kernel, the stretch as
         generated code (codegen.planes), is None until the stretch of
-        the compiled program first runs bit-sliced, and stays None for
-        the flat one.  Made on the first sparse run of each program,
-        flat or nested, and dropped when the program is."""
+        the compiled program runs bit-sliced a second time, and stays
+        None for the flat one.  Made on the first sparse run of each
+        program, flat or nested, and dropped when the program is."""
         if self._stretches is None:
             self._stretches = []
             lo = 0
@@ -605,7 +606,8 @@ class Circuit:
         run through _run one by one, that many or more through
         _run_planes together, a stretch of the flat program through the
         interpreter _planes, one of the compiled program as the Python
-        code codegen.planes writes out, generated on its first such run.
+        code codegen.planes writes out, generated on its second such run
+        (the first goes through _planes).
         The stretches, the qubits each one touches and its generated code
         come from _split, once per program.  The terms of the start
         count towards _COMPILE_AFTER.  h splits amplitudes by 1/sqrt(2)
@@ -622,8 +624,11 @@ class Circuit:
             if stretch:
                 if len(amps) >= _PLANES_FROM:
                     if touched is None:
+                        # the first run goes through _planes: a one-shot
+                        # batch of thousands of terms would not win back
+                        # the 0.2-0.5 s of generating the code
                         touched = part[1] = _touched(stretch)
-                    if run is None and compiled:
+                    elif run is None and compiled:
                         # imported here: a circuit run fewer times never
                         # compiles it
                         from .codegen import planes

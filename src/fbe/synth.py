@@ -270,20 +270,25 @@ def _synth_arccot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
             negate_bits(b, a)
         # |a| < 1 exactly when no integer bit of the magnitude is set
         _zero_test(b, s, a[q:])
-        with b.controls([(anc1, False)]):
-            with b.compute() as live:
-                square(b, cfg.square_method, a[:m - 1], w, root_t, car)
-                decrement(b, w[2 * q:])
-                with b.controls([(s, True)]):
-                    negate_bits(b, w)
-                div_stages(b, w, a[:m - 1], quot_t or nxt[:m - 1], car, shift=1)
-            if quot_t:
-                copy_bits(b, quot_t, nxt[:m - 1])
-            b.uncompute(live)
+        # only the writes into nxt wait for the freeze flag; the blocks
+        # that write scratch run regardless, C(V.W.V') = V.C(W).V'
+        frozen = [(anc1, False)]
+        with b.compute() as live:
+            square(b, cfg.square_method, a[:m - 1], w, root_t, car)
+            decrement(b, w[2 * q:])
             with b.controls([(s, True)]):
-                negate_bits(b, nxt)
+                negate_bits(b, w)
+            # under garbage the quotient lands in nxt itself
+            with b.controls([] if quot_t else frozen):
+                div_stages(b, w, a[:m - 1], quot_t or nxt[:m - 1], car, shift=1)
+        if quot_t:
+            with b.controls(frozen):
+                copy_bits(b, quot_t, nxt[:m - 1])
+        b.uncompute(live)
+        with b.controls(frozen + [(s, True)]):
+            negate_bits(b, nxt)
         _zero_test(b, s, a[q:])
-        with b.controls([(anc1, False), (d, True)]):
+        with b.controls(frozen + [(d, True)]):
             negate_bits(b, nxt)
         b.flip(nxt[q], [(anc1, True)])  # frozen chain carries the sentinel
         with b.controls([(d, True)]):
@@ -370,10 +375,7 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     # pattern is large and the layout has many fraction bits, so the walk
     # runs one extra stage and the root gets its own m+1 bit register
     sqs = [b.scratch("AncSq", 2 * m + 3, i) for i in range(n - 1)]
-    if b.clean:
-        roots = [b.reg("AncRoot", "ancilla-clean", m + 1)] * (n - 1) if n > 1 else []
-    else:
-        roots = [b.reg(f"AncR{i}", "garbage", m + 1) for i in range(n - 1)]
+    roots = [b.scratch("AncRoot", m + 1, i) for i in range(n - 1)]
     anc1 = b.reg("Anc1", "output", 1).bits[0]  # the infinity flag
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
@@ -392,19 +394,22 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         rt = roots[i - 1].bits
         v = rego.bits[i]
         b.flip(p, [(v, True)])  # p = v xor previous digit
+        # only the write-back into nxt waits for the latch: the blocks
+        # around it write scratch or restore a, C(V.W.V') = V.C(W).V'
+        with b.compute() as mk:
+            square(b, cfg.square_method, a, w, rt[:m], car)
+            increment(b, w[2 * q:])  # a^2 + 1, exact at 2q frac
+            sqrt_stages(b, w, rt, m + 1, car)
         with b.controls([(anc1, False)]):
-            with b.compute() as mk:
-                square(b, cfg.square_method, a, w, rt[:m], car)
-                increment(b, w[2 * q:])  # a^2 + 1, exact at 2q frac
-                sqrt_stages(b, w, rt, m + 1, car)
             copy_bits(b, rt[:m], nxt)  # the register keeps root mod 2^m
-            b.uncompute(mk)
-            # b = root +- a, the sign of a folded in by the sandwich
-            with b.controls([(p, True)]):
-                negate_bits(b, a)
+        b.uncompute(mk)
+        # b = root +- a, the sign of a folded in by the sandwich
+        with b.controls([(p, True)]):
+            negate_bits(b, a)
+        with b.controls([(anc1, False)]):
             add_into(b, a, nxt, car)
-            with b.controls([(p, True)]):
-                negate_bits(b, a)
+        with b.controls([(p, True)]):
+            negate_bits(b, a)
         b.flip(nxt[q], [(anc1, True), (v, False)])  # frozen chain update
         _zero_test(b, anc1, nxt)  # uniform latch toggle on a zero value
         b.flip(p, [(rego.bits[i - 1], True)])

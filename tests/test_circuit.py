@@ -812,7 +812,7 @@ def test_sparse_split_once_per_program(monkeypatch):
     # the stretches between h entries are cut on the first sparse run of
     # a program, flat or nested, and reused by later runs; a stretch's
     # touched mask is walked for once, on its first bit-sliced run, and
-    # its planes code generated once, on its first bit-sliced run of the
+    # its planes code generated once, on its second bit-sliced run of the
     # compiled program, never for the flat one; all are dropped with the
     # program
     rng = random.Random(73)
@@ -865,7 +865,10 @@ def test_sparse_split_once_per_program(monkeypatch):
     assert check_blocks(c._prepared(0)) >= 1
     split = check_split(c._prepared(0))
     assert all(t is not None for st, t, _, _ in split if st)
-    # every non-empty stretch ran bit-sliced and got its code, once
+    # the first bit-sliced run goes through _planes, with no code yet
+    assert not builds and all(k is None for _, _, k, _ in split)
+    # every non-empty stretch gets its code on its second run, once
+    assert not walked(start) and c._stretches is split
     kernels = [k for st, _, k, _ in split if st]
     assert None not in kernels and builds == [st for st, *_ in split if st]
     assert not walked(start) and c._stretches is split
@@ -1193,7 +1196,7 @@ def pin_mutant(rng, lines, n_qubits):
 
 
 # SHA-256 over the import_text outcomes of test_import_outcomes_are_pinned
-IMPORT_OUTCOMES_DIGEST = "2065230f1420cd362df293793b9fdefdeb73c1ae921019e540a19de423de9713"
+IMPORT_OUTCOMES_DIGEST = "345ce700501692c3dc893a43a28d08f51fc658c7ebe8d66565433e24cd3f188d"
 
 
 def test_import_outcomes_are_pinned():

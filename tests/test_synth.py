@@ -8,7 +8,7 @@ import pytest
 
 from fbe import checks
 from fbe.blocks import Builder
-from fbe.circuit import CircuitError, Gate, _run_planes, export_text, import_text
+from fbe.circuit import CircuitError, Gate, export_text, import_text
 from fbe.expansion import (
     DigitString,
     fbe_expand,
@@ -17,7 +17,7 @@ from fbe.expansion import (
     ifbe_evaluate_trace,
 )
 from fbe.fixedpoint import make, render
-from fbe.synth import SYNTH_SPEC, SynthConfig, synthesize
+from fbe.synth import SQUARE_METHODS, SYNTH_SPEC, SynthConfig, synthesize
 
 FORWARD = ("log", "arccos", "arccot")
 INVERSE = ("exp", "cos", "cot")
@@ -214,6 +214,41 @@ VARIANTS = [(fn, square) for fn in FORWARD + INVERSE
             if fn not in ("exp", "cos") or square == "shift_add"]
 
 
+def every_input(sc):
+    """Every valid argument of sc, each with the recurrence's output:
+    digits for group 1, (raw value, infinity flag) for group 2."""
+    n, m = sc.config.n, sc.config.m
+    if sc.group == 1:
+        args = [make(raw, sc.layout).value for raw in checks.valid_raws(sc)]
+        return args, [fbe_expand(sc.spec, x, n, m).digits for x in args]
+    args = [DigitString(bits) for bits in itertools.product((0, 1), repeat=n)]
+    want = [ifbe_evaluate(sc.spec, ds, m) for ds in args]
+    return args, [(v.raw, inf) for v, inf in want]
+
+
+def exhaustive_tally(sc, args, want):
+    """(mismatches, dirty, inverse exact) with every argument in one
+    simulate_sparse start, each at its own amplitude: outputs that differ
+    from want, outputs with a clean ancilla set, and whether the inverse
+    circuit takes the outputs back to the start."""
+    encode = sc.encode_input if sc.group == 1 else sc.encode_digits
+    start = {encode(x): complex(i + 1, -i) for i, x in enumerate(args)}
+    out = sc.circuit.simulate_sparse(start)
+    assert len(start) == len(out) == len(args)
+    by_amp = {a: s for s, a in out.items()}
+    mismatches = dirty = 0
+    for a, expected in zip(start.values(), want):
+        s = by_amp[a]
+        if sc.group == 1:
+            got = sc.decode_digits(s).digits
+        else:
+            v, inf = sc.decode_value(s)
+            got = (v.raw, inf)
+        mismatches += got != expected
+        dirty += not checks.clean_ancillae_zero(sc, s)
+    return mismatches, dirty, sc.circuit.inverse().simulate_sparse(out) == start
+
+
 def test_clean_scratch_is_one_register_per_role():
     # Builder: one register per role under clean, one per step under garbage
     b = Builder("clean")
@@ -228,7 +263,8 @@ def test_clean_scratch_is_one_register_per_role():
 
     # every step of a clean circuit computes into the one shared scratch
     # register: each valid input, run in one bit-sliced batch, gives the
-    # recurrence's output and leaves every clean ancilla at zero
+    # recurrence's output and leaves every clean ancilla at zero, and the
+    # inverse takes the outputs back
     assert len(VARIANTS) == 10
     for fn, square in VARIANTS:
         n, m = (4, 8) if fn in FORWARD else (6, 8)
@@ -244,22 +280,22 @@ def test_clean_scratch_is_one_register_per_role():
         assert [r.name for r in scratch[1]] == [f"{role}{i}" for i in range(steps)]
         assert clean.n_qubits < garbage.n_qubits, (fn, square)
 
-        if clean.group == 1:
-            args = [make(raw, clean.layout).value for raw in checks.valid_raws(clean)]
-            starts = [clean.encode_input(x) for x in args]
-            want = [fbe_expand(clean.spec, x, n, m).digits for x in args]
-        else:
-            args = [DigitString(bits) for bits in itertools.product((0, 1), repeat=n)]
-            starts = [clean.encode_digits(ds) for ds in args]
-            want = [ifbe_evaluate(clean.spec, ds, m) for ds in args]
-        outs = _run_planes(clean.circuit._prepared(len(starts)), starts)
-        for x, out, expected in zip(args, outs, want):
-            if clean.group == 1:
-                assert clean.decode_digits(out).digits == expected, (fn, square, x)
-            else:
-                got, inf = clean.decode_value(out)
-                assert (got.raw, inf) == (expected[0].raw, expected[1]), (fn, square, x)
-            assert checks.clean_ancillae_zero(clean, out), (fn, square, x)
+        args, want = every_input(clean)
+        assert exhaustive_tally(clean, args, want) == (0, 0, True), (fn, square)
+
+
+@pytest.mark.parametrize("fn, n, m, inputs", [("arccot", 6, 10, 1023), ("cot", 8, 12, 256)])
+def test_writeback_control_exhaustive(fn, n, m, inputs):
+    # arccot and cot run each step's scratch blocks with no freeze or
+    # latch control and control only the writes into the next chain
+    # register: every valid input, both policies and both square methods
+    args = want = None
+    for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
+        sc = synthesize(SynthConfig(fn, n, m, policy, square))
+        if args is None:
+            args, want = every_input(sc)  # once per size
+        assert len(args) == inputs
+        assert exhaustive_tally(sc, args, want) == (0, 0, True), (policy, square)
 
 
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
@@ -277,7 +313,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "5edb64998658d9f6020b9db65afede3ec9e68aebaec905169b310fd92bb1e37e"
+BUILDER_DIGEST = "6cc5487337d49a3bb5dc8fa3755585c11341a22f687741e0b1a3c6f4f06539a2"
 
 
 def test_builder_circuits_digest_and_gate_checks():
