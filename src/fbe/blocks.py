@@ -255,63 +255,86 @@ def rotate_left1(b: Builder, bits):
 
 
 def square_into(b: Builder, src, dst, anc: int):
-    """dst += src*src with the shift-and-add partial products.
+    """dst = src*src with the shift-and-add partial products.
 
-    Exact when dst is 2*len(src) wide and clean.  Bit j of src gates
+    dst must be clean and at least 2*len(src) wide.  Bit j of src gates
     three pieces: the low bits shifted by j, the high bits shifted by j
     (both land via the ripple adder so the controlled qubit itself never
-    appears as an operand), and the diagonal 4^j as an increment.
+    appears as an operand), and the diagonal 4^j as an increment, which
+    add src * 2^j in all.  So stage j leaves src * (src mod 2^(j+1)),
+    and its sums only grow: it runs on the bits of the largest such
+    value, (2^k - 1)(2^(j+1) - 1), k bits for j = 0 and k+j+1 after.
     """
     src, dst = tuple(src), tuple(dst)
     k = len(src)
     if len(dst) < 2 * k:
         raise CircuitError("square_into: dst needs 2x the src width")
+    largest = (1 << k) - 1
     for j in range(k):
+        live = dst[:(largest * ((2 << j) - 1)).bit_length()]
         with b.controls([(src[j], True)]):
             if j:
-                add_into(b, src[:j], dst[j:], anc)
+                add_into(b, src[:j], live[j:], anc)
             if j + 1 < k:
-                add_into(b, src[j + 1:], dst[2 * j + 1:], anc)
-            increment(b, dst[2 * j:])
+                add_into(b, src[j + 1:], live[2 * j + 1:], anc)
+            increment(b, live[2 * j:])
 
 
 def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
     """Non-restoring square root, radicand in frame, root bits extracted.
 
-    frame holds the radicand (< 4^stages) in a two's-complement scratch
-    register at least 2*stages+1 wide; root provides at least `stages`
-    clean bits.  Ends with frame = remainder, root = floor sqrt.  Stage i
-    subtracts or adds the partial root run shifted to 2i+2 plus the 4^i
-    constant, decided by the previously extracted bit; the new bit is the
-    complement of the frame sign.
+    frame holds the radicand N < 4^s (s = stages) in a clean
+    two's-complement scratch register at least 2s+1 wide; root provides
+    at least s clean bits.  Ends with root = floor sqrt N, frame = N -
+    root^2 and every frame bit above that zero.  Stage i subtracts or adds
+    the partial root run shifted to 2i+2 plus the 4^i constant, decided
+    by the previously extracted bit; the new bit is the complement of
+    the frame sign.
+
+    Each stage runs only on the bits its value can reach.  Stage i ends
+    on T = N - (2q+1)^2 4^i, where q = root >> (i+1) = isqrt(N >> 2i+2):
+    from q^2 4^(i+1) <= N < (q+1)^2 4^(i+1) and q < 2^(s-i-1) follows
+    -2^(s+i+1) < -(4q+1) 4^i <= T < (4q+3) 4^i < 2^(s+i+1), so T fits
+    s+i+2 bits.  Every step of the stage is an add or a subtract, exact
+    modulo 2^(s+i+2) on frame[:s+i+2] whatever the bits above hold, so
+    that window ends on T with the sign in its top bit.  The final
+    correction leaves N - root^2 <= 2 root < 2^(s+1) on frame[:s+1].
+    Each window is one bit narrower than the one before, and the frame
+    above 2s+1 bits is never touched.  The bit a window sheds is the
+    sign the stage before read its root bit r from, so it is 1 exactly
+    when r = 0; the r = 0 branch of the next stage, or of the
+    correction, flips it back to zero.
     """
     frame, root = tuple(frame), tuple(root)
-    if len(frame) < 2 * stages + 1:
+    s = stages
+    if len(frame) < 2 * s + 1:
         raise CircuitError("sqrt_stages: frame too narrow")
-    sign = frame[-1]
-    for i in range(stages - 1, -1, -1):
+    for i in range(s - 1, -1, -1):
+        live = frame[:s + i + 2]
         # the run operand excludes root[i+1] (it is also the stage
         # control); its weight 2^(2i+2) is folded into the constants on
         # the branch where it is known to be set
-        run = root[i + 2:stages]
-        if i == stages - 1:
-            decrement(b, frame[2 * i:])
+        run = root[i + 2:s]
+        if i == s - 1:
+            decrement(b, live[2 * i:])
         else:
             with b.controls([(root[i + 1], True)]):
-                sub_from(b, run, frame[2 * i + 3:], anc)
-                decrement(b, frame[2 * i + 2:])
-                decrement(b, frame[2 * i:])
+                sub_from(b, run, live[2 * i + 3:], anc)
+                decrement(b, live[2 * i + 2:])
+                decrement(b, live[2 * i:])
             with b.controls([(root[i + 1], False)]):
-                add_into(b, run, frame[2 * i + 3:], anc)
+                b.flip(frame[s + i + 2])  # the shed sign bit
+                add_into(b, run, live[2 * i + 3:], anc)
                 # 3*4^i in two increments
-                increment(b, frame[2 * i:])
-                increment(b, frame[2 * i + 1:])
-        b.flip(root[i], [(sign, False)])
+                increment(b, live[2 * i:])
+                increment(b, live[2 * i + 1:])
+        b.flip(root[i], [(live[-1], False)])
     # final correction: if the last bit came out 0 the remainder is
     # negative, add back 2*root+1 (bit 0 of root is 0 under the control)
     with b.controls([(root[0], False)]):
-        add_into(b, root[1:stages], frame[2:], anc)
-        increment(b, frame)
+        b.flip(frame[s + 1])
+        add_into(b, root[1:s], frame[2:s + 1], anc)
+        increment(b, frame[:s + 1])
 
 
 def div_stages(b: Builder, frame, d_bits, q_bits, anc: int, shift: int = 0):

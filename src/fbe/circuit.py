@@ -427,20 +427,20 @@ def _run_planes(prog, states, qubits=None, touched=None, kernel=None) -> list[in
         planes = list(by_qubit.values())
     else:
         kernel(planes, full)
-    # unpack: one bit string per plane, msb first, so that zip reads
-    # term k's touched bits off as one string (gaps of untouched qubits
-    # as zeros), which int() turns back into the term
+    # unpack: the planes as one plane-major string, top qubit first, each
+    # plane msb first with zero runs for the gaps of untouched qubits, so
+    # term k's touched bits are every n-th character from n - 1 - k
     n = len(states)
-    cols = []
+    rows = []
     top = touched.bit_length()
     for q, p in zip(reversed(order), reversed(planes)):
         if top - q > 1:
-            cols.append(("0" * (top - q - 1),) * n)
-        cols.append(format(p, f"0{n}b"))
+            rows.append("0" * (n * (top - q - 1)))
+        rows.append(format(p, f"0{n}b"))
         top = q
-    rows = [int("".join(r), 2) << top for r in zip(*cols)]
-    rows.reverse()
-    return [s & ~touched | r for s, r in zip(states, rows)]
+    bits = "".join(rows)
+    return [s & ~touched | int(bits[n - 1 - k::n], 2) << top
+            for k, s in enumerate(states)]
 
 
 def _planes(prog, planes, within, qs):

@@ -24,11 +24,15 @@ from fbe.blocks import (
     rotate_right1,
     shift_wraps,
     sqrt_frame_width,
+    sqrt_stages,
+    square,
     square_into,
+    square_width,
     sub_from,
 )
 from fbe.circuit import CircuitError, export_text
-from fbe.fixedpoint import Layout, add as fp_add, make, sqrt_nonrestoring, square
+from fbe.fixedpoint import Layout, add as fp_add, make, sqrt_nonrestoring
+from fbe.fixedpoint import square as fp_square
 
 
 def clean(circuit, out, *names):
@@ -198,7 +202,7 @@ def test_square_window_matches_fixedpoint():
         want = ((a * a) >> lay.frac_bits) % (1 << lay.width)
         assert P.extract(out) == want
         try:
-            exact = square(make(a, lay))
+            exact = fp_square(make(a, lay))
             assert exact.raw == want
         except Exception:
             pass  # overflow cases wrap in-circuit by design
@@ -235,6 +239,82 @@ def test_sqrt_blocks_exhaustive():
                             pos += r.size
                         assert got == rem
                         clean(c, out, "AncHigh", "Anc")
+
+
+def every_end_state(c, starts):
+    """The end state of each start, all run in one simulate_sparse batch,
+    each start at its own amplitude."""
+    out = c.simulate_sparse({s: complex(i + 1) for i, s in enumerate(starts)})
+    by_amp = {int(a.real) - 1: s for s, a in out.items()}
+    return [by_amp[i] for i in range(len(starts))]
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_sqrt_stages_every_radicand(extra):
+    # frames of 2s+1 and 2s+3 bits, each width one bit-sliced batch
+    for s in range(2, 9):
+        b = Builder()
+        frame, root, anc = b.alloc(2 * s + 1 + extra), b.alloc(s), b.alloc(1)[0]
+        sqrt_stages(b, frame, root, s, anc)
+        c = b.finish()
+        for n, out in enumerate(every_end_state(c, range(4 ** s))):
+            r = math.isqrt(n)
+            # the whole frame holds n - r^2, every bit above it and anc 0
+            assert out == (n - r * r) | (r << len(frame)), (s, extra, n)
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("method", ["shift_add", "reversed_sqrt"])
+def test_square_every_source(method, extra):
+    for k in range(2, 9):
+        b = Builder()
+        src, dst = b.alloc(k), b.alloc(square_width(k, method) + extra)
+        root_t, anc = b.alloc(k), b.alloc(1)[0]
+        square(b, method, src, dst, root_t, anc)
+        c = b.finish()
+        for a, out in enumerate(every_end_state(c, range(1 << k))):
+            # src kept, dst = a^2, root_t and anc back at 0
+            assert out == a | (a * a << k), (method, extra, k, a)
+
+
+def sqrt_stage_values(n, s):
+    """Raw-int non-restoring walk on radicand n: the frame value each
+    stage ends on, top stage first, then the remainder."""
+    x, root = n, 0
+    for i in range(s - 1, -1, -1):
+        q = root >> i + 1
+        if i == s - 1:
+            x -= 4 ** i
+        elif q & 1:
+            x -= (4 * q + 1) << 2 * i
+        else:
+            x += (4 * q + 3) << 2 * i
+        root |= (x >= 0) << i
+        yield x
+    yield x if root & 1 else x + 2 * root + 1
+
+
+def test_stage_windows_are_tight():
+    # sqrt_stages runs stage i on s+i+2 bits and the correction on s+1:
+    # every radicand's stage values fit them, and 4^s - 1 (the largest
+    # root) fills each stage window, (2^s - 1)^2 - 1 the correction's
+    for s in range(1, 9):
+        for n in range(4 ** s):
+            *ends, rem = sqrt_stage_values(n, s)
+            assert all(-(2 << s + i) <= x < 2 << s + i
+                       for i, x in zip(range(s - 1, -1, -1), ends)), (s, n)
+            assert rem == n - math.isqrt(n) ** 2 < 2 << s
+    for s in range(1, 11):
+        *ends, _ = sqrt_stage_values(4 ** s - 1, s)
+        assert all(x >= 1 << s + i for i, x in zip(range(s - 1, -1, -1), ends))
+        if s > 1:
+            assert list(sqrt_stage_values(((1 << s) - 1) ** 2 - 1, s))[-1] >= 1 << s
+    # square_into stage j leaves src * (src mod 2^(j+1)), largest at
+    # src = 2^k - 1: k bits after stage 0, k+j+1 after stage j > 0
+    for k in range(2, 11):
+        largest = (1 << k) - 1
+        assert [(largest * ((2 << j) - 1)).bit_length() for j in range(k)] == (
+            [k] + [k + j + 1 for j in range(1, k)])
 
 
 def test_sqrt_matches_fixedpoint_layer():
@@ -424,7 +504,7 @@ def test_compute_uncompute_follow_the_policy():
 
 # SHA-256 of the concatenated export_text of the 90 block-factory circuits
 # below.  A change that alters them on purpose updates it and says so.
-BLOCKS_DIGEST = "086e67cdbb7dd1cf7f8d87c162130c01fa38d4b6b6cb0f0ea4b0aec83d27425a"
+BLOCKS_DIGEST = "f72c26308ece201bc22760d2a00c589ff1ecdfcbc784ae583170e09cc4f648a5"
 
 
 def test_block_factory_circuits_digest():

@@ -313,7 +313,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "6cc5487337d49a3bb5dc8fa3755585c11341a22f687741e0b1a3c6f4f06539a2"
+BUILDER_DIGEST = "dcbf284b91df93c042353dadad8c4ad4793afe7e70410dfbb61cf3c3dcc053d3"
 
 
 def test_builder_circuits_digest_and_gate_checks():
