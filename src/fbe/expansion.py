@@ -430,6 +430,35 @@ def _cot_absorb(st: State, v: int, i: int, lay: Layout) -> State:
     return b, anc1 | (v << 1)
 
 
+def cot_chain_bounds(lay: Layout, n: int) -> list[int]:
+    """B_0 .. B_{n-1}: bounds on the raw value the cot chain holds after
+    absorb step i (chain register RegI{i} of the circuit), over every
+    digit string of n digits.
+
+    Write F(r) = isqrt(r^2 + 4^q) + r, L_0 = 0 and L_i = F(L_{i-1}),
+    clamped to 2^m - 1 once F reaches 2^m; then B_0 = 2^q and B_i = L_i,
+    which is at least L_1 = 2^q.  Every live value after step i is at
+    most L_i, and every value at most B_i, by induction over the steps:
+    - the trigger step leaves 2^q frozen or 0 live;
+    - a frozen step writes 0 or 2^q;
+    - a live step with p = 1 writes isqrt(r^2 + 4^q) - r, which lies in
+      [0, 2^q] since r^2 <= r^2 + 4^q <= (r + 2^q)^2;
+    - a live step with p = 0 writes F(r) mod 2^m, and F is monotone, so
+      r <= L_{i-1} gives at most F(L_{i-1}) before the register wraps,
+      and anything below 2^m once it can;
+    - a register that unfreezes holds 0.
+    Some digit string reaches the bit length of each B_i (checked
+    exhaustively in the tests), so no step's width can be narrowed.
+    """
+    q, top = lay.frac_bits, (1 << lay.width) - 1
+    one = 1 << q
+    bounds, live = [one], 0
+    for _ in range(1, n):
+        live = min(math.isqrt(live * live + one * one) + live, top)
+        bounds.append(live)
+    return bounds
+
+
 def _cot_finish(st: State, digits, lay: Layout):
     raw, flag = st
     if digits and digits[0]:

@@ -39,7 +39,14 @@ from .blocks import (
     square_width,
 )
 from .circuit import Circuit, CircuitError
-from .expansion import DigitString, FunctionSpec, _as_fraction, get_spec, parse_digits
+from .expansion import (
+    DigitString,
+    FunctionSpec,
+    _as_fraction,
+    cot_chain_bounds,
+    get_spec,
+    parse_digits,
+)
 from .fixedpoint import FixedPoint, Layout, make
 
 SYNTH_SPEC = {
@@ -366,14 +373,22 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     return b.finish(), [r.name for r in regs]
 
 
+def _cot_step_widths(bound: int, q: int) -> tuple[int, int]:
+    """(k, s) for a cot step that reads a <= bound: a fits k bits, and
+    a^2 + 1 at 2q fraction bits fits 2s, so its root takes s stages."""
+    return bound.bit_length(), ((bound * bound + (1 << 2 * q)).bit_length() + 1) // 2
+
+
 def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
     b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
     regs = _chain(b, lay, ["garbage"] * (n - 1) + ["output"])
-    # the radicand a^2 + 1 can spill one bit past 2m when the stored
-    # pattern is large and the layout has many fraction bits, so the walk
-    # runs one extra stage and the root gets its own m+1 bit register
+    # each step squares and roots only the bits its chain value can
+    # reach (cot_chain_bounds derives the bound); once the chain can wrap,
+    # a^2 + 1 can take 2m+1 bits, so the scratch is sized for a walk of
+    # m+1 stages and the root gets its own m+1 bit register
+    bounds = cot_chain_bounds(lay, n)
     sqs = [b.scratch("AncSq", 2 * m + 3, i) for i in range(n - 1)]
     roots = [b.scratch("AncRoot", m + 1, i) for i in range(n - 1)]
     anc1 = b.reg("Anc1", "output", 1).bits[0]  # the infinity flag
@@ -393,15 +408,16 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         a, nxt, w = regs[i - 1].bits, regs[i].bits, sqs[i - 1].bits
         rt = roots[i - 1].bits
         v = rego.bits[i]
+        k, s = _cot_step_widths(bounds[i - 1], q)
         b.flip(p, [(v, True)])  # p = v xor previous digit
         # only the write-back into nxt waits for the latch: the blocks
         # around it write scratch or restore a, C(V.W.V') = V.C(W).V'
         with b.compute() as mk:
-            square(b, cfg.square_method, a, w, rt[:m], car)
-            increment(b, w[2 * q:])  # a^2 + 1, exact at 2q frac
-            sqrt_stages(b, w, rt, m + 1, car)
+            square(b, cfg.square_method, a[:k], w, rt[:k], car)
+            increment(b, w[2 * q:2 * s])  # a^2 + 1, exact at 2q frac
+            sqrt_stages(b, w[:2 * s + 1], rt[:s], s, car)
         with b.controls([(anc1, False)]):
-            copy_bits(b, rt[:m], nxt)  # the register keeps root mod 2^m
+            copy_bits(b, rt[:min(s, m)], nxt)  # the register keeps root mod 2^m
         b.uncompute(mk)
         # b = root +- a, the sign of a folded in by the sandwich
         with b.controls([(p, True)]):

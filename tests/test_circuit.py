@@ -901,8 +901,8 @@ def test_sparse_edge_behaviour():
 def test_fused_program_is_smaller():
     c = synthesize(SynthConfig("cot", n=6, m=10, policy="clean")).circuit
     # exact pins of the gate count and of the flat program's entries
-    assert len(c.gates) == 17036
-    assert len(c._prepared(0)) == 10922
+    assert len(c.gates) == 8320
+    assert len(c._prepared(0)) == 5310
 
 
 def test_gate_validation():
@@ -1197,7 +1197,7 @@ def pin_mutant(rng, lines, n_qubits):
 
 
 # SHA-256 over the import_text outcomes of test_import_outcomes_are_pinned
-IMPORT_OUTCOMES_DIGEST = "20c858dd519531f0c700f612859e2eeae372b6b79905201c5b54ef8208fac763"
+IMPORT_OUTCOMES_DIGEST = "7db3c4a26651d390121aad0e955c81520f363e2a0a5f1eacf7f8a3da5a220463"
 
 
 def test_import_outcomes_are_pinned():

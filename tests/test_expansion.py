@@ -13,6 +13,7 @@ from fbe import checks
 from fbe.expansion import (
     DigitString,
     builtin_specs,
+    cot_chain_bounds,
     derived_eval,
     error_budget,
     fbe_expand,
@@ -311,6 +312,28 @@ def test_evaluate_matches_its_trace_on_every_string():
                     st = spec.absorb(st, v, i, lay)
                 assert len(trace) == n + 1 and trace[-1] == make(st[0], lay)
                 assert out == spec.finish(st, digits, lay)
+
+
+def test_cot_chain_bounds_hold_and_are_reached():
+    # every digit string: each chain value after absorb step i is at most
+    # B_i, and some string reaches the bit length of B_i, so no step can
+    # be narrowed.  Every size but (6, 10) reaches the clamp at 2^m - 1
+    spec = get_spec("cot")
+    wrapped = 0
+    for n, m in ((6, 10), (8, 10), (12, 8), (10, 6), (9, 4), (11, 16)):
+        lay = spec.layout(m, n)
+        bounds = cot_chain_bounds(lay, n)
+        assert len(bounds) == n and bounds[0] == 1 << lay.frac_bits
+        wrapped += bounds[-1] == (1 << m) - 1
+        reached = [0] * n
+        for digits in itertools.product((0, 1), repeat=n):
+            _, trace = ifbe_evaluate_trace(spec, DigitString(digits), m)
+            for i, t in enumerate(trace[1:]):
+                assert t.raw <= bounds[i], (n, m, digits, i)
+                reached[i] = max(reached[i], t.raw)
+        assert [r.bit_length() for r in reached] == \
+            [b.bit_length() for b in bounds], (n, m)
+    assert wrapped == 5
 
 
 def encoder_inputs(spec, m, rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fbe import checks
+from fbe import checks, synth
 from fbe.blocks import Builder
 from fbe.circuit import CircuitError, Gate, export_text, import_text
 from fbe.expansion import (
@@ -226,19 +226,25 @@ def every_input(sc):
     return args, [(v.raw, inf) for v, inf in want]
 
 
-def exhaustive_tally(sc, args, want):
-    """(mismatches, dirty, inverse exact) with every argument in one
-    simulate_sparse start, each at its own amplitude: outputs that differ
-    from want, outputs with a clean ancilla set, and whether the inverse
-    circuit takes the outputs back to the start."""
+def exhaustive_run(sc, args):
+    """(start, out, final state of each argument) with every argument in
+    one simulate_sparse start, each at its own amplitude."""
     encode = sc.encode_input if sc.group == 1 else sc.encode_digits
     start = {encode(x): complex(i + 1, -i) for i, x in enumerate(args)}
     out = sc.circuit.simulate_sparse(start)
     assert len(start) == len(out) == len(args)
     by_amp = {a: s for s, a in out.items()}
+    return start, out, [by_amp[a] for a in start.values()]
+
+
+def exhaustive_tally(sc, args, want, run=None):
+    """(mismatches, dirty, inverse exact) over exhaustive_run, or over the
+    run given: outputs that differ from want, outputs with a clean ancilla
+    set, and whether the inverse circuit takes the outputs back to the
+    start."""
+    start, out, finals = run or exhaustive_run(sc, args)
     mismatches = dirty = 0
-    for a, expected in zip(start.values(), want):
-        s = by_amp[a]
+    for s, expected in zip(finals, want):
         if sc.group == 1:
             got = sc.decode_digits(s).digits
         else:
@@ -284,18 +290,81 @@ def test_clean_scratch_is_one_register_per_role():
         assert exhaustive_tally(clean, args, want) == (0, 0, True), (fn, square)
 
 
-@pytest.mark.parametrize("fn, n, m, inputs", [("arccot", 6, 10, 1023), ("cot", 8, 12, 256)])
+def cot_chains(sc, args):
+    """Per digit string, the raw values the chain registers must end on:
+    RegI{i} holds the value after absorb step i, and the last register
+    the finished value."""
+    n, m = sc.config.n, sc.config.m
+    chains = []
+    for ds in args:
+        (value, _), trace = ifbe_evaluate_trace(sc.spec, ds, m)
+        chains.append([t.raw for t in trace[1:n]] + [value.raw])
+    return chains
+
+
+def chain_divergence(sc, args, chains, finals):
+    """The first digit string whose chain registers differ from chains,
+    named with the step, the register and both raw values, or None."""
+    regs = [sc.circuit.registers[nm] for nm in sc.chain]
+    for ds, want, state in zip(args, chains, finals):
+        for i, (w, reg) in enumerate(zip(want, regs)):
+            got = reg.extract(state)
+            if got != w:
+                return f"digits {ds.text()}: step {i}, {reg.name} wanted raw {w}, got {got}"
+    return None
+
+
+@pytest.mark.parametrize("fn, n, m, inputs", [
+    ("arccot", 6, 10, 1023), ("cot", 8, 12, 256),
+    # cot at the workload sizes, and at (12, 8), whose chain wraps from step 5
+    ("cot", 6, 10, 64), ("cot", 8, 10, 256), ("cot", 12, 8, 4096)])
 def test_writeback_control_exhaustive(fn, n, m, inputs):
     # arccot and cot run each step's scratch blocks with no freeze or
     # latch control and control only the writes into the next chain
-    # register: every valid input, both policies and both square methods
-    args = want = None
+    # register.  Each cot step also squares and roots only the bits
+    # cot_chain_bounds lets the value it reads reach, so every cot chain
+    # register is checked against the trace as well.  Every valid input,
+    # both policies and both square methods
+    args = None
     for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
         sc = synthesize(SynthConfig(fn, n, m, policy, square))
         if args is None:
             args, want = every_input(sc)  # once per size
+            chains = cot_chains(sc, args) if fn == "cot" else None
         assert len(args) == inputs
-        assert exhaustive_tally(sc, args, want) == (0, 0, True), (policy, square)
+        run = exhaustive_run(sc, args)
+        if chains:
+            assert chain_divergence(sc, args, chains, run[2]) is None, (policy, square)
+        assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
+
+
+@pytest.mark.parametrize("narrow", ("k", "s"))
+def test_cot_step_one_bit_narrower_is_caught(monkeypatch, narrow):
+    # a step whose square (k) or root walk (s) runs one bit narrower than
+    # the bound gives ends on a wrong chain value for some digit string,
+    # at every step of (8, 10), whose last step reads a wrapped chain.
+    # Step 1's square is the exception: its live input is always 0, and
+    # only the frozen 2^q it also squares needs bit q, so narrowing it
+    # changes the garbage scratch alone
+    n, m = 8, 10
+    widths = synth._cot_step_widths
+    sc = synthesize(SynthConfig("cot", n, m))
+    args, _ = every_input(sc)
+    chains = cot_chains(sc, args)
+    finals = exhaustive_run(sc, args)[2]
+    for step in range(1, n):
+        def narrowed(bound, q, calls=itertools.count(1), step=step):
+            k, s = widths(bound, q)
+            if next(calls) != step:
+                return k, s
+            return (k - 1, s) if narrow == "k" else (k, s - 1)
+
+        monkeypatch.setattr(synth, "_cot_step_widths", narrowed)
+        mutant = synthesize(SynthConfig("cot", n, m))
+        got = exhaustive_run(mutant, args)[2]
+        assert got != finals, step
+        seen = chain_divergence(mutant, args, chains, got) is not None
+        assert seen == (narrow == "s" or step > 1), step
 
 
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
@@ -313,7 +382,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "dcbf284b91df93c042353dadad8c4ad4793afe7e70410dfbb61cf3c3dcc053d3"
+BUILDER_DIGEST = "c62dd3c28c814c981ae841b51f2392a76131c2fbf532da4a8abaa3a5d5d591c3"
 
 
 def test_builder_circuits_digest_and_gate_checks():
