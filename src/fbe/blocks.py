@@ -254,16 +254,38 @@ def rotate_left1(b: Builder, bits):
         b.swap2(bits[i], bits[i + 1])
 
 
+@contextmanager
+def complemented(b: Builder, bits, ctl: int):
+    """Complement bits where ctl is set, before and after the body.
+
+    An add in the body then subtracts where ctl is set, since
+    W - X = ~(~W + X) mod 2^w, so one uncontrolled adder does the work
+    of an add and a subtract each predicated on ctl.  The complements
+    are cx gates under ctl alone, whatever the context: only the body
+    needs the context, C(V.W.V') = V.C(W).V' when V leaves the
+    context's qubits alone.
+    """
+    cx = [_record(("cx", (q,), (ctl,), 0)) for q in bits]
+    b.gates += cx
+    yield
+    b.gates += cx
+
+
 def square_into(b: Builder, src, dst, anc: int):
     """dst = src*src with the shift-and-add partial products.
 
     dst must be clean and at least 2*len(src) wide.  Bit j of src gates
-    three pieces: the low bits shifted by j, the high bits shifted by j
-    (both land via the ripple adder so the controlled qubit itself never
-    appears as an operand), and the diagonal 4^j as an increment, which
-    add src * 2^j in all.  So stage j leaves src * (src mod 2^(j+1)),
-    and its sums only grow: it runs on the bits of the largest such
-    value, (2^k - 1)(2^(j+1) - 1), k bits for j = 0 and k+j+1 after.
+    src * 2^j in three pieces: the low bits src[:j] shifted by j, the
+    diagonal 4^j, and the high bits src[j+1:] shifted by 2j+1.  The
+    first lands by the ripple adder, so the controlled qubit itself
+    never appears as an operand.  The other two are one add on the
+    window W = dst[2j:], W + 1 + 2Y with Y = src[j+1:]: add Y into W's
+    bits above the lowest with that bit as the adder's carry-in, then
+    flip it, since with W = W0 + 2H that leaves (1 - W0) + 2(H + Y + W0)
+    = W + 1 + 2Y.  The top stage has no high bits and increments.
+    So stage j leaves src * (src mod 2^(j+1)), and its sums only grow:
+    it runs on the bits of the largest such value,
+    (2^k - 1)(2^(j+1) - 1), k bits for j = 0 and k+j+1 after.
     """
     src, dst = tuple(src), tuple(dst)
     k = len(src)
@@ -276,8 +298,10 @@ def square_into(b: Builder, src, dst, anc: int):
             if j:
                 add_into(b, src[:j], live[j:], anc)
             if j + 1 < k:
-                add_into(b, src[j + 1:], live[2 * j + 1:], anc)
-            increment(b, live[2 * j:])
+                add_into(b, src[j + 1:], live[2 * j + 1:], live[2 * j])
+                b.flip(live[2 * j])
+            else:
+                increment(b, live[2 * j:])
 
 
 def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
@@ -291,19 +315,44 @@ def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
     by the previously extracted bit; the new bit is the complement of
     the frame sign.
 
+    Each stage is one uncontrolled ripple add, by two identities.  With
+    r = root[i+1] and run = root >> (i+2), stage i subtracts 8 run + 5
+    from W = frame[2i:] where r = 1 and adds 8 run + 3 where r = 0.
+    First, W - X = ~(~W + X): complementing W where r is set before and
+    after (complemented) turns the subtract into an add, of
+    8 run + 3 + 2r.  Second, that is 1 + 2Y with Y = not r + 2r + 4 run,
+    and W + 1 + 2Y is an add of Y into W's bits above the lowest, with
+    that bit as the carry-in, then a flip of it (as in square_into).  Y
+    is root[i:s] with root[i] holding not r: stages run top down and
+    stage i is the one that extracts root[i], so root[i] is still clean
+    during it, and is flipped to not r around the add and back.
+
     Each stage runs only on the bits its value can reach.  Stage i ends
     on T = N - (2q+1)^2 4^i, where q = root >> (i+1) = isqrt(N >> 2i+2):
     from q^2 4^(i+1) <= N < (q+1)^2 4^(i+1) and q < 2^(s-i-1) follows
     -2^(s+i+1) < -(4q+1) 4^i <= T < (4q+3) 4^i < 2^(s+i+1), so T fits
     s+i+2 bits.  Every step of the stage is an add or a subtract, exact
     modulo 2^(s+i+2) on frame[:s+i+2] whatever the bits above hold, so
-    that window ends on T with the sign in its top bit.  The final
-    correction leaves N - root^2 <= 2 root < 2^(s+1) on frame[:s+1].
-    Each window is one bit narrower than the one before, and the frame
-    above 2s+1 bits is never touched.  The bit a window sheds is the
-    sign the stage before read its root bit r from, so it is 1 exactly
-    when r = 0; the r = 0 branch of the next stage, or of the
-    correction, flips it back to zero.
+    that window ends on T with the sign in its top bit.  Each window is
+    one bit narrower than the one before, and the frame above 2s+1 bits
+    is never touched.  The bit a window sheds is the sign the stage
+    before read its root bit r from, so it is 1 exactly when r = 0, and
+    the next stage flips it back to zero where r = 0.
+
+    The final correction adds 2 root + 1 = 4 (root >> 1) + 1 to
+    frame[:s+1] where root[0] = 0, and holds N - root^2 <= 2 root <
+    2^(s+1) there after.  By then frame[s+1] holds the last sign, which
+    is not root[0], and the frame bits above it are zero.  So, each step
+    where root[0] = 0 only: frame[s+1] is cleared, root[1:s] is copied
+    above it, and frame[0] to anc.  Then one uncontrolled add of
+    frame[s+1:2s+1] into frame[1:s+1], with anc as the carry-in, and a
+    flip of frame[0] add 4 (root >> 1) + 1 as in the stages; where
+    root[0] = 1 the add adds zero.  Last, anc and the copy are cleared.
+
+    Outside a context it emits no mcx, and its Toffolis number
+    1 + sum over i < s-1 of 2(s - i) + 4s = s^2 + 5s - 1: the top
+    stage's 3-bit decrement takes one, each add two per source bit, and
+    the correction's copy and carry-in 2(s - 1) + 2 more.
     """
     frame, root = tuple(frame), tuple(root)
     s = stages
@@ -311,30 +360,29 @@ def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
         raise CircuitError("sqrt_stages: frame too narrow")
     for i in range(s - 1, -1, -1):
         live = frame[:s + i + 2]
-        # the run operand excludes root[i+1] (it is also the stage
-        # control); its weight 2^(2i+2) is folded into the constants on
-        # the branch where it is known to be set
-        run = root[i + 2:s]
         if i == s - 1:
             decrement(b, live[2 * i:])
         else:
-            with b.controls([(root[i + 1], True)]):
-                sub_from(b, run, live[2 * i + 3:], anc)
-                decrement(b, live[2 * i + 2:])
-                decrement(b, live[2 * i:])
-            with b.controls([(root[i + 1], False)]):
-                b.flip(frame[s + i + 2])  # the shed sign bit
-                add_into(b, run, live[2 * i + 3:], anc)
-                # 3*4^i in two increments
-                increment(b, live[2 * i:])
-                increment(b, live[2 * i + 1:])
+            r = root[i + 1]
+            b.flip(frame[s + i + 2], [(r, False)])  # the shed sign bit
+            b.flip(root[i], [(r, False)])
+            with complemented(b, live[2 * i:], r):
+                add_into(b, root[i:s], live[2 * i + 1:], live[2 * i])
+                b.flip(live[2 * i])
+            b.flip(root[i], [(r, False)])
         b.flip(root[i], [(live[-1], False)])
     # final correction: if the last bit came out 0 the remainder is
-    # negative, add back 2*root+1 (bit 0 of root is 0 under the control)
+    # negative, add back 2*root+1 (bit 0 of root is 0 there)
+    spare = frame[s + 1:2 * s + 1]
     with b.controls([(root[0], False)]):
-        b.flip(frame[s + 1])
-        add_into(b, root[1:s], frame[2:s + 1], anc)
-        increment(b, frame[:s + 1])
+        b.flip(frame[s + 1])  # the shed sign bit
+        copy_bits(b, root[1:s], spare[1:])
+        b.flip(anc, [(frame[0], True)])
+    add_into(b, spare, frame[1:s + 1], anc)
+    with b.controls([(root[0], False)]):
+        b.flip(frame[0])
+        b.flip(anc, [(frame[0], False)])
+        copy_bits(b, root[1:s], spare[1:])
 
 
 def div_stages(b: Builder, frame, d_bits, q_bits, anc: int, shift: int = 0):
@@ -344,19 +392,21 @@ def div_stages(b: Builder, frame, d_bits, q_bits, anc: int, shift: int = 0):
     quotient must fit) and leaves the remainder in frame.  frame needs
     max(num_width, len(d_bits)+shift+len(q_bits)-1) + 1 bits.  The shift
     places the divisor operand higher instead of materialising a doubled
-    copy.
+    copy.  Stage j subtracts the divisor where the last quotient bit is
+    1 and adds it where it is 0: one uncontrolled add between two
+    complements of the window under that bit, W - X = ~(~W + X).  Under
+    a context only the add takes it (see complemented).
     """
     frame, d_bits, q_bits = tuple(frame), tuple(d_bits), tuple(q_bits)
     sign = frame[-1]
     t = len(q_bits)
     for j in range(t - 1, -1, -1):
+        win = frame[j + shift:]
         if j == t - 1:
-            sub_from(b, d_bits, frame[j + shift:], anc)
+            sub_from(b, d_bits, win, anc)
         else:
-            with b.controls([(q_bits[j + 1], True)]):
-                sub_from(b, d_bits, frame[j + shift:], anc)
-            with b.controls([(q_bits[j + 1], False)]):
-                add_into(b, d_bits, frame[j + shift:], anc)
+            with complemented(b, win, q_bits[j + 1]):
+                add_into(b, d_bits, win, anc)
         b.flip(q_bits[j], [(sign, False)])
     with b.controls([(q_bits[0], False)]):
         add_into(b, d_bits, frame[shift:], anc)

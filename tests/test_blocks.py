@@ -30,7 +30,8 @@ from fbe.blocks import (
     square_width,
     sub_from,
 )
-from fbe.circuit import CircuitError, export_text
+from fbe import circuit
+from fbe.circuit import _BLK, _RADD, CircuitError, export_text
 from fbe.fixedpoint import Layout, add as fp_add, make, sqrt_nonrestoring
 from fbe.fixedpoint import square as fp_square
 
@@ -462,6 +463,79 @@ def test_divider_stage_frame_sizing():
             assert out & ((1 << fw) - 1) == nn % dd
 
 
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("ctx", [0, 1])
+def test_divider_every_quotient(ctx, shift):
+    # every numerator and nonzero divisor whose quotient fits, dw, t <= 5,
+    # one batch per shape; with a context qubit the block must fire only
+    # where it is set
+    for dw in range(1, 6):
+        for t in range(1, 6):
+            num_w = dw + shift + t - 1
+            fw = div_frame_width(num_w, dw + shift, t)
+            b = Builder()
+            ctl = b.alloc(ctx)
+            frame, d, q, anc = b.alloc(fw), b.alloc(dw), b.alloc(t), b.alloc(1)[0]
+            with b.controls([(x, True) for x in ctl]):
+                div_stages(b, frame, d, q, anc, shift)
+            c = b.finish()
+            cases = [(on, nn, dd) for on in range(1 << ctx) for dd in range(1, 1 << dw)
+                     for nn in range(min(dd << t + shift, 1 << num_w))]
+            starts = [on | (nn | dd << fw) << ctx for on, nn, dd in cases]
+            for (on, nn, dd), st, out in zip(cases, starts, every_end_state(c, starts)):
+                if ctx and not on:
+                    assert out == st, (dw, t, shift, nn, dd)
+                    continue
+                quo, rem = divmod(nn, dd << shift)
+                # remainder in the frame, divisor kept, quotient, anc 0
+                want = on | (rem | dd << fw | quo << fw + dw) << ctx
+                assert out == want, (dw, t, shift, ctx, nn, dd)
+
+
+def compiled_adds(c):
+    """The register-add entries of c's compiled program."""
+    def flat(prog):
+        for e in prog:
+            yield from flat(e[3]) if e[2] == _BLK else [e]
+    return sum(e[2] == _RADD for e in flat(c._prepared(circuit._COMPILE_AFTER)))
+
+
+def test_each_add_fuses():
+    # one register-add entry per add the block emits: s for s sqrt
+    # stages, 2(k - 1) for a k-bit square, t + 1 for t quotient bits,
+    # inside a context too
+    for s in range(1, 9):
+        b = Builder()
+        frame, root, anc = b.alloc(2 * s + 1), b.alloc(s), b.alloc(1)[0]
+        sqrt_stages(b, frame, root, s, anc)
+        assert compiled_adds(b.finish()) == s
+    for k in range(1, 9):
+        b = Builder()
+        src, dst, anc = b.alloc(k), b.alloc(2 * k), b.alloc(1)[0]
+        square_into(b, src, dst, anc)
+        assert compiled_adds(b.finish()) == 2 * (k - 1)
+    for dw, t in ((3, 3), (4, 4), (5, 3)):
+        for ctl in ((), ((0, False),)):
+            b = Builder()
+            b.alloc(len(ctl))
+            frame, d, q, anc = b.alloc(dw + t + 1), b.alloc(dw), b.alloc(t), b.alloc(1)[0]
+            with b.controls(ctl):
+                div_stages(b, frame, d, q, anc, shift=1)
+            assert compiled_adds(b.finish()) == t + 1
+
+
+def test_sqrt_stages_cost_is_closed_form():
+    # no mcx, and s^2 + 5s - 1 Toffolis as the docstring derives: no
+    # constant cascade can come back unnoticed
+    for s in range(1, 13):
+        b = Builder()
+        frame, root, anc = b.alloc(2 * s + 1), b.alloc(s), b.alloc(1)[0]
+        sqrt_stages(b, frame, root, s, anc)
+        rc = b.finish().resource_count()
+        assert rc["by_kind"]["mcx"] == 0, s
+        assert rc["toffoli_equivalent"] == s * s + 5 * s - 1, s
+
+
 def test_builder_shape_errors():
     b = Builder()
     src, dst, anc = b.alloc(4), b.alloc(3), b.alloc(1)[0]
@@ -504,7 +578,7 @@ def test_compute_uncompute_follow_the_policy():
 
 # SHA-256 of the concatenated export_text of the 90 block-factory circuits
 # below.  A change that alters them on purpose updates it and says so.
-BLOCKS_DIGEST = "f72c26308ece201bc22760d2a00c589ff1ecdfcbc784ae583170e09cc4f648a5"
+BLOCKS_DIGEST = "141fa203a24bd3bd807167a31a68ae497ebb425842d3eeec4ef079de3572fe48"
 
 
 def test_block_factory_circuits_digest():

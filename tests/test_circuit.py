@@ -901,8 +901,8 @@ def test_sparse_edge_behaviour():
 def test_fused_program_is_smaller():
     c = synthesize(SynthConfig("cot", n=6, m=10, policy="clean")).circuit
     # exact pins of the gate count and of the flat program's entries
-    assert len(c.gates) == 8320
-    assert len(c._prepared(0)) == 5310
+    assert len(c.gates) == 7404
+    assert len(c._prepared(0)) == 5118
 
 
 def test_gate_validation():
@@ -1197,7 +1197,7 @@ def pin_mutant(rng, lines, n_qubits):
 
 
 # SHA-256 over the import_text outcomes of test_import_outcomes_are_pinned
-IMPORT_OUTCOMES_DIGEST = "7db3c4a26651d390121aad0e955c81520f363e2a0a5f1eacf7f8a3da5a220463"
+IMPORT_OUTCOMES_DIGEST = "930cfd5d6b7075d73cd275af47dc73da80155c87c9f42e0ab8f83ee5a4402942"
 
 
 def test_import_outcomes_are_pinned():

@@ -382,7 +382,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "c62dd3c28c814c981ae841b51f2392a76131c2fbf532da4a8abaa3a5d5d591c3"
+BUILDER_DIGEST = "3d722e2fe54f588ae351ad2500e8e7316729abedf0ba75e3ef561c092c6d06df"
 
 
 def test_builder_circuits_digest_and_gate_checks():
