@@ -169,25 +169,37 @@ class Builder:
 
 # ---------------------------------------------------------------- emitters
 
+def _bare(t: int, *qs: int) -> Gate:
+    """X on t under the positive controls qs alone, whatever the context."""
+    return _record((X_KINDS[len(qs)], (t,), qs, 0))
+
+
 def _maj(b: Builder, c: int, y: int, z: int):
     b.flip(y, [(z, True)])
-    b.flip(c, [(z, True)])
-    b.flip(z, [(c, True), (y, True)])
+    b.gates += _bare(c, z), _bare(z, c, y)
 
 
 def _uma(b: Builder, c: int, y: int, z: int):
-    b.flip(z, [(c, True), (y, True)])
-    b.flip(c, [(z, True)])
+    b.gates += _bare(z, c, y), _bare(c, z)
     b.flip(y, [(c, True)])
 
 
 def add_into(b: Builder, src, dst, anc: int):
-    """dst += src mod 2^len(dst), src aligned at dst[0] and preserved.
+    """dst += src + anc mod 2^len(dst), src aligned at dst[0], src and the
+    carry-in anc preserved.
 
-    Ripple carry in the MAJ/UMA style with one clean borrowed ancilla.
+    Ripple carry in the MAJ/UMA style (Cuccaro et al., quant-ph/0410184).
     When dst is wider than src the carry keeps going as a controlled
     increment on the high bits (between the sweeps the top src qubit
     holds the carry out).
+
+    Under a context only the gates that write dst take it: y ^= z in MAJ,
+    y ^= c in UMA and the carry's increment.  c ^= z and z ^= c.y run
+    bare.  Where the context fails dst never changes, so each UMA stage's
+    first two gates meet the state its MAJ stage's last two left (the
+    stages between them cancel, innermost first) and undo them: the add
+    is the identity there.  Under one context qubit a bit then costs 4
+    Toffolis, not 10, and with no context the gates are the plain adder.
     """
     src, dst = tuple(src), tuple(dst)
     w = len(src)
@@ -265,43 +277,38 @@ def complemented(b: Builder, bits, ctl: int):
     needs the context, C(V.W.V') = V.C(W).V' when V leaves the
     context's qubits alone.
     """
-    cx = [_record(("cx", (q,), (ctl,), 0)) for q in bits]
+    cx = [_bare(q, ctl) for q in bits]
     b.gates += cx
     yield
     b.gates += cx
 
 
 def square_into(b: Builder, src, dst, anc: int):
-    """dst = src*src with the shift-and-add partial products.
+    """dst = src*src by the lower triangle of the shift-and-add products.
 
-    dst must be clean and at least 2*len(src) wide.  Bit j of src gates
-    src * 2^j in three pieces: the low bits src[:j] shifted by j, the
-    diagonal 4^j, and the high bits src[j+1:] shifted by 2j+1.  The
-    first lands by the ripple adder, so the controlled qubit itself
-    never appears as an operand.  The other two are one add on the
-    window W = dst[2j:], W + 1 + 2Y with Y = src[j+1:]: add Y into W's
-    bits above the lowest with that bit as the adder's carry-in, then
-    flip it, since with W = W0 + 2H that leaves (1 - W0) + 2(H + Y + W0)
-    = W + 1 + 2Y.  The top stage has no high bits and increments.
-    So stage j leaves src * (src mod 2^(j+1)), and its sums only grow:
-    it runs on the bits of the largest such value,
-    (2^k - 1)(2^(j+1) - 1), k bits for j = 0 and k+j+1 after.
+    dst must be clean and at least 2*len(src) wide, and anc clean.
+    Stage j, bottom up, adds bit j of src by
+    (L + 2^j)^2 = L^2 + 4^j + 2^(j+1) L with L = src mod 2^j.  Before
+    it dst holds L^2 < 4^j, so dst[2j:] is zero: the 4^j is a flip of
+    dst[2j] under src[j], and 2^(j+1) L an add of src[:j] into
+    dst[j+1:2j+2] under src[j], the controlled qubit never an operand.
+    The sum (src mod 2^(j+1))^2 fits 2j+2 bits, so that add is exact
+    with a one-bit carry tail, and dst[2j+2:] is never touched.  The
+    adds take k(k-1)/2 source bits in all for k = len(src).
+
+    Outside a context it emits no mcx, 3k^2 - k - 1 gates and
+    (k-1)(2k+1) Toffolis: stage j > 0 has 6j + 2 gates, and its add 4
+    Toffolis per source bit under src[j] (see add_into) and one for the
+    carry tail.
     """
     src, dst = tuple(src), tuple(dst)
     k = len(src)
     if len(dst) < 2 * k:
         raise CircuitError("square_into: dst needs 2x the src width")
-    largest = (1 << k) - 1
     for j in range(k):
-        live = dst[:(largest * ((2 << j) - 1)).bit_length()]
+        b.flip(dst[2 * j], [(src[j], True)])
         with b.controls([(src[j], True)]):
-            if j:
-                add_into(b, src[:j], live[j:], anc)
-            if j + 1 < k:
-                add_into(b, src[j + 1:], live[2 * j + 1:], live[2 * j])
-                b.flip(live[2 * j])
-            else:
-                increment(b, live[2 * j:])
+            add_into(b, src[:j], dst[j + 1:2 * j + 2], anc)
 
 
 def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
@@ -322,10 +329,11 @@ def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
     after (complemented) turns the subtract into an add, of
     8 run + 3 + 2r.  Second, that is 1 + 2Y with Y = not r + 2r + 4 run,
     and W + 1 + 2Y is an add of Y into W's bits above the lowest, with
-    that bit as the carry-in, then a flip of it (as in square_into).  Y
-    is root[i:s] with root[i] holding not r: stages run top down and
-    stage i is the one that extracts root[i], so root[i] is still clean
-    during it, and is flipped to not r around the add and back.
+    that bit as the carry-in, then a flip of it: with W = W0 + 2H that
+    leaves (1 - W0) + 2(H + Y + W0) = W + 1 + 2Y.  Y is root[i:s] with
+    root[i] holding not r: stages run top down and stage i is the one
+    that extracts root[i], so root[i] is still clean during it, and is
+    flipped to not r around the add and back.
 
     Each stage runs only on the bits its value can reach.  Stage i ends
     on T = N - (2q+1)^2 4^i, where q = root >> (i+1) = isqrt(N >> 2i+2):

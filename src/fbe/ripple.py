@@ -4,11 +4,12 @@ The compiled program (circuit) runs each such adder as one register-add
 entry once a circuit has run circuit._COMPILE_AFTER states or terms:
 circuit._fuse_adders asks find for the spans to replace.  ladder names
 the gates add_into emits, so a span is fused only when it is exactly
-that pattern, whose effect, dst <- dst + src + anc, is add_into's by its
-proof; a change to add_into stops the fusion instead of changing what
-the entry does.  This module is loaded on the first compiled program,
-so a process whose circuits run only a few states, ones just imported
-to be checked say, never compiles it.
+that pattern, whose effect, dst <- dst + src + anc where the context
+holds and the identity elsewhere, is add_into's by its proof; a change
+to add_into stops the fusion instead of changing what the entry does.
+This module is loaded on the first compiled program, so a process whose
+circuits run only a few states, ones just imported to be checked say,
+never compiles it.
 """
 
 from __future__ import annotations
@@ -20,21 +21,25 @@ def ladder(ctx: tuple, neg: int, anc: int, z: int, y: int, w: int, wd: int) -> l
     """The gates blocks.add_into emits, as (kind, targets, controls,
     neg_mask), for src = z..z+w-1, dst = y..y+wd-1 and the carry-in anc
     under the context qubits ctx with their neg_mask neg: w MAJ stages,
-    the carry's increment of dst's high wd - w qubits, then w UMA stages,
-    each gate's controls the context followed by its own."""
+    the carry's increment of dst's high wd - w qubits, then w UMA stages.
+    The gates that write dst have the context followed by their own
+    controls, the others their own alone."""
     def x(t, *own):
         qs = ctx + own
         return ("mcx" if len(qs) > 2 else X_KINDS[len(qs)], (t,), qs, neg)
 
+    def bare(t, *own):
+        return (X_KINDS[len(own)], (t,), own, 0)
+
     out = []
     for k in range(w):
         c = z + k - 1 if k else anc
-        out += [x(y + k, z + k), x(c, z + k), x(z + k, c, y + k)]
+        out += [x(y + k, z + k), bare(c, z + k), bare(z + k, c, y + k)]
     for h in range(wd - 1, w - 1, -1):
         out.append(x(y + h, z + w - 1, *range(y + w, y + h)))
     for k in range(w - 1, -1, -1):
         c = z + k - 1 if k else anc
-        out += [x(z + k, c, y + k), x(c, z + k), x(y + k, c)]
+        out += [bare(z + k, c, y + k), bare(c, z + k), x(y + k, c)]
     return out
 
 
@@ -43,23 +48,26 @@ def find(gates, bit, conds):
     list, in one pass, and yield (start, end, entry) for each: the gates
     [start, end) map every basis state to one with the field
     dst <- dst + src + anc mod 2^|dst|, src and anc unchanged, under a
-    condition, and entry is the one _RADD entry that does the same.  The
-    reversed pattern (sub_from, Builder.inverted, Builder.uncompute)
-    subtracts.  The entry is (cm, cv, _RADD, (dst mask, src mask, src's
-    lowest qubit, anc's qubit), step), step 2^lo for an add and -2^lo for
-    a subtract, lo the field's lowest qubit.  bit and conds are the
-    compile's, which circuit._read fills for find and _fuse alike.
+    condition, and leave every other state as it is; entry is the one
+    _RADD entry that does the same.  The reversed pattern (sub_from,
+    Builder.inverted, Builder.uncompute) subtracts.  The entry is
+    (cm, cv, _RADD, (dst mask, src mask, src's lowest qubit, anc's
+    qubit), step), step 2^lo for an add and -2^lo for a subtract, lo the
+    field's lowest qubit.  bit and conds are the compile's, which
+    circuit._read fills for find and _fuse alike.
 
-    Three X-family gates with k, k and k + 1 controls open a candidate:
-    a first MAJ stage, or a last UMA stage replayed reversed, matched on
-    their (cm, cv, target) masks, so control order does not matter.  They
-    give the condition, anc and the lowest source and field qubits; the
-    targets of the stages that follow give the widths, source and field
-    each ascending from there.  Then the span must be the gates ladder
-    names, in Builder's control order (one list comparison) or else
-    gate by gate on the masks, and anc, src, dst and the condition must
-    be pairwise disjoint: the condition holds throughout, and the gates
-    are add_into's (Cuccaro et al., quant-ph/0410184) with its proof."""
+    Three X-family gates with k + 1, 1 and 2 controls, k the context's
+    size, open a candidate: a first MAJ stage, X y | ctx z, X anc | z,
+    X z | anc y, or a last UMA stage replayed reversed, the same but
+    X y | ctx anc first, matched on their (cm, cv, target) masks, so
+    control order does not matter.  They give the condition, anc and the
+    lowest source and field qubits; the targets of the stages that
+    follow give the widths, source and field each ascending from there.
+    Then the span must be the gates ladder names, in Builder's control
+    order (one list comparison) or else gate by gate on the masks, and
+    anc, src, dst and the condition must be pairwise disjoint: the
+    condition holds throughout, and the gates are add_into's (Cuccaro et
+    al., quant-ph/0410184) with its proof."""
     n = len(gates)
 
     def cond(g):
@@ -74,11 +82,10 @@ def find(gates, bit, conds):
     def span(i, cm, cv, anc, z0, y0, rev):
         a, z, y, w = anc.bit_length() - 1, z0.bit_length() - 1, y0.bit_length() - 1, 1
         # the next MAJ stage, or the next UMA stage reversed: X y+w | z+w,
-        # X z+w-1 | z+w, X z+w | z+w-1 y+w, the middle one with as many
-        # controls as the first gate (as many as the context and one)
+        # X z+w-1 | z+w, X z+w | z+w-1 y+w, the middle one bare
         ctl = len(gates[i][2])
         while (target(i + 3 * w) == y + w and target(i + 3 * w + 1) == z + w - 1
-               and target(i + 3 * w + 2) == z + w and len(gates[i + 3 * w + 1][2]) == ctl):
+               and target(i + 3 * w + 2) == z + w and len(gates[i + 3 * w + 1][2]) == 1):
             w += 1
         # the carry's increment of dst[w:], or its decrement when
         # reversed, gate k of which has ctl + k controls, counted from its
@@ -119,18 +126,14 @@ def find(gates, bit, conds):
 
     i = 0
     while i + 5 < n:  # an add is at least 6 gates
-        ctl = len(gates[i][2])
         hit = None
-        if len(gates[i + 1][2]) == ctl and len(gates[i + 2][2]) == ctl + 1:
+        if len(gates[i + 1][2]) == 1 and len(gates[i + 2][2]) == 2:
             (cm0, cv0, t0), (cm1, cv1, t1), (cm2, cv2, t2) = map(cond, gates[i:i + 3])
-            if t0 and t1 and t2:
-                if cm0 == cm1 and cv0 == cv1:
-                    # MAJ: X y | z, X anc | z, X z | anc y
-                    if cv0 & t2 and cm2 == cm0 ^ t2 | t0 | t1 and cv2 == cv0 ^ t2 | t0 | t1:
-                        hit = span(i, cm0 ^ t2, cv0 ^ t2, t1, t2, t0, False)
-                # UMA reversed: X y | anc, X anc | z, X z | anc y
-                elif (cv0 & t1 and cv1 & t2 and cm0 ^ t1 == cm1 ^ t2
-                      and cv0 ^ t1 == cv1 ^ t2 and cm2 == cm0 | t0 and cv2 == cv0 | t0):
+            # X anc | z, X z | anc y, both bare and positive
+            if t0 and t1 and t2 and cm1 == cv1 == t2 and cm2 == cv2 == t0 | t1:
+                if cv0 & t2:  # MAJ: X y | ctx z
+                    hit = span(i, cm0 ^ t2, cv0 ^ t2, t1, t2, t0, False)
+                elif cv0 & t1:  # UMA reversed: X y | ctx anc
                     hit = span(i, cm0 ^ t1, cv0 ^ t1, t1, t2, t0, True)
         if hit:
             yield hit

@@ -310,12 +310,23 @@ def test_stage_windows_are_tight():
         assert all(x >= 1 << s + i for i, x in zip(range(s - 1, -1, -1), ends))
         if s > 1:
             assert list(sqrt_stage_values(((1 << s) - 1) ** 2 - 1, s))[-1] >= 1 << s
-    # square_into stage j leaves src * (src mod 2^(j+1)), largest at
-    # src = 2^k - 1: k bits after stage 0, k+j+1 after stage j > 0
-    for k in range(2, 11):
-        largest = (1 << k) - 1
-        assert [(largest * ((2 << j) - 1)).bit_length() for j in range(k)] == (
-            [k] + [k + j + 1 for j in range(1, k)])
+    # square_into's stages 0..j are square_into on src[:j+1] and
+    # dst[:2j+2]: they leave (src mod 2^(j+1))^2 and touch no other qubit
+    for k in range(1, 11):
+        b = Builder()
+        src, dst, anc = b.alloc(k), b.alloc(2 * k), b.alloc(1)[0]
+        square_into(b, src, dst, anc)
+        for j in range(k):
+            low = Builder()
+            low.alloc(b.n)
+            square_into(low, src[:j + 1], dst[:2 * j + 2], anc)
+            assert b.gates[:len(low.gates)] == low.gates, (k, j)
+            used = set(src[:j + 1] + dst[:2 * j + 2] + (anc,))
+            assert all(set(g.qubits) <= used for g in low.gates), (k, j)
+            c = low.finish()
+            for a, out in enumerate(every_end_state(c, range(1 << k))):
+                lo = a % (2 << j)
+                assert out == a | lo * lo << k, (k, j, a)
 
 
 def test_sqrt_matches_fixedpoint_layer():
@@ -502,8 +513,9 @@ def compiled_adds(c):
 
 def test_each_add_fuses():
     # one register-add entry per add the block emits: s for s sqrt
-    # stages, 2(k - 1) for a k-bit square, t + 1 for t quotient bits,
-    # inside a context too
+    # stages, k - 1 for a k-bit square, t + 1 for t quotient bits,
+    # inside a context too; an add, a subtract and an add with its clean
+    # uncompute replay under a context of one or two qubits
     for s in range(1, 9):
         b = Builder()
         frame, root, anc = b.alloc(2 * s + 1), b.alloc(s), b.alloc(1)[0]
@@ -513,7 +525,7 @@ def test_each_add_fuses():
         b = Builder()
         src, dst, anc = b.alloc(k), b.alloc(2 * k), b.alloc(1)[0]
         square_into(b, src, dst, anc)
-        assert compiled_adds(b.finish()) == 2 * (k - 1)
+        assert compiled_adds(b.finish()) == k - 1
     for dw, t in ((3, 3), (4, 4), (5, 3)):
         for ctl in ((), ((0, False),)):
             b = Builder()
@@ -522,6 +534,52 @@ def test_each_add_fuses():
             with b.controls(ctl):
                 div_stages(b, frame, d, q, anc, shift=1)
             assert compiled_adds(b.finish()) == t + 1
+    for ctl in (((0, True),), ((0, True), (1, False))):
+        for emit, adds in ((add_into, 1), (sub_from, 1), (replayed_add, 2)):
+            b = Builder("clean")
+            b.alloc(len(ctl))
+            src, dst, anc = b.alloc(3), b.alloc(5), b.alloc(1)[0]
+            with b.controls(ctl):
+                emit(b, src, dst, anc)
+            assert compiled_adds(b.finish()) == adds, (ctl, emit)
+
+
+def replayed_add(b, src, dst, anc):
+    """add_into and its uncompute replay, the add reversed under clean."""
+    with b.compute() as done:
+        add_into(b, src, dst, anc)
+    b.uncompute(done)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_add_under_a_mixed_context_every_state(sign):
+    # add_into (sub_from) under a context of qubit 0 set and qubit 1
+    # clear, src of w = 1..3 qubits, dst of w and w + 2, on every basis
+    # state, anc set or clear: dst +- (src + anc) where the context holds,
+    # every state unchanged elsewhere, one register-add entry, and the
+    # compiled program equal to the gates run one by one
+    emit = add_into if sign > 0 else sub_from
+    for w in range(1, 4):
+        for wd in (w, w + 2):
+            b = Builder()
+            ctl = b.alloc(2)
+            src, dst, anc = b.alloc(w), b.alloc(wd), b.alloc(1)[0]
+            with b.controls([(ctl[0], True), (ctl[1], False)]):
+                emit(b, src, dst, anc)
+            c = b.finish()
+            assert compiled_adds(c) == 1, (sign, w, wd)
+            one_by_one, bit, conds = [], circuit._Memo((1).__lshift__).__getitem__, {}
+            for g in c.gates:
+                circuit._fuse([g], one_by_one, bit, conds)
+            assert len(one_by_one) == len(c.gates)
+            compiled = c._prepared(circuit._COMPILE_AFTER)
+            for st in range(1 << c.n_qubits):
+                a, y, cin = st >> 2 & (1 << w) - 1, st >> 2 + w & (1 << wd) - 1, st >> anc & 1
+                want = st
+                if st & 3 == 1:
+                    want ^= (y ^ (y + sign * (a + cin)) % (1 << wd)) << dst[0]
+                got = circuit._run(compiled, st)
+                assert got == circuit._run(one_by_one, st) == want, (sign, w, wd, st)
 
 
 def test_sqrt_stages_cost_is_closed_form():
@@ -534,6 +592,19 @@ def test_sqrt_stages_cost_is_closed_form():
         rc = b.finish().resource_count()
         assert rc["by_kind"]["mcx"] == 0, s
         assert rc["toffoli_equivalent"] == s * s + 5 * s - 1, s
+
+
+def test_square_into_cost_is_closed_form():
+    # no mcx, 3k^2 - k - 1 gates and (k-1)(2k+1) Toffolis as the
+    # docstring derives: 4 per source bit of each add under src[j]
+    for k in range(1, 13):
+        b = Builder()
+        src, dst, anc = b.alloc(k), b.alloc(2 * k), b.alloc(1)[0]
+        square_into(b, src, dst, anc)
+        rc = b.finish().resource_count()
+        assert rc["by_kind"]["mcx"] == 0, k
+        assert rc["gates"] == 3 * k * k - k - 1, k
+        assert rc["toffoli_equivalent"] == (k - 1) * (2 * k + 1), k
 
 
 def test_builder_shape_errors():
@@ -578,7 +649,7 @@ def test_compute_uncompute_follow_the_policy():
 
 # SHA-256 of the concatenated export_text of the 90 block-factory circuits
 # below.  A change that alters them on purpose updates it and says so.
-BLOCKS_DIGEST = "141fa203a24bd3bd807167a31a68ae497ebb425842d3eeec4ef079de3572fe48"
+BLOCKS_DIGEST = "5ee7dc8bbf218a268f510c54a98cd21fb82921f5c0fc3b3771f96c3ab2ce9f30"
 
 
 def test_block_factory_circuits_digest():

@@ -382,7 +382,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "3d722e2fe54f588ae351ad2500e8e7316729abedf0ba75e3ef561c092c6d06df"
+BUILDER_DIGEST = "0c71512535276ef298c091bc4c6751af64e21ff80f43f9bc53b9949862af017c"
 
 
 def test_builder_circuits_digest_and_gate_checks():
