@@ -253,6 +253,31 @@ def copy_bits(b: Builder, src, dst):
         b.flip(d, [(s, True)])
 
 
+def lookup(b: Builder, ctl, values, bits):
+    """bits ^= values[x], where x is the integer the ctl qubits spell,
+    ctl[0] lowest; values has 2^len(ctl) entries.
+
+    Each target bit is written in its positive-polarity Reed-Muller
+    form.  The Moebius transform of the table, run on whole values since
+    it only XORs, leaves at x the target bits whose form holds the
+    monomial AND of the ctl qubits set in x, and each is one X under
+    those qubits.  A monomial's gates are emitted together, under one
+    condition.
+    """
+    ctl, anf = tuple(ctl), list(values)
+    if len(anf) != 1 << len(ctl):
+        raise CircuitError("lookup: need one value per control pattern")
+    for i in range(len(ctl)):
+        for x in range(len(anf)):
+            if x >> i & 1:
+                anf[x] ^= anf[x ^ 1 << i]
+    for x, mask in enumerate(anf):
+        on = [(c, True) for i, c in enumerate(ctl) if x >> i & 1]
+        for t, q in enumerate(bits):
+            if mask >> t & 1:
+                b.flip(q, on)
+
+
 def rotate_right1(b: Builder, bits):
     """Cyclic shift toward the lsb: new[i] = old[i+1], new[top] = old[0]."""
     bits = tuple(bits)

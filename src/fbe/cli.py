@@ -345,11 +345,13 @@ def verify_blocks(args) -> list[VerificationReport]:
 
 def verify_reversibility(args) -> list[VerificationReport]:
     rng = random.Random(args.seed)
-    n, m = args.n or 3, args.m or 6
+    m = args.m or 6
     trials = 25 if args.cases is None else args.cases
     reports = []
     for family in sorted(SYNTH_SPEC):
         t0 = time.perf_counter()
+        # by default exp, cos and cot run two steps past their digit tables
+        n = args.n or (3 if get_spec(SYNTH_SPEC[family]).group == 1 else 6)
         cases = matches = 0
         for policy in [args.policy] if args.policy else ["garbage", "clean"]:
             sc = synthesize(SynthConfig(family, n, m, policy))

@@ -17,6 +17,11 @@ hands the compute block to Builder.uncompute, which returns that scratch
 to zero under the clean policy and leaves it as garbage otherwise.  So
 under garbage every step gets its own scratch register (AncW0, AncW1,
 ...), and under clean all steps share one (AncW).
+
+An inverse evaluator's chain register after j steps holds one of 2^j
+values, one per digit prefix, so the first TABLE_DIGITS of them are
+written by a table on the digit qubits (_prefix_tables).  Only the steps
+after them compute, and only those take scratch.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from .blocks import (
     POLICIES,
     Builder,
     add_into,
+    complemented,
     copy_bits,
     decrement,
     div_stages,
     increment,
+    lookup,
     negate_bits,
     rotate_left1,
     rotate_right1,
@@ -42,6 +49,7 @@ from .circuit import Circuit, CircuitError
 from .expansion import (
     DigitString,
     FunctionSpec,
+    _absorb_raw,
     _as_fraction,
     cot_chain_bounds,
     get_spec,
@@ -59,6 +67,9 @@ SYNTH_SPEC = {
 }
 
 SQUARE_METHODS = ("shift_add", "reversed_sqrt")
+# the inverse evaluators write each chain register that depends on at
+# most this many digits from a table on the digit qubits
+TABLE_DIGITS = 4
 
 
 @dataclass(frozen=True)
@@ -178,6 +189,19 @@ def _chain(b: Builder, lay: Layout, roles) -> list:
                   signed=lay.signed) for i, role in enumerate(roles)]
 
 
+def _prefix_tables(b: Builder, spec: FunctionSpec, lay: Layout, digits, regs) -> list:
+    """Write regs[j] from a table: the chain value after the recurrence
+    absorbs digits[:j+1], one entry per value of those digits, so the
+    register equals the recurrence by construction.  Returns the states
+    after all len(regs) digits, indexed by the integer they spell."""
+    for j, reg in enumerate(regs, 1):
+        # _absorb_raw takes the digits in display order, last absorbed first
+        states = [_absorb_raw(spec, spec.init(lay), [x >> i & 1 for i in reversed(range(j))], lay)
+                  for x in range(1 << j)]
+        lookup(b, digits[:j], [st[0] for st in states], reg.bits)
+    return states
+
+
 # ----------------------------------------------------------------- forward
 
 def _synth_log(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
@@ -292,11 +316,13 @@ def _synth_arccot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
             with b.controls(frozen):
                 copy_bits(b, quot_t, nxt[:m - 1])
         b.uncompute(live)
+        # the sign of |a| < 1 and the digit's cancel: one negation where
+        # s xor d, with s holding it around the negation
+        b.flip(s, [(d, True)])
         with b.controls(frozen + [(s, True)]):
             negate_bits(b, nxt)
+        b.flip(s, [(d, True)])
         _zero_test(b, s, a[q:])
-        with b.controls(frozen + [(d, True)]):
-            negate_bits(b, nxt)
         b.flip(nxt[q], [(anc1, True)])  # frozen chain carries the sentinel
         with b.controls([(d, True)]):
             negate_bits(b, a)
@@ -317,12 +343,14 @@ def _synth_exp(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
     regs = _chain(b, lay, ["garbage"] * n + ["output"])
-    wides = [b.scratch("AncW", 2 * m + 1, i) for i in range(n)]
-    root_t = b.reg("AncRoot", "ancilla-clean", m).bits if b.clean else None
+    tab = min(n, TABLE_DIGITS)
+    wides = {i: b.scratch("AncW", 2 * m + 1, i) for i in range(tab, n)}
+    root_t = b.reg("AncRoot", "ancilla-clean", m).bits if b.clean and wides else None
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
 
     b.flip(regs[0].bits[q])  # a0 = 1
-    for i in range(n):
+    _prefix_tables(b, spec, lay, rego.bits, regs[1:tab + 1])
+    for i in range(tab, n):
         a, nxt, w = regs[i].bits, regs[i + 1].bits, wides[i].bits
         v = rego.bits[i]
         with b.compute() as mk:
@@ -342,13 +370,16 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
     regs = _chain(b, lay, ["garbage"] * n + ["output"])
-    wides = [b.scratch("AncW", 2 * m - 1, i) for i in range(n)]
-    root_t = b.reg("AncRoot", "ancilla-clean", m - 1).bits if b.clean else None
+    tab = min(n, TABLE_DIGITS)
+    wides = {i: b.scratch("AncW", 2 * m - 1, i) for i in range(tab, n)}
+    root_t = b.reg("AncRoot", "ancilla-clean", m - 1).bits if b.clean and wides else None
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
 
     b.flip(regs[0].bits[q])  # a0 = 1
-    for i in range(n):
+    _prefix_tables(b, spec, lay, rego.bits, regs[1:tab + 1])
+    b.flip(p, [(rego.bits[tab - 1], True)])  # p = the last digit absorbed
+    for i in range(tab, n):
         a, nxt, w = regs[i].bits, regs[i + 1].bits, wides[i].bits
         v = rego.bits[i]
         b.flip(p, [(v, True)])  # p = v xor previous digit
@@ -365,8 +396,7 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         if root_t:
             copy_bits(b, root_t, nxt[:m - 1])
         b.uncompute(mk)
-        if i:
-            b.flip(p, [(rego.bits[i - 1], True)])  # back to p = v_i
+        b.flip(p, [(rego.bits[i - 1], True)])  # back to p = v_i
     with b.controls([(p, True)]):
         negate_bits(b, regs[n].bits)  # the top digit decides the sign
     b.flip(p, [(rego.bits[n - 1], True)])
@@ -389,24 +419,20 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     # a^2 + 1 can take 2m+1 bits, so the scratch is sized for a walk of
     # m+1 stages and the root gets its own m+1 bit register
     bounds = cot_chain_bounds(lay, n)
-    sqs = [b.scratch("AncSq", 2 * m + 3, i) for i in range(n - 1)]
-    roots = [b.scratch("AncRoot", m + 1, i) for i in range(n - 1)]
+    tab = min(n, TABLE_DIGITS)
+    sqs = {i: b.scratch("AncSq", 2 * m + 3, i) for i in range(tab, n)}
+    roots = {i: b.scratch("AncRoot", m + 1, i) for i in range(tab, n)}
     anc1 = b.reg("Anc1", "output", 1).bits[0]  # the infinity flag
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
     car = b.reg("AncC", "ancilla-clean", 1).bits[0]
 
-    # the register opens on the sentinel pattern for infinity with the
-    # latch raised; the first set digit knocks it down to cot(pi/2) = 0
-    b.flip(regs[0].bits[q])
-    b.flip(anc1)
-    v0 = rego.bits[0]
-    b.flip(regs[0].bits[q], [(anc1, True), (v0, True)])
-    _zero_test(b, anc1, regs[0].bits)
-    b.flip(p, [(v0, True)])
-
-    for i in range(1, n):
-        a, nxt, w = regs[i - 1].bits, regs[i].bits, sqs[i - 1].bits
-        rt = roots[i - 1].bits
+    # the tables hold the trigger step, which turns the infinity sentinel
+    # into cot(pi/2) = 0 on the first set digit, and the latch with it
+    states = _prefix_tables(b, spec, lay, rego.bits, regs[:tab])
+    lookup(b, rego.bits[:tab], [st[1] & 1 for st in states], [anc1])
+    b.flip(p, [(rego.bits[tab - 1], True)])  # p = the last digit absorbed
+    for i in range(tab, n):
+        a, nxt, w, rt = regs[i - 1].bits, regs[i].bits, sqs[i].bits, roots[i].bits
         v = rego.bits[i]
         k, s = _cot_step_widths(bounds[i - 1], q)
         b.flip(p, [(v, True)])  # p = v xor previous digit
@@ -419,13 +445,10 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         with b.controls([(anc1, False)]):
             copy_bits(b, rt[:min(s, m)], nxt)  # the register keeps root mod 2^m
         b.uncompute(mk)
-        # b = root +- a, the sign of a folded in by the sandwich
-        with b.controls([(p, True)]):
-            negate_bits(b, a)
-        with b.controls([(anc1, False)]):
+        # b = root +- a: where p is set, root - a = ~(~root + a); under
+        # the latch nxt is zero and the two complements cancel
+        with complemented(b, nxt, p), b.controls([(anc1, False)]):
             add_into(b, a, nxt, car)
-        with b.controls([(p, True)]):
-            negate_bits(b, a)
         b.flip(nxt[q], [(anc1, True), (v, False)])  # frozen chain update
         _zero_test(b, anc1, nxt)  # uniform latch toggle on a zero value
         b.flip(p, [(rego.bits[i - 1], True)])

@@ -19,6 +19,7 @@ from fbe.blocks import (
     div_frame_width,
     div_stages,
     increment,
+    lookup,
     negate_bits,
     rotate_left1,
     rotate_right1,
@@ -607,6 +608,24 @@ def test_square_into_cost_is_closed_form():
         assert rc["toffoli_equivalent"] == (k - 1) * (2 * k + 1), k
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_lookup_xors_the_table_value(k):
+    # random tables over k controls onto 3 targets, beside one spectator
+    # qubit: on every basis state the targets get values[x] XORed on, x
+    # the controls' integer, and nothing else changes
+    rng = random.Random(f"lookup/{k}")
+    for values in ([0] * (1 << k), [7] * (1 << k),
+                   *([rng.randrange(8) for _ in range(1 << k)] for _ in range(4))):
+        b = Builder()
+        ctl, bits = b.alloc(k), b.alloc(3)
+        b.alloc(1)
+        lookup(b, ctl, values, bits)
+        c = b.finish()
+        assert all(len(g.controls) <= k for g in c.gates)
+        for s in range(1 << c.n_qubits):
+            assert c.simulate_basis(s) == s ^ values[s & ((1 << k) - 1)] << k, (values, s)
+
+
 def test_builder_shape_errors():
     b = Builder()
     src, dst, anc = b.alloc(4), b.alloc(3), b.alloc(1)[0]
@@ -622,6 +641,8 @@ def test_builder_shape_errors():
         build_shift(4, 1, "up")
     with pytest.raises(CircuitError):
         build_shift(4, 4)
+    with pytest.raises(CircuitError):
+        lookup(b, src[:2], [0, 1, 2], dst)
 
 
 def test_compute_uncompute_follow_the_policy():

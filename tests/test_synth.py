@@ -13,6 +13,7 @@ from fbe.expansion import (
     DigitString,
     fbe_expand,
     fbe_expand_trace,
+    get_spec,
     ifbe_evaluate,
     ifbe_evaluate_trace,
 )
@@ -47,25 +48,28 @@ def test_forward_exhaustive_bit_exact(fn, policy):
 @pytest.mark.parametrize("fn", INVERSE)
 @pytest.mark.parametrize("policy", ("garbage", "clean"))
 def test_inverse_exhaustive_bit_exact(fn, policy):
-    n, m = 4, 6
-    sc = synthesize(SynthConfig(fn, n, m, policy))
-    for bits in itertools.product((0, 1), repeat=n):
-        ds = DigitString(bits)
-        (want, want_inf), trace = ifbe_evaluate_trace(sc.spec, ds, m)
-        state = sc.circuit.simulate_basis(sc.encode_digits(ds))
-        got, got_inf = sc.decode_value(state)
-        assert (got.raw, got_inf) == (want.raw, want_inf), (fn, bits)
-        chain = sc.chain_values(state)
-        if fn == "cot":
-            # the trigger module rewrites a_0 in place, so the chain is
-            # one step ahead of the trace and ends on the finished value
-            assert [c.raw for c in chain[:-1]] == \
-                [t.raw for t in trace[1:n]], (fn, bits)
-        else:
-            assert [c.raw for c in chain[:-1]] == \
-                [t.raw for t in trace[:n]], (fn, bits)
-        if policy == "clean":
-            assert checks.clean_ancillae_zero(sc, state), (fn, bits)
+    # at n = 4 every chain register comes from a digit table; n = 7 has
+    # three computed steps after them
+    for n, m in ((4, 6), (7, 8)):
+        sc = synthesize(SynthConfig(fn, n, m, policy))
+        for bits in itertools.product((0, 1), repeat=n):
+            ds = DigitString(bits)
+            (want, want_inf), trace = ifbe_evaluate_trace(sc.spec, ds, m)
+            state = sc.circuit.simulate_basis(sc.encode_digits(ds))
+            got, got_inf = sc.decode_value(state)
+            assert (got.raw, got_inf) == (want.raw, want_inf), (fn, bits)
+            chain = sc.chain_values(state)
+            if fn == "cot":
+                # RegI{i} holds the value after absorb step i, so the
+                # chain is one step ahead of the trace and ends on the
+                # finished value
+                assert [c.raw for c in chain[:-1]] == \
+                    [t.raw for t in trace[1:n]], (fn, bits)
+            else:
+                assert [c.raw for c in chain[:-1]] == \
+                    [t.raw for t in trace[:n]], (fn, bits)
+            if policy == "clean":
+                assert checks.clean_ancillae_zero(sc, state), (fn, bits)
 
 
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
@@ -277,28 +281,32 @@ def test_clean_scratch_is_one_register_per_role():
         clean = synthesize(SynthConfig(fn, n, m, "clean", square))
         garbage = synthesize(SynthConfig(fn, n, m, "garbage", square))
         role = "AncW" if fn in ("log", "arccos", "exp", "cos") else "AncSq"
-        steps = n - 1 if fn in ("log", "arccos", "arccot", "cot") else n
+        # the inverse evaluators' first TABLE_DIGITS steps are digit
+        # tables, which take no scratch
+        steps = range(n - 1) if fn in FORWARD else range(synth.TABLE_DIGITS, n)
         scratch = [[r for r in sc.circuit.registers.values()
                     if r.name.rstrip("0123456789") == role]
                    for sc in (clean, garbage)]
         assert [r.name for r in scratch[0]] == [role], (fn, square)
         assert scratch[0][0].role == "ancilla-clean"
-        assert [r.name for r in scratch[1]] == [f"{role}{i}" for i in range(steps)]
+        assert [r.name for r in scratch[1]] == [f"{role}{i}" for i in steps]
         assert clean.n_qubits < garbage.n_qubits, (fn, square)
 
         args, want = every_input(clean)
         assert exhaustive_tally(clean, args, want) == (0, 0, True), (fn, square)
 
 
-def cot_chains(sc, args):
-    """Per digit string, the raw values the chain registers must end on:
-    RegI{i} holds the value after absorb step i, and the last register
-    the finished value."""
+def inverse_chains(sc, args):
+    """Per digit string, the raw values the chain registers of an inverse
+    evaluator must end on: the trace, and the finished value in the last
+    register.  cot's RegI{i} holds the value after absorb step i, so its
+    chain starts one step into the trace."""
     n, m = sc.config.n, sc.config.m
+    first = sc.config.function == "cot"
     chains = []
     for ds in args:
         (value, _), trace = ifbe_evaluate_trace(sc.spec, ds, m)
-        chains.append([t.raw for t in trace[1:n]] + [value.raw])
+        chains.append([t.raw for t in trace[first:n]] + [value.raw])
     return chains
 
 
@@ -330,7 +338,7 @@ def test_writeback_control_exhaustive(fn, n, m, inputs):
         sc = synthesize(SynthConfig(fn, n, m, policy, square))
         if args is None:
             args, want = every_input(sc)  # once per size
-            chains = cot_chains(sc, args) if fn == "cot" else None
+            chains = inverse_chains(sc, args) if fn == "cot" else None
         assert len(args) == inputs
         run = exhaustive_run(sc, args)
         if chains:
@@ -338,22 +346,36 @@ def test_writeback_control_exhaustive(fn, n, m, inputs):
         assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
 
 
+@pytest.mark.parametrize("fn", INVERSE)
+def test_digit_tables_then_computed_steps_exhaustive(fn):
+    # the first TABLE_DIGITS chain registers come from tables on the
+    # digit qubits and the rest are computed: all tables (n <= 4), then
+    # one and two computed steps, at the narrowest width and at 8.  Every
+    # digit string, both policies: value, infinity flag, every chain
+    # register, clean ancillas and the inverse
+    narrowest = get_spec(SYNTH_SPEC[fn]).min_width
+    for n, m, policy in itertools.product((1, 4, 5, 6), (narrowest, 8), ("garbage", "clean")):
+        sc = synthesize(SynthConfig(fn, n, m, policy))
+        args, want = every_input(sc)
+        run = exhaustive_run(sc, args)
+        assert chain_divergence(sc, args, inverse_chains(sc, args), run[2]) is None, (n, m, policy)
+        assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (n, m, policy)
+
+
 @pytest.mark.parametrize("narrow", ("k", "s"))
 def test_cot_step_one_bit_narrower_is_caught(monkeypatch, narrow):
     # a step whose square (k) or root walk (s) runs one bit narrower than
     # the bound gives ends on a wrong chain value for some digit string,
-    # at every step of (8, 10), whose last step reads a wrapped chain.
-    # Step 1's square is the exception: its live input is always 0, and
-    # only the frozen 2^q it also squares needs bit q, so narrowing it
-    # changes the garbage scratch alone
+    # at every computed step of (8, 10): steps 4-7, past the digit
+    # tables, the last of which reads a wrapped chain
     n, m = 8, 10
     widths = synth._cot_step_widths
     sc = synthesize(SynthConfig("cot", n, m))
     args, _ = every_input(sc)
-    chains = cot_chains(sc, args)
+    chains = inverse_chains(sc, args)
     finals = exhaustive_run(sc, args)[2]
-    for step in range(1, n):
-        def narrowed(bound, q, calls=itertools.count(1), step=step):
+    for step in range(synth.TABLE_DIGITS, n):
+        def narrowed(bound, q, calls=itertools.count(synth.TABLE_DIGITS), step=step):
             k, s = widths(bound, q)
             if next(calls) != step:
                 return k, s
@@ -363,8 +385,7 @@ def test_cot_step_one_bit_narrower_is_caught(monkeypatch, narrow):
         mutant = synthesize(SynthConfig("cot", n, m))
         got = exhaustive_run(mutant, args)[2]
         assert got != finals, step
-        seen = chain_divergence(mutant, args, chains, got) is not None
-        assert seen == (narrow == "s" or step > 1), step
+        assert chain_divergence(mutant, args, chains, got) is not None, step
 
 
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
@@ -382,7 +403,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "0c71512535276ef298c091bc4c6751af64e21ff80f43f9bc53b9949862af017c"
+BUILDER_DIGEST = "be71d2353be18adaa9acbd6fa88885d4c33d907f4624255dab63935365303205"
 
 
 def test_builder_circuits_digest_and_gate_checks():
