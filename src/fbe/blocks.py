@@ -336,16 +336,18 @@ def square_into(b: Builder, src, dst, anc: int):
             add_into(b, src[:j], dst[j + 1:2 * j + 2], anc)
 
 
-def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
+def sqrt_stages(b: Builder, frame, root, stages: int):
     """Non-restoring square root, radicand in frame, root bits extracted.
 
     frame holds the radicand N < 4^s (s = stages) in a clean
     two's-complement scratch register at least 2s+1 wide; root provides
-    at least s clean bits.  Ends with root = floor sqrt N, frame = N -
-    root^2 and every frame bit above that zero.  Stage i subtracts or adds
-    the partial root run shifted to 2i+2 plus the 4^i constant, decided
-    by the previously extracted bit; the new bit is the complement of
-    the frame sign.
+    at least s clean bits.  Ends with root = floor sqrt N, frame[:s+2] =
+    N - (root|1)^2 in two's complement and every frame bit above that
+    zero: the walk stops at its last root bit, with no correction adding
+    2 root + 1 back where that bit is 0, since no caller reads the
+    remainder.  Stage i subtracts or adds the partial root run shifted
+    to 2i+2 plus the 4^i constant, decided by the previously extracted
+    bit; the new bit is the complement of the frame sign.
 
     Each stage is one uncontrolled ripple add, by two identities.  With
     r = root[i+1] and run = root >> (i+2), stage i subtracts 8 run + 5
@@ -372,20 +374,9 @@ def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
     before read its root bit r from, so it is 1 exactly when r = 0, and
     the next stage flips it back to zero where r = 0.
 
-    The final correction adds 2 root + 1 = 4 (root >> 1) + 1 to
-    frame[:s+1] where root[0] = 0, and holds N - root^2 <= 2 root <
-    2^(s+1) there after.  By then frame[s+1] holds the last sign, which
-    is not root[0], and the frame bits above it are zero.  So, each step
-    where root[0] = 0 only: frame[s+1] is cleared, root[1:s] is copied
-    above it, and frame[0] to anc.  Then one uncontrolled add of
-    frame[s+1:2s+1] into frame[1:s+1], with anc as the carry-in, and a
-    flip of frame[0] add 4 (root >> 1) + 1 as in the stages; where
-    root[0] = 1 the add adds zero.  Last, anc and the copy are cleared.
-
     Outside a context it emits no mcx, and its Toffolis number
-    1 + sum over i < s-1 of 2(s - i) + 4s = s^2 + 5s - 1: the top
-    stage's 3-bit decrement takes one, each add two per source bit, and
-    the correction's copy and carry-in 2(s - 1) + 2 more.
+    1 + sum over i < s-1 of 2(s - i) = s^2 + s - 1: the top stage's 3-bit
+    decrement takes one, and each add two per source bit.
     """
     frame, root = tuple(frame), tuple(root)
     s = stages
@@ -404,25 +395,15 @@ def sqrt_stages(b: Builder, frame, root, stages: int, anc: int):
                 b.flip(live[2 * i])
             b.flip(root[i], [(r, False)])
         b.flip(root[i], [(live[-1], False)])
-    # final correction: if the last bit came out 0 the remainder is
-    # negative, add back 2*root+1 (bit 0 of root is 0 there)
-    spare = frame[s + 1:2 * s + 1]
-    with b.controls([(root[0], False)]):
-        b.flip(frame[s + 1])  # the shed sign bit
-        copy_bits(b, root[1:s], spare[1:])
-        b.flip(anc, [(frame[0], True)])
-    add_into(b, spare, frame[1:s + 1], anc)
-    with b.controls([(root[0], False)]):
-        b.flip(frame[0])
-        b.flip(anc, [(frame[0], False)])
-        copy_bits(b, root[1:s], spare[1:])
 
 
 def div_stages(b: Builder, frame, d_bits, q_bits, anc: int, shift: int = 0):
     """Non-restoring division, numerator in frame, divisor read only.
 
-    Produces floor(numerator / (divisor * 2^shift)) in q_bits (clean,
-    quotient must fit) and leaves the remainder in frame.  frame needs
+    Produces quo = floor(numerator / D), D = divisor * 2^shift, in q_bits
+    (clean, quotient must fit) and leaves numerator - (quo|1) D in frame:
+    the walk stops at its last quotient bit, with no correction to the
+    remainder, which no caller reads.  frame needs
     max(num_width, len(d_bits)+shift+len(q_bits)-1) + 1 bits.  The shift
     places the divisor operand higher instead of materialising a doubled
     copy.  Stage j subtracts the divisor where the last quotient bit is
@@ -441,31 +422,38 @@ def div_stages(b: Builder, frame, d_bits, q_bits, anc: int, shift: int = 0):
             with complemented(b, win, q_bits[j + 1]):
                 add_into(b, d_bits, win, anc)
         b.flip(q_bits[j], [(sign, False)])
-    with b.controls([(q_bits[0], False)]):
-        add_into(b, d_bits, frame[shift:], anc)
 
 
-def square_via_root(b: Builder, src, frame, root_tmp, anc: int):
+def square_via_root(b: Builder, src, frame, root_tmp):
     """frame = src*src by running the square root stages backwards.
 
-    A clean frame and clean root_tmp come in; src is copied onto
-    root_tmp and the inverted non-restoring walk maps (0, src) back to
-    (src^2, 0), so root_tmp comes out clean again for free.
+    A clean frame and clean root_tmp come in.  src is copied onto
+    root_tmp and frame[:k+2] set to where the forward walk on src^2
+    ends, N - (src|1)^2: zero for an odd src, and -(2 src + 1) = ~(2 src)
+    for an even one, which is bits 0, 1 and k+1 and the complement of
+    src[1:] between them, each under not src[0].  The inverted walk maps
+    that back to (src^2, 0), so root_tmp comes out clean again for free.
     """
     src = tuple(src)
     k = len(src)
     copy_bits(b, src, root_tmp[:k])
+    even = [(src[0], False)]
+    for j in (0, 1, k + 1):
+        b.flip(frame[j], even)
+    for j in range(1, k):
+        b.flip(frame[j + 1], even + [(src[j], False)])
     with b.inverted():
-        sqrt_stages(b, frame, root_tmp, k, anc)
+        sqrt_stages(b, frame, root_tmp, k)
 
 
 def square(b: Builder, method: str, src, dst, root_tmp, anc: int):
     """dst = src*src into a clean dst of square_width bits, by shift-and-add
-    or by the reversed root walk, which returns the clean root_tmp clean."""
+    or by the reversed root walk, which returns the clean root_tmp clean
+    and leaves anc alone."""
     if method == "shift_add":
         square_into(b, src, dst, anc)
     elif method == "reversed_sqrt":
-        square_via_root(b, src, dst, root_tmp, anc)
+        square_via_root(b, src, dst, root_tmp)
     else:
         raise CircuitError(f"unknown square method {method!r}")
 
@@ -596,20 +584,19 @@ def build_sqrt(width: int, frac_bits: int = 0, policy: str = "garbage") -> Circu
 
     The radicand a*2^frac_bits sits in a frame of low zero padding, the
     input register, and high scratch.  Garbage policy: the frame keeps
-    the remainder and B gets the root.  Clean policy: the root is copied
-    off and the walk is reversed, restoring a and every scratch bit.
+    N - (B|1)^2 (see sqrt_stages) and B gets the root.  Clean policy:
+    the root is copied off and the walk is reversed, restoring a and
+    every scratch bit.
     """
     b = Builder(policy)
     frame_w, stages = sqrt_frame_width(width + frac_bits)
     low = b.scratch("AncLow", frac_bits).bits if frac_bits else ()
     a = b.reg("A", "input" if b.clean else "garbage", width)
-    high = b.reg("AncHigh", "ancilla-clean", frame_w - width - frac_bits)
+    high = b.scratch("AncHigh", frame_w - width - frac_bits)
     root_t = b.reg("RootT", "ancilla-clean", stages) if b.clean else None
     root = b.reg("B", "output", stages)
-    anc = b.reg("Anc", "ancilla-clean", 1)
     with b.compute() as walk:
-        sqrt_stages(b, low + a.bits + high.bits, (root_t or root).bits, stages,
-                    anc.bits[0])
+        sqrt_stages(b, low + a.bits + high.bits, (root_t or root).bits, stages)
     if root_t:
         copy_bits(b, root_t.bits, root.bits)
     b.uncompute(walk)

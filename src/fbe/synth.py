@@ -346,7 +346,9 @@ def _synth_exp(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     tab = min(n, TABLE_DIGITS)
     wides = {i: b.scratch("AncW", 2 * m + 1, i) for i in range(tab, n)}
     root_t = b.reg("AncRoot", "ancilla-clean", m).bits if b.clean and wides else None
-    car = b.reg("AncC", "ancilla-clean", 1).bits[0]
+    # no gate touches AncC; it stays so that even an all-table circuit
+    # has a clean ancilla for the benchmark's dirty-ancilla check to flip
+    b.reg("AncC", "ancilla-clean", 1)
 
     b.flip(regs[0].bits[q])  # a0 = 1
     _prefix_tables(b, spec, lay, rego.bits, regs[1:tab + 1])
@@ -358,7 +360,7 @@ def _synth_exp(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
             for j in range(m):
                 b.flip(w[q + j + 1], [(v, True), (a[j], True)])
                 b.flip(w[q + j], [(v, False), (a[j], True)])
-            sqrt_stages(b, w, root_t or nxt, m, car)
+            sqrt_stages(b, w, root_t or nxt, m)
         if root_t:
             copy_bits(b, root_t, nxt)
         b.uncompute(mk)
@@ -374,7 +376,9 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     wides = {i: b.scratch("AncW", 2 * m - 1, i) for i in range(tab, n)}
     root_t = b.reg("AncRoot", "ancilla-clean", m - 1).bits if b.clean and wides else None
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
-    car = b.reg("AncC", "ancilla-clean", 1).bits[0]
+    # no gate touches AncC; it stays so that even an all-table circuit
+    # has a clean ancilla for the benchmark's dirty-ancilla check to flip
+    b.reg("AncC", "ancilla-clean", 1)
 
     b.flip(regs[0].bits[q])  # a0 = 1
     _prefix_tables(b, spec, lay, rego.bits, regs[1:tab + 1])
@@ -392,7 +396,7 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
             increment(b, t[q + 1:])  # + 1 at the unit column
             # halve exactly: the low bit is zero so rotation is a shift
             rotate_right1(b, t)
-            sqrt_stages(b, w, root_t or nxt[:m - 1], m - 1, car)
+            sqrt_stages(b, w, root_t or nxt[:m - 1], m - 1)
         if root_t:
             copy_bits(b, root_t, nxt[:m - 1])
         b.uncompute(mk)
@@ -441,7 +445,7 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         with b.compute() as mk:
             square(b, cfg.square_method, a[:k], w, rt[:k], car)
             increment(b, w[2 * q:2 * s])  # a^2 + 1, exact at 2q frac
-            sqrt_stages(b, w[:2 * s + 1], rt[:s], s, car)
+            sqrt_stages(b, w[:2 * s + 1], rt[:s], s)
         with b.controls([(anc1, False)]):
             copy_bits(b, rt[:min(s, m)], nxt)  # the register keeps root mod 2^m
         b.uncompute(mk)

@@ -28,6 +28,7 @@ from fbe.blocks import (
     sqrt_stages,
     square,
     square_into,
+    square_via_root,
     square_width,
     sub_from,
 )
@@ -226,21 +227,25 @@ def test_sqrt_blocks_exhaustive():
             for policy in ("garbage", "clean"):
                 c = build_sqrt(w, q, policy)
                 A, B = c.registers["A"], c.registers["B"]
+                s = sqrt_frame_width(w + q)[1]
+                # under garbage the frame's top holds the walk's sign bits
+                assert c.registers["AncHigh"].role == (
+                    "ancilla-clean" if policy == "clean" else "garbage")
                 for a in range(1 << w):
                     out = c.simulate_basis(A.insert(0, a))
-                    assert B.extract(out) == math.isqrt(a << q), (w, q, policy, a)
+                    r = math.isqrt(a << q)
+                    assert B.extract(out) == r, (w, q, policy, a)
                     if policy == "clean":
                         assert A.extract(out) == a
-                        clean(c, out, "AncLow", "AncHigh", "RootT", "Anc")
+                        clean(c, out, "AncLow", "AncHigh", "RootT")
                     else:
-                        rem = (a << q) - math.isqrt(a << q) ** 2
                         got, pos = 0, 0
                         for nm in (["AncLow"] if q else []) + ["A", "AncHigh"]:
-                            r = c.registers[nm]
-                            got |= r.extract(out) << pos
-                            pos += r.size
-                        assert got == rem
-                        clean(c, out, "AncHigh", "Anc")
+                            reg = c.registers[nm]
+                            got |= reg.extract(out) << pos
+                            pos += reg.size
+                        # N - (r|1)^2 on s+2 bits, every frame bit above 0
+                        assert got == ((a << q) - (r | 1) ** 2) % (1 << s + 2), (w, q, a)
 
 
 def every_end_state(c, starts):
@@ -256,13 +261,14 @@ def test_sqrt_stages_every_radicand(extra):
     # frames of 2s+1 and 2s+3 bits, each width one bit-sliced batch
     for s in range(2, 9):
         b = Builder()
-        frame, root, anc = b.alloc(2 * s + 1 + extra), b.alloc(s), b.alloc(1)[0]
-        sqrt_stages(b, frame, root, s, anc)
+        frame, root = b.alloc(2 * s + 1 + extra), b.alloc(s)
+        sqrt_stages(b, frame, root, s)
         c = b.finish()
         for n, out in enumerate(every_end_state(c, range(4 ** s))):
             r = math.isqrt(n)
-            # the whole frame holds n - r^2, every bit above it and anc 0
-            assert out == (n - r * r) | (r << len(frame)), (s, extra, n)
+            # frame[:s+2] holds n - (r|1)^2 in two's complement, every
+            # frame bit above it 0
+            assert out == (n - (r | 1) ** 2) % (1 << s + 2) | (r << len(frame)), (s, extra, n)
 
 
 @pytest.mark.parametrize("extra", [0, 2])
@@ -279,9 +285,27 @@ def test_square_every_source(method, extra):
             assert out == a | (a * a << k), (method, extra, k, a)
 
 
+def test_reversed_square_preimage():
+    # square_via_root writes the state the forward walk on src^2 ends on,
+    # then runs that walk inverted: for k = 1..10 and every src, its
+    # gates before the walk take (src, 0, 0) to exactly where the walk
+    # takes (src, src^2, 0)
+    for k in range(1, 11):
+        fwd, rev = Builder(), Builder()
+        for b in (fwd, rev):  # the same qubits in both
+            src, frame, root = b.alloc(k), b.alloc(2 * k + 1), b.alloc(k)
+        sqrt_stages(fwd, frame, root, k)
+        square_via_root(rev, src, frame, root)
+        cut = len(rev.gates) - len(fwd.gates)
+        assert rev.gates[cut:] == fwd.gates[::-1], k
+        rev.gates[cut:] = []
+        ends = every_end_state(fwd.finish(), [a | a * a << k for a in range(1 << k)])
+        assert every_end_state(rev.finish(), range(1 << k)) == ends, k
+
+
 def sqrt_stage_values(n, s):
     """Raw-int non-restoring walk on radicand n: the frame value each
-    stage ends on, top stage first, then the remainder."""
+    stage ends on, top stage first."""
     x, root = n, 0
     for i in range(s - 1, -1, -1):
         q = root >> i + 1
@@ -293,24 +317,22 @@ def sqrt_stage_values(n, s):
             x += (4 * q + 3) << 2 * i
         root |= (x >= 0) << i
         yield x
-    yield x if root & 1 else x + 2 * root + 1
 
 
 def test_stage_windows_are_tight():
-    # sqrt_stages runs stage i on s+i+2 bits and the correction on s+1:
-    # every radicand's stage values fit them, and 4^s - 1 (the largest
-    # root) fills each stage window, (2^s - 1)^2 - 1 the correction's
+    # sqrt_stages runs stage i on s+i+2 bits and stops at stage 0:
+    # every radicand's stage values fit them, the walk ends on
+    # n - (isqrt(n)|1)^2, and 4^s - 1 (the largest root) fills each
+    # stage window
     for s in range(1, 9):
         for n in range(4 ** s):
-            *ends, rem = sqrt_stage_values(n, s)
+            ends = list(sqrt_stage_values(n, s))
             assert all(-(2 << s + i) <= x < 2 << s + i
                        for i, x in zip(range(s - 1, -1, -1), ends)), (s, n)
-            assert rem == n - math.isqrt(n) ** 2 < 2 << s
+            assert ends[-1] == n - (math.isqrt(n) | 1) ** 2, (s, n)
     for s in range(1, 11):
-        *ends, _ = sqrt_stage_values(4 ** s - 1, s)
+        ends = list(sqrt_stage_values(4 ** s - 1, s))
         assert all(x >= 1 << s + i for i, x in zip(range(s - 1, -1, -1), ends))
-        if s > 1:
-            assert list(sqrt_stage_values(((1 << s) - 1) ** 2 - 1, s))[-1] >= 1 << s
     # square_into's stages 0..j are square_into on src[:j+1] and
     # dst[:2j+2]: they leave (src mod 2^(j+1))^2 and touch no other qubit
     for k in range(1, 11):
@@ -472,7 +494,8 @@ def test_divider_stage_frame_sizing():
             got_q = (out >> (fw + dw)) & ((1 << t) - 1)
             assert got_q == nn // dd, (dw, t, nn, dd)
             assert (out >> fw) & ((1 << dw) - 1) == dd
-            assert out & ((1 << fw) - 1) == nn % dd
+            # the walk stops at the last quotient bit: nn - (q|1) dd
+            assert out & ((1 << fw) - 1) == (nn - (got_q | 1) * dd) % (1 << fw)
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -498,8 +521,10 @@ def test_divider_every_quotient(ctx, shift):
                 if ctx and not on:
                     assert out == st, (dw, t, shift, nn, dd)
                     continue
-                quo, rem = divmod(nn, dd << shift)
-                # remainder in the frame, divisor kept, quotient, anc 0
+                quo = nn // (dd << shift)
+                rem = (nn - (quo | 1) * (dd << shift)) % (1 << fw)
+                # nn - (quo|1) dd 2^shift in the frame, divisor kept,
+                # quotient, anc 0
                 want = on | (rem | dd << fw | quo << fw + dw) << ctx
                 assert out == want, (dw, t, shift, ctx, nn, dd)
 
@@ -513,15 +538,15 @@ def compiled_adds(c):
 
 
 def test_each_add_fuses():
-    # one register-add entry per add the block emits: s for s sqrt
-    # stages, k - 1 for a k-bit square, t + 1 for t quotient bits,
+    # one register-add entry per add the block emits: s - 1 for s sqrt
+    # stages, k - 1 for a k-bit square, t for t quotient bits,
     # inside a context too; an add, a subtract and an add with its clean
     # uncompute replay under a context of one or two qubits
     for s in range(1, 9):
         b = Builder()
-        frame, root, anc = b.alloc(2 * s + 1), b.alloc(s), b.alloc(1)[0]
-        sqrt_stages(b, frame, root, s, anc)
-        assert compiled_adds(b.finish()) == s
+        frame, root = b.alloc(2 * s + 1), b.alloc(s)
+        sqrt_stages(b, frame, root, s)
+        assert compiled_adds(b.finish()) == s - 1
     for k in range(1, 9):
         b = Builder()
         src, dst, anc = b.alloc(k), b.alloc(2 * k), b.alloc(1)[0]
@@ -534,7 +559,7 @@ def test_each_add_fuses():
             frame, d, q, anc = b.alloc(dw + t + 1), b.alloc(dw), b.alloc(t), b.alloc(1)[0]
             with b.controls(ctl):
                 div_stages(b, frame, d, q, anc, shift=1)
-            assert compiled_adds(b.finish()) == t + 1
+            assert compiled_adds(b.finish()) == t
     for ctl in (((0, True),), ((0, True), (1, False))):
         for emit, adds in ((add_into, 1), (sub_from, 1), (replayed_add, 2)):
             b = Builder("clean")
@@ -584,15 +609,15 @@ def test_add_under_a_mixed_context_every_state(sign):
 
 
 def test_sqrt_stages_cost_is_closed_form():
-    # no mcx, and s^2 + 5s - 1 Toffolis as the docstring derives: no
-    # constant cascade can come back unnoticed
+    # no mcx, and s^2 + s - 1 Toffolis as the docstring derives: no
+    # constant cascade or final correction can come back unnoticed
     for s in range(1, 13):
         b = Builder()
-        frame, root, anc = b.alloc(2 * s + 1), b.alloc(s), b.alloc(1)[0]
-        sqrt_stages(b, frame, root, s, anc)
+        frame, root = b.alloc(2 * s + 1), b.alloc(s)
+        sqrt_stages(b, frame, root, s)
         rc = b.finish().resource_count()
         assert rc["by_kind"]["mcx"] == 0, s
-        assert rc["toffoli_equivalent"] == s * s + 5 * s - 1, s
+        assert rc["toffoli_equivalent"] == s * s + s - 1, s
 
 
 def test_square_into_cost_is_closed_form():
@@ -670,7 +695,7 @@ def test_compute_uncompute_follow_the_policy():
 
 # SHA-256 of the concatenated export_text of the 90 block-factory circuits
 # below.  A change that alters them on purpose updates it and says so.
-BLOCKS_DIGEST = "5ee7dc8bbf218a268f510c54a98cd21fb82921f5c0fc3b3771f96c3ab2ce9f30"
+BLOCKS_DIGEST = "df18ec62f60960500b00b0ec5394be17c91f9d3846c2167c6cbcb7357f4c833e"
 
 
 def test_block_factory_circuits_digest():

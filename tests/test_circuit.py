@@ -908,8 +908,8 @@ def test_sparse_edge_behaviour():
 def test_fused_program_is_smaller():
     c = synthesize(SynthConfig("cot", n=6, m=10, policy="clean")).circuit
     # exact pins of the gate count and of the flat program's entries
-    assert len(c.gates) == 3002
-    assert len(c._prepared(0)) == 2250
+    assert len(c.gates) == 2722
+    assert len(c._prepared(0)) == 2008
 
 
 def test_gate_validation():

@@ -296,12 +296,15 @@ def test_clean_scratch_is_one_register_per_role():
         assert exhaustive_tally(clean, args, want) == (0, 0, True), (fn, square)
 
 
-def inverse_chains(sc, args):
-    """Per digit string, the raw values the chain registers of an inverse
-    evaluator must end on: the trace, and the finished value in the last
-    register.  cot's RegI{i} holds the value after absorb step i, so its
-    chain starts one step into the trace."""
+def trace_chains(sc, args):
+    """Per argument, the raw values the chain registers must end on: a_0
+    .. a_{n-1} of the trace for a forward evaluator; for an inverse one
+    the trace, and the finished value in the last register.  cot's
+    RegI{i} holds the value after absorb step i, so its chain starts one
+    step into the trace."""
     n, m = sc.config.n, sc.config.m
+    if sc.group == 1:
+        return [[t.raw for t in fbe_expand_trace(sc.spec, x, n, m)[1][:n]] for x in args]
     first = sc.config.function == "cot"
     chains = []
     for ds in args:
@@ -311,26 +314,47 @@ def inverse_chains(sc, args):
 
 
 def chain_divergence(sc, args, chains, finals):
-    """The first digit string whose chain registers differ from chains,
+    """The first argument whose chain registers differ from chains,
     named with the step, the register and both raw values, or None."""
     regs = [sc.circuit.registers[nm] for nm in sc.chain]
-    for ds, want, state in zip(args, chains, finals):
+    for x, want, state in zip(args, chains, finals):
         for i, (w, reg) in enumerate(zip(want, regs)):
             got = reg.extract(state)
             if got != w:
-                return f"digits {ds.text()}: step {i}, {reg.name} wanted raw {w}, got {got}"
+                name = f"digits {x.text()}" if sc.group == 2 else f"input {x}"
+                return f"{name}: step {i}, {reg.name} wanted raw {w}, got {got}"
     return None
+
+
+@pytest.mark.parametrize("fn, n, m", [(fn, 4, 8) for fn in FORWARD] + [("log", 6, 10)]
+                         + [(fn, n, 10) for fn in INVERSE for n in (6, 8)])
+def test_every_variant_at_the_workload_sizes_exhaustive(fn, n, m):
+    # the benchmark's sizes: every valid input of each distinct variant
+    # of fn, both policies and square methods, one batch per circuit:
+    # outputs, every chain register against the trace, clean ancillas
+    # and the inverse
+    args = None
+    for policy, square in itertools.product(
+            ("garbage", "clean"), [sq for f, sq in VARIANTS if f == fn]):
+        sc = synthesize(SynthConfig(fn, n, m, policy, square))
+        if args is None:
+            args, want = every_input(sc)  # once per size
+            chains = trace_chains(sc, args)
+        run = exhaustive_run(sc, args)
+        assert chain_divergence(sc, args, chains, run[2]) is None, (policy, square)
+        assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
 
 
 @pytest.mark.parametrize("fn, n, m, inputs", [
     ("arccot", 6, 10, 1023), ("cot", 8, 12, 256),
-    # cot at the workload sizes, and at (12, 8), whose chain wraps from step 5
-    ("cot", 6, 10, 64), ("cot", 8, 10, 256), ("cot", 12, 8, 4096)])
+    # (12, 8), whose cot chain wraps from step 5; the workload sizes are
+    # in test_every_variant_at_the_workload_sizes_exhaustive
+    ("cot", 12, 8, 4096)])
 def test_writeback_control_exhaustive(fn, n, m, inputs):
     # arccot and cot run each step's scratch blocks with no freeze or
     # latch control and control only the writes into the next chain
     # register.  Each cot step also squares and roots only the bits
-    # cot_chain_bounds lets the value it reads reach, so every cot chain
+    # cot_chain_bounds lets the value it reads reach, so every chain
     # register is checked against the trace as well.  Every valid input,
     # both policies and both square methods
     args = None
@@ -338,11 +362,10 @@ def test_writeback_control_exhaustive(fn, n, m, inputs):
         sc = synthesize(SynthConfig(fn, n, m, policy, square))
         if args is None:
             args, want = every_input(sc)  # once per size
-            chains = inverse_chains(sc, args) if fn == "cot" else None
+            chains = trace_chains(sc, args)
         assert len(args) == inputs
         run = exhaustive_run(sc, args)
-        if chains:
-            assert chain_divergence(sc, args, chains, run[2]) is None, (policy, square)
+        assert chain_divergence(sc, args, chains, run[2]) is None, (policy, square)
         assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
 
 
@@ -358,7 +381,7 @@ def test_digit_tables_then_computed_steps_exhaustive(fn):
         sc = synthesize(SynthConfig(fn, n, m, policy))
         args, want = every_input(sc)
         run = exhaustive_run(sc, args)
-        assert chain_divergence(sc, args, inverse_chains(sc, args), run[2]) is None, (n, m, policy)
+        assert chain_divergence(sc, args, trace_chains(sc, args), run[2]) is None, (n, m, policy)
         assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (n, m, policy)
 
 
@@ -372,7 +395,7 @@ def test_cot_step_one_bit_narrower_is_caught(monkeypatch, narrow):
     widths = synth._cot_step_widths
     sc = synthesize(SynthConfig("cot", n, m))
     args, _ = every_input(sc)
-    chains = inverse_chains(sc, args)
+    chains = trace_chains(sc, args)
     finals = exhaustive_run(sc, args)[2]
     for step in range(synth.TABLE_DIGITS, n):
         def narrowed(bound, q, calls=itertools.count(synth.TABLE_DIGITS), step=step):
@@ -403,7 +426,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "be71d2353be18adaa9acbd6fa88885d4c33d907f4624255dab63935365303205"
+BUILDER_DIGEST = "09fcd18169b7e13a6563558c9a66b67e2d0d55c814328bccabe914cf14375b1f"
 
 
 def test_builder_circuits_digest_and_gate_checks():
