@@ -233,11 +233,9 @@ def increment(b: Builder, bits):
 
 
 def decrement(b: Builder, bits):
-    bits = tuple(bits)
-    if bits:
-        b.flip(bits[0])
-    for i in range(1, len(bits)):
-        b.flip(bits[i], [(bits[j], True) for j in range(i)])
+    """bits -= 1 mod 2^w; exact inverse of increment."""
+    with b.inverted():
+        increment(b, bits)
 
 
 def negate_bits(b: Builder, bits):
@@ -286,9 +284,9 @@ def rotate_right1(b: Builder, bits):
 
 
 def rotate_left1(b: Builder, bits):
-    bits = tuple(bits)
-    for i in range(len(bits) - 2, -1, -1):
-        b.swap2(bits[i], bits[i + 1])
+    """Cyclic shift toward the msb; exact inverse of rotate_right1."""
+    with b.inverted():
+        rotate_right1(b, bits)
 
 
 @contextmanager
@@ -503,8 +501,9 @@ def build_shift(width: int, k: int, direction: str = "left") -> Circuit:
     """Cyclic shift by k places built from swap ladders.
 
     This is a rotation: it equals the logical shift exactly when the k
-    bits that wrap around are zero, which callers must arrange (see
-    shift_wraps for the check the verifier applies).
+    bits that wrap around are zero, which callers must arrange.
+    shift_wraps names those inputs; acceptance criterion 6 skips them,
+    while `fbe verify blocks` checks the full rotation.
     """
     if direction not in ("left", "right"):
         raise CircuitError(f"bad shift direction {direction!r}")

@@ -24,8 +24,6 @@ from .fixedpoint import (
     WidthMismatch,
     _raw_of,
     _shown,
-    _trunc_raw,
-    from_value,
     make,
 )
 
@@ -59,13 +57,10 @@ class DigitString:
     """Digits in display order (most significant first).
 
     value() reads them as the fraction 0.d0 d1 d2 ... in the given radix.
-    lsb_first records that the consuming recurrence absorbs them from the
-    right end, which is how the Group 2 chains are wired.
     """
 
     digits: tuple[int, ...]
     radix: int = 2
-    lsb_first: bool = False
 
     def __post_init__(self):
         for d in self.digits:
@@ -578,169 +573,12 @@ def ifbe_evaluate_trace(spec: FunctionSpec, digits: DigitString, m: int):
     return spec.finish(st, digits.digits, lay), [make(raw, lay) for raw in trace]
 
 
-def oracle_eval(spec: FunctionSpec, arg, n: int, m: int, factor: int = 4):
-    """The same recurrence at factor*m bits, the reference everything is
-    judged against."""
+def oracle_eval(spec: FunctionSpec, arg, n: int, m: int):
+    """The same recurrence at 4m bits, the reference everything is judged
+    against."""
     if spec.group == 1:
-        return fbe_expand(spec, arg, n, factor * m)
-    return ifbe_evaluate(spec, arg, factor * m)
-
-
-# ------------------------------------------------------- domain reduction
-
-@dataclass(frozen=True)
-class DomainReduction:
-    """x = y * 2^(+shift or -shift) with y in [1,2)."""
-
-    y: Fraction
-    shift: int
-    direction: str  # "right" when x was divided down, "left" when doubled
-
-    @property
-    def exponent(self) -> int:
-        return self.shift if self.direction == "right" else -self.shift
-
-
-def log2_domain_reduce(x: NumberLike) -> DomainReduction:
-    v = _as_fraction(x)
-    if v <= 0:
-        raise DomainError(f"log2 needs a positive input, got {v}")
-    shift = 0
-    direction = "right"
-    while v >= 2:
-        v /= 2
-        shift += 1
-    while v < 1:
-        v *= 2
-        shift += 1
-        direction = "left"
-    return DomainReduction(v, shift, direction)
-
-
-# ------------------------------------------------------------- derived set
-
-def _auto_fixed(v: Fraction, frac_bits: int) -> FixedPoint:
-    t = _trunc_raw(v, frac_bits)
-    int_bits = max(1, (abs(t) >> frac_bits).bit_length() + 1)
-    return make(t, Layout(int_bits, frac_bits, True))
-
-
-def _const(expr: str, prec: int = 60) -> Fraction:
-    # stdlib decimal gives ln/log10 constants to plenty of digits
-    from decimal import Decimal, getcontext
-
-    getcontext().prec = prec
-    d = {
-        "ln2": Decimal(2).ln(),
-        "log10_2": Decimal(2).log10(),
-        "log2_e": 1 / Decimal(2).ln(),
-    }[expr]
-    return Fraction(d)
-
-
-def _frac_bits_of(v: Fraction, n: int) -> DigitString:
-    # exact binary digits of 0 <= v < 1, truncated at n
-    digits = []
-    for _ in range(n):
-        v *= 2
-        d = int(v)
-        digits.append(d)
-        v -= d
-    return DigitString(tuple(digits), 2)
-
-
-def _log2_digits_value(x: Fraction, n: int, m: int) -> Fraction:
-    red = log2_domain_reduce(x)
-    if red.y == 1:
-        frac = Fraction(0)
-    else:
-        ds = fbe_expand(get_spec("log2"), red.y, n, m)
-        frac = ds.value()
-    return red.exponent + frac
-
-
-def derived_eval(name: str, x: NumberLike, frac_bits: int) -> FixedPoint:
-    """Functions reached through identities on the built-in recurrences.
-
-    ln and log10 rescale log2; arcsin and arctan are complements of
-    arccos and arccot divided by pi; exp_e routes through exp2; sin and
-    tan read cos and cot at the shifted argument.  Angular functions work
-    in turns: arcsin/arctan return f/pi, sin/tan take x as a fraction of
-    pi.  Results are truncated toward zero at frac_bits.
-    """
-    v = _as_fraction(x)
-    q = frac_bits
-    guard = q + 12
-    wide = 4 * guard + 8
-
-    if name in ("ln", "log10"):
-        scale = _const("ln2") if name == "ln" else _const("log10_2")
-        return _auto_fixed(_log2_digits_value(v, guard, wide) * scale, q)
-    if name == "arcsin":
-        if not Fraction(-1) <= v <= 1:
-            raise DomainError("arcsin domain is [-1,1]")
-        ds = fbe_expand(get_spec("arccos"), v, guard, wide)
-        return _auto_fixed(Fraction(1, 2) - ds.value(), q)
-    if name == "arctan":
-        ds = fbe_expand(get_spec("arccot"), v, guard, wide)
-        return _auto_fixed(Fraction(1, 2) - ds.value(), q)
-    if name == "exp_e":
-        if not Fraction(0) <= v < 1:
-            raise DomainError("exp_e wants x in [0,1)")
-        y = v * _const("log2_e")
-        yi = int(y)
-        ds = _frac_bits_of(y - yi, guard)
-        out, _ = ifbe_evaluate(get_spec("exp2"), ds, wide)
-        return _auto_fixed(out.value * (1 << yi), q)
-    if name == "sin":
-        if not Fraction(0) <= v < 1:
-            raise DomainError("sin works on x in [0,1) turns")
-        d = abs(v - Fraction(1, 2))
-        out, _ = ifbe_evaluate(get_spec("cos"), _frac_bits_of(d, guard), wide)
-        return _auto_fixed(out.value, q)
-    if name == "tan":
-        if not Fraction(0) < v < Fraction(1, 2):
-            raise DomainError("tan works on x in (0,1/2) turns")
-        d = Fraction(1, 2) - v
-        out, _ = ifbe_evaluate(get_spec("cot"), _frac_bits_of(d, guard), wide)
-        return _auto_fixed(out.value, q)
-    raise DomainError(f"unknown derived function {name!r}")
-
-
-# ------------------------------------------------------------ arctan digits
-
-def plouffe_arctan_bits(x: NumberLike, n: int, frac_bits: int,
-                        int_bits: int = 4) -> DigitString:
-    """Digits of arctan(x)/pi by the doubling recurrence a -> 2a/(1-a^2).
-
-    a = +-1 maps to the minus-infinity sentinel (digit 1, then zero).  An
-    update that leaves the representable range saturates to the same
-    sentinel; that behavior is a documented convention, not asserted math.
-    """
-    v = _as_fraction(x)
-    if v < 0:
-        raise DomainError("doubling recurrence wants x >= 0")
-    lay = Layout(int_bits, frac_bits, True)
-    a = from_value(v, lay, exact=False).value
-    hi = Fraction(1 << (int_bits - 1))
-    digits = []
-    sentinel = False
-    for _ in range(n):
-        if sentinel:
-            digits.append(1)
-            sentinel = False
-            a = Fraction(0)
-            continue
-        digits.append(1 if a < 0 else 0)
-        if abs(a) == 1:
-            sentinel = True
-            continue
-        nxt = 2 * a / (1 - a * a)
-        if abs(nxt) >= hi:
-            sentinel = True
-            continue
-        a = from_value(nxt, lay, exact=False).value
-    return DigitString(tuple(digits), 2)
+        return fbe_expand(spec, arg, n, 4 * m)
+    return ifbe_evaluate(spec, arg, 4 * m)
 
 
 # ------------------------------------------------------------- error budget
@@ -751,7 +589,6 @@ class ErrorBudget:
     n: int
     m: int
     q: int
-    per_step: Fraction
     bound: Optional[Fraction]
     bound_text: str
     guaranteed_exact_bits: int
@@ -785,23 +622,23 @@ def error_budget(name: str, n: int, m: int) -> ErrorBudget:
         else:
             w = max(-lo, hi)
             bits = (w.denominator // w.numerator).bit_length() - 1
-        return ErrorBudget(name, n, m, q, step, None,
+        return ErrorBudget(name, n, m, q, None,
                            "strict claim: all m digits exact at n = m "
                            "(fails; see group1_value_bound)", bits)
     if name == "arccos":
         bound = Fraction(1, 1 << (q // 2 + 1)) - step
-        return ErrorBudget(name, n, m, q, step, bound,
+        return ErrorBudget(name, n, m, q, bound,
                            "value error below 2^-(q/2+1) - 2^-q",
                            m // 2 + 1)
     if name == "exp2":
-        return ErrorBudget(name, n, m, q, step, Fraction(4, 1 << q),
+        return ErrorBudget(name, n, m, q, Fraction(4, 1 << q),
                            "value error below 2^-(q-2)", m - 2)
     if name in ("cos", "cos-signed"):
         bound = Fraction((1 << n) + 1, 1 << q)
-        return ErrorBudget(name, n, m, q, step, bound,
+        return ErrorBudget(name, n, m, q, bound,
                            "value error below (2^n + 1) 2^-q", max(0, m - n))
     if name == "cot":
-        return ErrorBudget(name, n, m, q, step, None,
+        return ErrorBudget(name, n, m, q, None,
                            "almost all m bits claimed exact (empirical, "
                            "unquantified)", m)
     raise DomainError(f"no budget entry for {name!r}")

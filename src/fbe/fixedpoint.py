@@ -4,8 +4,9 @@ Every operation here is width-preserving, wraps modulo 2**width, and
 truncates toward zero on the magnitude.  That discipline matches what the
 reversible arithmetic blocks compute bit for bit, so this module doubles
 as the classical reference for the circuit layer.  The raw integer forms
-of the non-restoring square root and division loops live here as well;
-the block builders replay the same stage sequence in gates.
+of the non-restoring square root and division loops live here as well,
+as exact references: acceptance criterion 6 and tests/test_blocks.py
+compare the outputs of the gate blocks against them.
 """
 
 from __future__ import annotations
@@ -182,8 +183,10 @@ def nonrestoring_isqrt(n: int) -> tuple[int, int]:
 
     Returns (root, remainder) with root**2 + remainder == n and
     root == floor(sqrt(n)).  The loop works in a fixed frame: u starts at
-    n and each stage adds or subtracts the partial-root operand, which is
-    exactly how the in-place gate version runs.
+    n, each stage adds or subtracts the partial-root operand, and a final
+    correction leaves the true remainder.  It is a reference for the
+    root, not a replay of the gate walk, which takes one add per stage,
+    runs in windows and skips the final correction.
     """
     if n < 0:
         raise DomainError("negative radicand")

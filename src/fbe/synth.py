@@ -45,7 +45,7 @@ from .blocks import (
     square,
     square_width,
 )
-from .circuit import Circuit, CircuitError
+from .circuit import Circuit, CircuitError, export_text
 from .expansion import (
     DigitString,
     FunctionSpec,
@@ -150,10 +150,6 @@ class SynthesizedCircuit:
                 state |= 1 << (rego.start + i)
         return state
 
-    def run(self, arg) -> int:
-        state = self.encode_input(arg) if self.group == 1 else self.encode_digits(arg)
-        return self.circuit.simulate_basis(state)
-
     def decode_digits(self, state: int) -> DigitString:
         rego = self.circuit.registers["RegO"]
         raw = rego.extract(state)
@@ -173,8 +169,6 @@ class SynthesizedCircuit:
                 for nm in self.chain]
 
     def export(self) -> str:
-        from .circuit import export_text
-
         return export_text(self.circuit)
 
 
@@ -204,9 +198,8 @@ def _prefix_tables(b: Builder, spec: FunctionSpec, lay: Layout, digits, regs) ->
 
 # ----------------------------------------------------------------- forward
 
-def _synth_log(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
+def _synth_log(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder(cfg.policy)
     rego = b.reg("RegO", "output", n, int_bits=1)
     regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
     wides = [b.scratch("AncW", square_width(m - 1, cfg.square_method), i)
@@ -230,12 +223,11 @@ def _synth_log(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         with b.controls([(d, True)]):
             rotate_left1(b, a)
     b.flip(rego.bits[n - 1], [(regs[n - 1].bits[m - 1], True)])
-    return b.finish(), [r.name for r in regs]
+    return regs
 
 
-def _synth_arccos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
+def _synth_arccos(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder(cfg.policy)
     rego = b.reg("RegO", "output", n, int_bits=0)
     regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
     wides = [b.scratch("AncW", square_width(m - 1, cfg.square_method), i)
@@ -272,12 +264,11 @@ def _synth_arccos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     b.flip(d, [(a[m - 1], True)])
     b.flip(d, [(z, True)])
     _zero_test(b, z, a)
-    return b.finish(), [r.name for r in regs]
+    return regs
 
 
-def _synth_arccot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
+def _synth_arccot(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder(cfg.policy)
     rego = b.reg("RegO", "output", n, int_bits=0)
     regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
     # square scratch doubles as the division frame, one guard bit on top
@@ -333,14 +324,13 @@ def _synth_arccot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     b.flip(d, [(z, True)])
     b.flip(anc1, [(z, True)])
     _zero_test(b, z, a)
-    return b.finish(), [r.name for r in regs]
+    return regs
 
 
 # ----------------------------------------------------------------- inverse
 
-def _synth_exp(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
+def _synth_exp(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
     regs = _chain(b, lay, ["garbage"] * n + ["output"])
     tab = min(n, TABLE_DIGITS)
@@ -364,12 +354,11 @@ def _synth_exp(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         if root_t:
             copy_bits(b, root_t, nxt)
         b.uncompute(mk)
-    return b.finish(), [r.name for r in regs]
+    return regs
 
 
-def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
+def _synth_cos(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
     regs = _chain(b, lay, ["garbage"] * n + ["output"])
     tab = min(n, TABLE_DIGITS)
@@ -404,7 +393,7 @@ def _synth_cos(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     with b.controls([(p, True)]):
         negate_bits(b, regs[n].bits)  # the top digit decides the sign
     b.flip(p, [(rego.bits[n - 1], True)])
-    return b.finish(), [r.name for r in regs]
+    return regs
 
 
 def _cot_step_widths(bound: int, q: int) -> tuple[int, int]:
@@ -413,9 +402,8 @@ def _cot_step_widths(bound: int, q: int) -> tuple[int, int]:
     return bound.bit_length(), ((bound * bound + (1 << 2 * q)).bit_length() + 1) // 2
 
 
-def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
+def _synth_cot(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
-    b = Builder(cfg.policy)
     rego = b.reg("RegO", "input", n, int_bits=0)
     regs = _chain(b, lay, ["garbage"] * (n - 1) + ["output"])
     # each step squares and roots only the bits its chain value can
@@ -459,7 +447,7 @@ def _synth_cot(cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     with b.controls([(p, True)]):
         negate_bits(b, regs[n - 1].bits)
     b.flip(p, [(rego.bits[n - 1], True)])
-    return b.finish(), [r.name for r in regs]
+    return regs
 
 
 _SYNTH = {
@@ -480,5 +468,6 @@ def synthesize(config: SynthConfig) -> SynthesizedCircuit:
     """
     spec = get_spec(SYNTH_SPEC[config.function])
     lay = spec.layout(config.m, config.n)
-    circuit, chain = _SYNTH[config.function](config, spec, lay)
-    return SynthesizedCircuit(config, spec, lay, circuit, chain)
+    b = Builder(config.policy)
+    regs = _SYNTH[config.function](b, config, spec, lay)
+    return SynthesizedCircuit(config, spec, lay, b.finish(), [r.name for r in regs])

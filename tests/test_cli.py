@@ -348,6 +348,10 @@ def test_verify_all_deterministic_and_exit_1(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 1
     assert "verdict: FAIL" in out
+    # every suite line, its case counts and notes included, is pinned
+    assert len(out.splitlines()) == 17
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "daafe4a94890f6c6ca8a9f6d74104d4c77bac389da7c178d6fd5561d6711cdbf")
     src = str(Path(__file__).resolve().parents[1] / "src")
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)

@@ -14,7 +14,6 @@ from fbe.expansion import (
     DigitString,
     builtin_specs,
     cot_chain_bounds,
-    derived_eval,
     error_budget,
     fbe_expand,
     fbe_expand_trace,
@@ -23,10 +22,8 @@ from fbe.expansion import (
     group1_value_enclosure,
     ifbe_evaluate,
     ifbe_evaluate_trace,
-    log2_domain_reduce,
     oracle_eval,
     parse_digits,
-    plouffe_arctan_bits,
 )
 from fbe.fixedpoint import DomainError, FixedOverflow, FixedPointError, make, render
 
@@ -96,24 +93,6 @@ def test_exp2_identity_and_trace():
     assert out.value == 1
     out, _ = ifbe_evaluate(spec, parse_digits(".1011"), 16)
     assert abs(float(out.value) - 2 ** 0.6875) < 1e-3
-
-
-def test_domain_reduce_frozen():
-    r = log2_domain_reduce(6)
-    assert (r.y, r.shift, r.direction, r.exponent) == (Fraction(3, 2), 2, "right", 2)
-    r = log2_domain_reduce(Fraction(1, 2))
-    assert (r.y, r.shift, r.direction, r.exponent) == (Fraction(1), 1, "left", -1)
-    with pytest.raises(DomainError):
-        log2_domain_reduce(0)
-
-
-def test_derived_ln2_frozen():
-    assert render(derived_eval("ln", 2, 8)) == "0.10110001"
-
-
-def test_plouffe_frozen():
-    assert plouffe_arctan_bits(1, 4, 16).digits == (0, 1, 0, 0)
-    assert plouffe_arctan_bits(Fraction(1, 2), 8, 32).digits == (0, 0, 1, 0, 0, 1, 0, 1)
 
 
 def test_ternary_frozen():
@@ -488,24 +467,3 @@ def test_group1_value_bound_holds_and_can_fail(name, m):
             v = DigitString(tuple(flipped)).value()
             assert f_hi - v <= lo or f_lo - v >= hi, (name, x, k)
     assert cases == {"log2-wide": 3 << (m - 2), "arccot": (1 << m) - 1}[name]
-
-
-def test_derived_values_against_math():
-    cases = [
-        ("ln", Fraction(3, 2), math.log(1.5)),
-        ("log10", 5, math.log10(5)),
-        ("arcsin", Fraction(1, 2), 1 / 6),
-        ("arctan", 1, 0.25),
-        ("exp_e", Fraction(1, 4), math.exp(0.25)),
-        ("sin", Fraction(1, 4), math.sin(math.pi / 4)),
-        ("tan", Fraction(1, 8), math.tan(math.pi / 8)),
-    ]
-    for name, x, want in cases:
-        out = derived_eval(name, x, 16)
-        assert abs(float(out.value) - want) < 2 ** -13, name
-
-
-def test_plouffe_saturation_is_sentinel():
-    # close to 1 the update explodes; it must saturate instead of raising
-    ds = plouffe_arctan_bits(Fraction(255, 256), 6, 8, int_bits=3)
-    assert len(ds.digits) == 6
