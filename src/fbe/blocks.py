@@ -473,27 +473,13 @@ def div_frame_width(num_bits: int, d_bits: int, q_bits: int) -> int:
 
 # ---------------------------------------------------------- block circuits
 
-def build_adder(width: int, variant: str = "full", frac_bits: int = 0) -> Circuit:
-    """|a>|b> -> |a>|a+b mod 2^w>, or the in-place +1 variants.
-
-    variant "increment_low" adds one unit in the last place,
-    "increment_int_low" adds one at the unit column of an int.frac
-    register (the step the chained evaluators use to fold constants in).
-    """
+def build_adder(width: int) -> Circuit:
+    """|a>|b> -> |a>|a+b mod 2^w>."""
     b = Builder()
-    if variant == "full":
-        a = b.reg("A", "input", width)
-        s = b.reg("B", "output", width)
-        anc = b.reg("Anc", "ancilla-clean", 1)
-        add_into(b, a.bits, s.bits, anc.bits[0])
-    elif variant == "increment_low":
-        s = b.reg("B", "output", width)
-        increment(b, s.bits)
-    elif variant == "increment_int_low":
-        s = b.reg("B", "output", width, frac_bits=frac_bits)
-        increment(b, s.bits[frac_bits:])
-    else:
-        raise CircuitError(f"unknown adder variant {variant!r}")
+    a = b.reg("A", "input", width)
+    s = b.reg("B", "output", width)
+    anc = b.reg("Anc", "ancilla-clean", 1)
+    add_into(b, a.bits, s.bits, anc.bits[0])
     return b.finish()
 
 

@@ -658,8 +658,10 @@ class Circuit:
     def resource_count(self) -> dict:
         """Raw tallies plus a decomposition into the two-control set.
 
-        mcx with k controls is priced at 2(k-1)-1 toffolis and k-2 borrow
-        ancillas; swap is 3 cx; cswap is 1 ccx and 2 cx.
+        mcx with k controls is priced at 2k-3 toffolis and k-2 ancillas,
+        the V-chain over clean ancillas (borrowed dirty ones would cost
+        4(k-2), Barenco et al., quant-ph/9503016, section 7); swap is 3
+        cx; cswap is 1 ccx and 2 cx.
         """
         kinds = dict.fromkeys(("x", "cx", "ccx", "mcx", "swap", "cswap", "h"), 0)
         kinds.update(Counter(map(itemgetter(0), self.gates)))
@@ -668,7 +670,7 @@ class Circuit:
         mcx = [(k, n) for k, n in widths.items() if k >= 3]
         ccx_equiv = kinds["ccx"] + kinds["cswap"] + sum(n * (2 * k - 3) for k, n in mcx)
         cx_equiv = kinds["cx"] + 2 * kinds["cswap"] + 3 * kinds["swap"]
-        borrow = max((k - 2 for k, _ in mcx), default=0)
+        clean = max((k - 2 for k, _ in mcx), default=0)
         roles: dict[str, int] = {}
         for r in self.registers.values():
             roles[r.role] = roles.get(r.role, 0) + r.size
@@ -678,19 +680,17 @@ class Circuit:
             "by_kind": kinds,
             "toffoli_equivalent": ccx_equiv,
             "cx_equivalent": cx_equiv,
-            "decomposition_ancillas": borrow,
+            "decomposition_ancillas": clean,
             "qubits_by_role": roles,
         }
 
 
 # ------------------------------------------------------------- text format
 
-def export_text(c: Circuit, expand_negative_controls: bool = False) -> str:
-    """Serialize; neg controls keep their ! prefix unless expansion into
-    x-conjugated positive controls is requested, each negative control a
-    positive one between two x lines on its qubit.  Each distinct gate is
-    formatted once, however often the list repeats it, and each qubit's
-    operand once."""
+def export_text(c: Circuit) -> str:
+    """Serialize; a negative control carries a ! prefix.  Each distinct
+    gate is formatted once, however often the list repeats it, and each
+    qubit's operand once."""
     lines = [f"qubits {c.n_qubits}"]
     for r in c.registers.values():
         hi = r.start + r.size - 1
@@ -706,17 +706,12 @@ def export_text(c: Circuit, expand_negative_controls: bool = False) -> str:
         if text is None:
             kind, targets, controls, neg = g
             ops = list(map(names.__getitem__, controls + targets))
-            flips = ""
             while neg:
                 low = neg & -neg
                 i = low.bit_length() - 1
-                if expand_negative_controls:
-                    flips += f"x {ops[i]}\n"
-                else:
-                    ops[i] = "!" + ops[i]
+                ops[i] = "!" + ops[i]
                 neg ^= low
-            text = f"{kind} {','.join(ops)}"
-            text = done[g] = f"{flips}{text}\n{flips[:-1]}" if flips else text
+            text = done[g] = f"{kind} {','.join(ops)}"
         lines.append(text)
     return "\n".join(lines) + "\n"
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import random
 import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import checks
+from . import blocks, checks, fixedpoint
 from .circuit import CircuitError, import_text
 from .expansion import (
     DigitString,
@@ -283,10 +284,6 @@ def verify_group2(args) -> list[VerificationReport]:
 
 
 def verify_blocks(args) -> list[VerificationReport]:
-    import math
-
-    from . import blocks, fixedpoint
-
     t0 = time.perf_counter()
     cases = matches = 0
 

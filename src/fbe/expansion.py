@@ -585,62 +585,21 @@ def oracle_eval(spec: FunctionSpec, arg, n: int, m: int):
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    function: str
-    n: int
-    m: int
-    q: int
-    bound: Optional[Fraction]
+    bound: Fraction
     bound_text: str
-    guaranteed_exact_bits: int
 
 
 def error_budget(name: str, n: int, m: int) -> ErrorBudget:
-    """Advertised accuracy per function at digit count n, width m.
-
-    Group 1 entries record the strict digit claim (all m digits equal to
-    the high-precision expansion at n = m), which `fbe verify
-    group1-exact` reports red: a value within an ulp of f(x) can still
-    differ in every digit (.0111... against .1000...).  The proven
-    guarantee for those recurrences is group1_value_bound, and their
-    guaranteed_exact_bits is the largest k with both ends of that bound
-    within 2^-k (m - 3 for log2-wide at n = m, about q + 1 for arccot),
-    or 0 where no bound is proven.  Group 2
-    entries are value bounds on |chain - exact|.  These restate the
-    analysis the constructions were designed around; the verification
-    suite reports how each one fares.
-    """
-    spec = get_spec(name)
-    lay = spec.layout(m, n)
-    q = lay.frac_bits
-    step = Fraction(1, 1 << q)
-    if name in ("log2", "log2-wide", "arccot", "log2-ternary",
-                "log2-quaternary", "log2-quaternary-wide"):
-        try:
-            lo, hi = group1_value_bound(name, n, m)
-        except (DomainError, WidthMismatch):
-            bits = 0
-        else:
-            w = max(-lo, hi)
-            bits = (w.denominator // w.numerator).bit_length() - 1
-        return ErrorBudget(name, n, m, q, None,
-                           "strict claim: all m digits exact at n = m "
-                           "(fails; see group1_value_bound)", bits)
-    if name == "arccos":
-        bound = Fraction(1, 1 << (q // 2 + 1)) - step
-        return ErrorBudget(name, n, m, q, bound,
-                           "value error below 2^-(q/2+1) - 2^-q",
-                           m // 2 + 1)
+    """The value bound on |chain - exact| of the exp2 and cos recurrences
+    at digit count n, width m, which `fbe verify group2-bounds` checks.
+    These restate the analysis the constructions were designed around.
+    Group 1's proven accuracy statement is group1_value_bound."""
+    q = get_spec(name).layout(m, n).frac_bits
     if name == "exp2":
-        return ErrorBudget(name, n, m, q, Fraction(4, 1 << q),
-                           "value error below 2^-(q-2)", m - 2)
-    if name in ("cos", "cos-signed"):
-        bound = Fraction((1 << n) + 1, 1 << q)
-        return ErrorBudget(name, n, m, q, bound,
-                           "value error below (2^n + 1) 2^-q", max(0, m - n))
-    if name == "cot":
-        return ErrorBudget(name, n, m, q, None,
-                           "almost all m bits claimed exact (empirical, "
-                           "unquantified)", m)
+        return ErrorBudget(Fraction(4, 1 << q), "value error below 2^-(q-2)")
+    if name == "cos":
+        return ErrorBudget(Fraction((1 << n) + 1, 1 << q),
+                           "value error below (2^n + 1) 2^-q")
     raise DomainError(f"no budget entry for {name!r}")
 
 

@@ -103,15 +103,14 @@ def make(raw: int, layout: Layout) -> FixedPoint:
     return FixedPoint(raw % (1 << layout.width), layout.int_bits, layout.frac_bits, layout.signed)
 
 
-def from_value(value: Rational, layout: Layout, exact: bool = True) -> FixedPoint:
-    """Encode a rational.  exact=True raises unless representable;
-    otherwise the magnitude truncates toward zero first."""
-    return make(_raw_of(Fraction(value), layout, exact), layout)
+def from_value(value: Rational, layout: Layout) -> FixedPoint:
+    """Encode a rational; raises unless representable."""
+    return make(_raw_of(Fraction(value), layout), layout)
 
 
-def _raw_of(v: Rational, layout: Layout, exact: bool = True) -> int:
+def _raw_of(v: Rational, layout: Layout) -> int:
     """from_value's raw pattern, checks and errors for v, an int or a Fraction."""
-    if exact and (1 << layout.frac_bits) % v.denominator:
+    if (1 << layout.frac_bits) % v.denominator:
         raise DomainError(f"{_shown(v)} not representable with {layout.frac_bits} frac bits")
     t = _trunc_raw(v, layout.frac_bits)
     lo = -(1 << (layout.width - 1)) if layout.signed else 0
@@ -131,11 +130,6 @@ def add(a: FixedPoint, b: FixedPoint) -> FixedPoint:
     return make(a.raw + b.raw, a.layout)
 
 
-def sub(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    _check_same(a, b)
-    return make(a.raw - b.raw, a.layout)
-
-
 def negate(a: FixedPoint) -> FixedPoint:
     """Two's-complement negation.  The most negative value maps to itself."""
     if not a.signed:
@@ -153,13 +147,6 @@ def shift(a: FixedPoint, k: int) -> FixedPoint:
     if k >= 0:
         return make(a.raw << k, a.layout)
     return make(a.raw >> (-k), a.layout)
-
-
-def increment(a: FixedPoint, bit: int = 0) -> FixedPoint:
-    """Add one unit at the given bit position (0 = lsb)."""
-    if not 0 <= bit < a.width:
-        raise WidthMismatch(f"bit {bit} outside width {a.width}")
-    return make(a.raw + (1 << bit), a.layout)
 
 
 def _trunc_raw(value: Rational, frac_bits: int) -> int:

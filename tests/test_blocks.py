@@ -116,18 +116,6 @@ def test_increment_decrement_negate():
                 assert c.simulate_basis(x) == ref(x) % (1 << w)
 
 
-def test_adder_increment_variants():
-    c = build_adder(4, "increment_low")
-    for x in range(16):
-        assert c.simulate_basis(x) == (x + 1) % 16
-    # unit column of a 2.3 register is bit 3
-    c = build_adder(5, "increment_int_low", frac_bits=3)
-    for x in range(32):
-        assert c.simulate_basis(x) == (x + 8) % 32
-    with pytest.raises(CircuitError):
-        build_adder(4, "halve")
-
-
 def test_rotation_ladders():
     for w in (2, 3, 5):
         b = Builder()

@@ -1,7 +1,9 @@
 """Circuit IR: simulation against a naive reference, text round-trips."""
 
+import copy
 import hashlib
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -359,6 +361,8 @@ def test_sparse_planes_cancelled_targets(monkeypatch):
     assert run.__code__.co_code == (lambda P, c0: None).__code__.co_code
     under = [(2, 2, _XOR, 0, 0), (0, 0, _XOR, 4, 0)]
     states = list(range(16))
+    # a program that touches no qubit passes the states through
+    assert circuit._run_planes(c._prepared(0), states) == states
     for run in planes_kernels(under, monkeypatch):
         assert circuit._run_planes(under, states, kernel=run) == [s ^ 4 for s in states]
 
@@ -923,6 +927,12 @@ def test_gate_validation():
         Gate("mcx", (0,), (1, 2))  # needs >= 3 controls
     with pytest.raises(CircuitError):
         Gate("cx", (0,), (1,), neg_mask=2)
+    with pytest.raises(CircuitError, match=r"^qubit 5 outside 0\.\.2$"):
+        Circuit(3).add(Gate("cx", (5,), (0,)))
+    # copy and pickle rebuild the record through __getnewargs__
+    g = Gate("ccx", (2,), (0, 1), 1)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(twin) is Gate and twin == g
 
 
 def test_xgate_helper():
@@ -973,6 +983,9 @@ def test_register_validation():
     c = Circuit(3)
     with pytest.raises(CircuitError):
         c.add_register(Register("A", "input", 0, 4, 2, 2))
+    for start, size in ((0, 0), (-1, 4)):
+        with pytest.raises(CircuitError, match="^A: bad span$"):
+            Register("A", "input", start, size, size, 0)
 
 
 @pytest.mark.parametrize("name", ["A B", "A#1", "", "A\nx q[0]"],
@@ -999,16 +1012,6 @@ def test_export_import_roundtrip():
     assert export_text(c2) == text  # byte stable
 
 
-def test_export_expand_negative_controls():
-    rng = random.Random(29)
-    c = random_circuit(rng, 6, 80)
-    text = export_text(c, expand_negative_controls=True)
-    assert "!" not in text
-    c2 = import_text(text)
-    for s in range(64):
-        assert c2.simulate_basis(s) == c.simulate_basis(s)
-
-
 def test_import_error_lines():
     with pytest.raises(CircuitError, match="line 2"):
         import_text("qubits 4\nfrob q[1]\n")
@@ -1028,6 +1031,11 @@ def test_import_error_lines():
     with pytest.raises(CircuitError, match="^line 1: more than 1048576 qubits"):
         import_text("qubits " + "9" * 5000 + "\n")
     assert import_text("qubits 0001048576\n").n_qubits == 1 << 20
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(CircuitError, match="^empty circuit text$"):
+            import_text(text)
+    with pytest.raises(CircuitError, match="^line 2: bad register span$"):
+        import_text("qubits 4\nreg A input 0-3 int_bits 4 frac_bits 0\n")
 
 
 # int() alone reads each of these as a number
@@ -1090,13 +1098,12 @@ def test_export_memo_matches_per_gate():
     c = synthesize(SynthConfig("cos", n=6, m=5, policy="clean")).circuit
     assert len({id(g) for g in c.gates}) < len(c.gates)
     assert any(g.neg_mask for g in c.gates)
-    for expand in (False, True):
-        want = [f"qubits {c.n_qubits}"] + export_text(c, expand).splitlines()[1:1 + len(c.registers)]
-        for g in c.gates:
-            one = Circuit(c.n_qubits)
-            one.add(g)
-            want += export_text(one, expand).splitlines()[1:]
-        assert export_text(c, expand) == "\n".join(want) + "\n"
+    want = [f"qubits {c.n_qubits}"] + export_text(c).splitlines()[1:1 + len(c.registers)]
+    for g in c.gates:
+        one = Circuit(c.n_qubits)
+        one.add(g)
+        want += export_text(one).splitlines()[1:]
+    assert export_text(c) == "\n".join(want) + "\n"
 
 
 FUZZ_CHARS = "!,[]0123456789 "

@@ -147,6 +147,18 @@ def test_synth_report_comments(capsys):
     assert "reg RegO output" in out
 
 
+def test_synth_report_is_pinned(capsys):
+    # the report lines (by-kind, qubits-by-role, ...) and the text of every
+    # family at the default sizes
+    digest = hashlib.sha256()
+    for fn in ("log", "arccos", "arccot", "exp", "cos", "cot"):
+        code, out, _ = run(capsys, "synth", fn, "--report")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "e0a459c2476e43830bbe78c382d4402f8ddc53ecc3630ee7ffb2969a83ac256b")
+
+
 def test_synth_report_names_no_square_for_exp_and_cos(capsys):
     # exp and cos never square: both methods give one text, reported as none
     for fn, want in (("exp", "none"), ("cos", "none"), ("log", None)):
@@ -226,6 +238,10 @@ def test_sim_refuses_digit_input_without_a_value_output(capsys, tmp_path):
     code, out, err = run(capsys, "sim", str(path), ".1")
     assert (code, out) == (2, "")
     assert err == f"error: {path}: RegO is not an output, and no RegI register is one\n"
+    path.write_text("qubits 1\nreg RegO output 0..0 int_bits 0 frac_bits 1\n")
+    code, out, err = run(capsys, "sim", str(path), ".1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: missing RegO/RegI0 register headers\n"
 
 
 @pytest.mark.parametrize("line, where", [

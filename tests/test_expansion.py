@@ -420,25 +420,18 @@ def test_trace_shapes():
 # ------------------------------------------------------------- error budget
 
 def test_error_budget_entries():
-    b = error_budget("exp2", 8, 12)
-    assert b.q == 11 and b.bound == Fraction(4, 1 << 11)
-    assert b.guaranteed_exact_bits == 10
-    b = error_budget("cos", 6, 12)
-    assert b.q == 10 and b.bound == Fraction(65, 1 << 10)
-    assert b.guaranteed_exact_bits == 6
-    b = error_budget("arccos", 8, 16)
-    assert b.q == 14 and b.guaranteed_exact_bits == 9
-    assert b.bound == Fraction(1, 1 << 8) - Fraction(1, 1 << 14)
-    # group 1: what group1_value_bound proves, not the strict digit claim
-    b = error_budget("log2-wide", 10, 10)
-    assert b.bound is None and b.guaranteed_exact_bits == 7
+    # exp2 at (8, 12) has q = 11 frac bits, cos at (6, 12) q = 10
+    assert error_budget("exp2", 8, 12).bound == Fraction(4, 1 << 11)
+    assert error_budget("cos", 6, 12).bound == Fraction(65, 1 << 10)
+    # group 1's accuracy statement is group1_value_bound; nothing else
+    # has an entry
+    for name in ("log2-wide", "arccos", "cot"):
+        with pytest.raises(DomainError, match="no budget entry"):
+            error_budget(name, 10, 10)
     lo, hi = group1_value_bound("log2-wide", 10, 10)
     assert lo == 0 and Fraction(1, 1 << 8) < hi <= Fraction(1, 1 << 7)
-    b = error_budget("arccot", 10, 10)
-    assert b.guaranteed_exact_bits == 6
     lo, hi = group1_value_bound("arccot", 10, 10)
     assert Fraction(1, 1 << 7) < hi <= Fraction(1, 1 << 6) and -lo < hi
-    assert error_budget("log2", 10, 10).guaranteed_exact_bits == 0
 
 
 @pytest.mark.parametrize("name", ("log2-wide", "arccot"))
