@@ -18,18 +18,18 @@ anc, each a few big-int operations.  Synthesis applies each block under
 the digit that chooses it, so most entries share one or two context
 controls: _nest then folds each run of entries that share a context into
 one block entry, tested once per state, and nests again inside it.
-Basis simulation runs the flat program through the kernel _run, one
-state at a time, and the compiled one as the Python code fbe.codegen
-writes out, each entry an if statement on s with its op inline.  Every
-entry but h maps basis states one to one, so the sparse mode runs each
-h-free stretch of either program as a permutation of its terms, with
-amplitudes following their terms, and splits amplitudes only at the h
-entries between stretches.  A stretch of up to 11 terms goes through
-_run term by term; a stretch of more goes through _run_planes once,
-bit-sliced, one int per touched qubit with a bit per term, its entries
-run by the interpreter _planes on the flat program and, on the compiled
-one from its second bit-sliced run, as the Python code fbe.codegen writes
-out over the planes.  Compile keeps masks only for the qubits gates
+The program's stage picks the kernel.  The flat program runs through
+the interpreter _run, one state or term at a time, in both modes.  The
+compiled one runs in basis mode as the Python code fbe.codegen writes
+out, each entry an if statement on s with its op inline, and in sparse
+mode bit-sliced through _run_planes at any term count, one int per
+touched qubit with a bit per term.  Every entry but h maps basis states
+one to one, so the sparse mode runs each h-free stretch as a permutation
+of its terms, with amplitudes following their terms, and splits
+amplitudes only at the h entries between stretches (_split, the one
+place that handles h).  A stretch's first bit-sliced batch goes through
+the interpreter _planes, later ones as the Python code fbe.codegen
+writes out over the planes.  Compile keeps masks only for the qubits gates
 touch, so its memory does not grow with the declared qubit count.  Gate
 lists, resource counts and the text form never see the fusion, the
 nesting or the generated code.
@@ -76,9 +76,6 @@ _XOR, _ADD, _SWAP, _H, _BLK, _RADD = 0, 1, 2, 3, 4, 5
 # (BENCH_two_stages.json).  superposition's first round call, 1 + 64
 # terms, crosses it; synth-grid's 3 states per circuit do not.
 _COMPILE_AFTER = 65
-# terms from which a sparse stretch runs bit-sliced; below it _run term
-# by term is faster on nested programs (crossover 11-15 terms)
-_PLANES_FROM = 12
 ROLES = ("input", "output", "ancilla-clean", "garbage")
 # largest qubits header import_text accepts
 MAX_TEXT_QUBITS = 1 << 20
@@ -341,31 +338,20 @@ def _fuse_adders(gates) -> list:
 
 
 def _run(prog, s: int) -> int:
-    """Run basis state s through compiled entries (cm, cv, op, mask,
-    step); the one kernel both simulation modes share.  Each entry acts
-    when s & cm == cv, a block by running its entries, and every op but
-    h maps basis states one to one.  A register add reads src and anc off
-    s and adds (src + anc) * step to the field, step being +-2^lo with lo
-    the field's lowest qubit, masked to the field so that it wraps."""
+    """Run basis state s through the flat program's entries (cm, cv, op,
+    mask, step), h-free: each acts when s & cm == cv and maps basis states
+    one to one.  The compiled program runs as generated code instead."""
     for cm, cv, op, mask, step in prog:
         if s & cm == cv:
             if op == _XOR:
                 s ^= mask
-            elif op == _BLK:
-                s = _run(mask, s)
             elif op == _ADD:
                 v = s & mask
                 s ^= (v ^ (v + step)) & mask
-            elif op == _RADD:
-                dm, sm, lo, a = mask
-                v = s & dm
-                s ^= (v ^ (v + (((s & sm) >> lo) + (s >> a & 1)) * step)) & dm
             elif op == _SWAP:
                 v = s & mask
                 if v and v != mask:
                     s ^= mask
-            else:  # an h entry always fires
-                raise CircuitError("h gate present, use simulate_sparse")
     return s
 
 
@@ -383,44 +369,43 @@ def _touched(prog) -> int:
 
 
 def _run_planes(prog, states, qubits=None, touched=None, kernel=None) -> list[int]:
-    """Run the distinct basis states through h-free compiled entries at
-    once, bit-sliced (Biham, FSE 1997): one int per touched qubit whose
-    bit k is that qubit in states[k].  An entry's condition is the AND
-    of its control planes, negative controls complemented, within the
-    condition of the blocks around it: a block whose condition is empty
-    is skipped whole.  _XOR flips its target planes under the condition,
-    _ADD ripples a carry (step > 0) or a borrow up the field from its
-    lowest qubit until the plane empties, dropping what leaves the top
-    as the wrap of _run does, _RADD does the same with a full adder or
-    subtractor per src qubit, anc's plane the carry or borrow in, and
-    _SWAP exchanges its two planes under it.  Only the touched qubits,
-    the OR of every cm | mask through the blocks (a register add's src
-    and anc too), are packed and unpacked; a qubit equal in every term
-    gets a constant plane, and untouched bits pass through.  Packing a
-    qubit that varies, and unpacking, go through one character per qubit
-    and term, so both take time and memory linear in the term count.  qubits
-    maps a mask to its qubits, lowest first (Circuit._qubits), and
-    touched is _touched(prog) when the caller has it already.  The
-    entries run through kernel, codegen.planes(prog, qubits[touched],
-    qubits), when given, and through the interpreter _planes if not."""
+    """Run the distinct basis states through the h-free entries of a
+    compiled stretch at once, bit-sliced (Biham, FSE 1997): one int per
+    touched qubit whose bit k is that qubit in states[k].  An entry's
+    condition is the AND of its control planes, negative controls
+    complemented, within the condition of the blocks around it: a block
+    whose condition is empty is skipped whole.  _XOR flips its target
+    planes under the condition, _ADD ripples a carry (step > 0) or a
+    borrow up the field from its lowest qubit until the plane empties,
+    dropping what leaves the top so that the field wraps, _RADD does the
+    same with a full adder or subtractor per src qubit, anc's plane the
+    carry or borrow in, and _SWAP exchanges its two planes under it.
+    Only the touched qubits, the OR of every cm | mask through the blocks
+    (a register add's src and anc too), are packed and unpacked; a qubit
+    equal in every term gets a constant plane, and untouched bits pass
+    through.  The pack writes the varying qubits of every term as one
+    term-major string and reads each plane off it with a strided slice,
+    the mirror of the unpack, so both take time and memory linear in the
+    term count.  qubits maps a mask to its qubits, lowest first
+    (Circuit._qubits), and touched is _touched(prog) when the caller has
+    it already.  The entries run through kernel, codegen.planes(prog,
+    qubits[touched], qubits), when given, and through the interpreter
+    _planes if not."""
     qs = _Memo(_qubits_of) if qubits is None else qubits
     if touched is None:
         touched = _touched(prog)
     if not touched:  # only uncontrolled entries whose targets cancelled
         return list(states)
     full = (1 << len(states)) - 1
-    every = reduce(and_, states)
-    some = reduce(or_, states)
     order = qs[touched]
-    planes = []
-    for q in order:
-        b = 1 << q
-        if not some & b:
-            planes.append(0)
-        elif every & b:
-            planes.append(full)
-        else:
-            planes.append(int("".join(["01"[s >> q & 1] for s in reversed(states)]), 2))
+    # pack: term k's varying qubits, msb first, are the k-th last block of
+    # span characters, so qubit q's plane is every span-th character
+    every = reduce(and_, states)
+    vary = (reduce(or_, states) ^ every) & touched
+    span = vary.bit_length()
+    packed = "".join([format(s & vary, f"0{span}b") for s in reversed(states)])
+    planes = [int(packed[span - 1 - q::span], 2) if vary >> q & 1 else full * (every >> q & 1)
+              for q in order]
     if kernel is None:
         by_qubit = dict(zip(order, planes))
         _planes(prog, by_qubit, full, qs)
@@ -486,8 +471,6 @@ def _planes(prog, planes, within, qs):
             pa, pb = planes[a], planes[b]
             d = (pa ^ pb) & cond
             planes[a], planes[b] = pa ^ d, pb ^ d
-        else:
-            raise CircuitError("h gate present, use simulate_sparse")
 
 
 class Circuit:
@@ -557,16 +540,17 @@ class Circuit:
         return self._program
 
     def _split(self, prog):
-        """The program split for simulate_sparse: one [entries, touched,
-        kernel, h] list per stretch between h entries, h the mask of the
-        h entry that ends the stretch, 0 after the last one.  touched,
-        the OR of the entries' cm | mask through the blocks (_touched),
-        is None until the stretch first runs bit-sliced: a program run
-        one term at a time never needs it.  kernel, the stretch as
-        generated code (codegen.planes), is None until the stretch of
-        the compiled program runs bit-sliced a second time, and stays
-        None for the flat one.  Made on the first sparse run of each
-        program, flat or nested, and dropped when the program is."""
+        """The program split at its h entries, the one place that handles
+        h: one [entries, touched, kernel, h] list per h-free stretch, h
+        the mask of the h entry that ends the stretch, 0 after the last
+        one.  h entries sit only at the top level (_nest), so no stretch
+        holds one, and no kernel checks for h.  touched, the OR of the
+        entries' cm | mask through the blocks (_touched), is None until
+        the stretch of the compiled program first runs bit-sliced.
+        kernel, the stretch as generated code (codegen.planes), is None
+        until it runs bit-sliced a second time.  Made on the first run of
+        each program, flat or nested, that needs it, and dropped when the
+        program is."""
         if self._stretches is None:
             self._stretches = []
             lo = 0
@@ -585,11 +569,14 @@ class Circuit:
         """Run one computational-basis state through the gate list: the
         flat program through _run, then, from the run that reaches
         _COMPILE_AFTER, the compiled program as generated Python code
-        (codegen.kernel)."""
+        (codegen.kernel).  A circuit with an h gate is refused before
+        anything runs or is generated."""
         self._check_state(state)
         run = self._generated
         if run is None:
             prog = self._prepared(1)
+            if len(self._split(prog)) > 1:
+                raise CircuitError("h gate present, use simulate_sparse")
             if self._runs < _COMPILE_AFTER:
                 return _run(prog, state)
             # imported here: a circuit run fewer times never compiles it
@@ -602,16 +589,15 @@ class Circuit:
         """Exact sparse-state simulation from one basis state or a
         {state: amplitude} dict.  Every entry but h is a bijection on
         basis states, so each stretch between h entries permutes the
-        terms, each keeping its amplitude: fewer than _PLANES_FROM terms
-        run through _run one by one, that many or more through
-        _run_planes together, a stretch of the flat program through the
-        interpreter _planes, one of the compiled program as the Python
-        code codegen.planes writes out, generated on its second such run
-        (the first goes through _planes).
-        The stretches, the qubits each one touches and its generated code
-        come from _split, once per program.  The terms of the start
-        count towards _COMPILE_AFTER.  h splits amplitudes by 1/sqrt(2)
-        and drops the terms that cancel to zero.
+        terms, each keeping its amplitude.  The program's stage picks the
+        kernel: a stretch of the flat program runs through _run term by
+        term, one of the compiled program through _run_planes, all terms
+        at once, first through the interpreter _planes, then as the
+        Python code codegen.planes writes out, generated on its second
+        run.  The stretches, the qubits each one touches and its
+        generated code come from _split, once per program.  The terms of
+        the start count towards _COMPILE_AFTER.  h splits amplitudes by
+        1/sqrt(2) and drops the terms that cancel to zero.
         Raises SimulationLimit once an entry leaves more than cap terms."""
         amps = {state: 1.0 + 0j} if isinstance(state, int) else dict(state)
         for s in amps:
@@ -622,13 +608,13 @@ class Circuit:
         for part in self._split(prog):
             stretch, touched, run, mask = part
             if stretch:
-                if len(amps) >= _PLANES_FROM:
+                if compiled:
                     if touched is None:
                         # the first run goes through _planes: a one-shot
                         # batch of thousands of terms would not win back
                         # the 0.2-0.5 s of generating the code
                         touched = part[1] = _touched(stretch)
-                    elif run is None and compiled:
+                    elif run is None:
                         # imported here: a circuit run fewer times never
                         # compiles it
                         from .codegen import planes

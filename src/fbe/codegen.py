@@ -1,21 +1,21 @@
 """Translate a nested compiled program into Python source and compile it.
 
-Two writers share one chunker.  kernel(prog) returns a function of one
-basis state that does what circuit._run(prog, s) does, without the
-interpreter loop: each entry is written out as `if s & cm == cv:` and
-its op inline, a block as an indented body, so a state pays for a few
-big-int operations per entry and no tuple unpacking or op dispatch.
-Circuit.simulate_basis runs every state through it once the circuit
-holds its compiled program (see circuit._COMPILE_AFTER).  planes(prog,
-order, qubits) returns a function of a list of bit-sliced planes, plane
-i being qubit order[i], and the condition of the terms it runs, that
-does what circuit._planes does on them: each entry is written out as
-`c1 = c0 & P[3] & ~P[7]` and `if c1:`, its op inline on the planes, a
-block as an indented body under its own condition variable.
-Circuit.simulate_sparse runs each stretch of the compiled program
-through it when the stretch runs bit-sliced.  The source holds only
-ints (the basis writer's masks formatted :#x, the planes writer's
-plane indices in decimal) and fixed text.
+Two writers share one chunker, and both take h-free programs: h is
+handled by Circuit._split alone.  kernel(prog) returns a function of one
+basis state that runs the compiled program on it: each entry is written
+out as `if s & cm == cv:` and its op inline, a block as an indented
+body, so a state pays for a few big-int operations per entry and no
+tuple unpacking or op dispatch.  Circuit.simulate_basis runs every state
+through it once the circuit holds its compiled program (see
+circuit._COMPILE_AFTER).  planes(prog, order, qubits) returns a function
+of a list of bit-sliced planes, plane i being qubit order[i], and the
+condition of the terms it runs, that does what circuit._planes does on
+them: each entry is written out as `c1 = c0 & P[3] & ~P[7]` and
+`if c1:`, its op inline on the planes, a block as an indented body under
+its own condition variable.  Circuit.simulate_sparse runs each stretch
+of the compiled program through it from the stretch's second bit-sliced
+run on.  The source holds only ints (the basis writer's masks formatted
+:#x, the planes writer's plane indices in decimal) and fixed text.
 
 Compile's transient memory grows with the source it parses, so the
 source is compiled in functions of at most CHUNK_LINES lines each:
@@ -28,7 +28,7 @@ circuits never run that many states or terms never compiles it.
 
 from __future__ import annotations
 
-from .circuit import _ADD, _BLK, _RADD, _SWAP, _XOR, CircuitError
+from .circuit import _ADD, _BLK, _RADD, _SWAP, _XOR
 
 # source lines per compiled function: kernel() on cot clean reversed-sqrt
 # at n=6 m=10 peaks at 15.2 MB traced as one function, at 1.9 MB in
@@ -36,11 +36,11 @@ from .circuit import _ADD, _BLK, _RADD, _SWAP, _XOR, CircuitError
 CHUNK_LINES = 400
 # indentation levels within one function; Python's tokenizer stops at 100
 MAX_DEPTH = 40
-_H_RAISES = 'raise CircuitError("h gate present, use simulate_sparse")'
 
 
 def _op(op, mask, step) -> list[str]:
-    """The lines of one non-block entry's op, as _run does it."""
+    """The lines of one non-block entry's op, _XOR, _ADD and _SWAP as
+    _run does them."""
     if op == _XOR:
         return [f"s ^= {mask:#x}"] if mask else []
     if op == _ADD:
@@ -54,12 +54,9 @@ def _op(op, mask, step) -> list[str]:
         return [f"v = s & {dm:#x}",
                 f"s ^= (v ^ (v {sign} ((((s & {sm:#x}) >> {lo:#x}) + (s >> {a:#x} & 1))"
                 f" << {shift:#x}))) & {dm:#x}"]
-    if op == _SWAP:
-        return [f"v = s & {mask:#x}",
-                f"if v and v != {mask:#x}:",
-                f"    s ^= {mask:#x}"]
-    # an h entry always fires, as in _run
-    return [_H_RAISES]
+    return [f"v = s & {mask:#x}",  # _SWAP
+            f"if v and v != {mask:#x}:",
+            f"    s ^= {mask:#x}"]
 
 
 def _cond(cm: int, cv: int) -> str:
@@ -145,10 +142,8 @@ class _Planes:
             if len(dst) == len(src):  # no carry out: the field wraps
                 return lines[:-1], 0
             return lines + _ripple(dst[len(src):], step > 0), 2
-        if op == _SWAP:
-            a, b = self.planes(mask)
-            return [f"k = (P[{a}] ^ P[{b}]) & {c}", f"P[{a}] ^= k", f"P[{b}] ^= k"], 0
-        return [_H_RAISES], 0
+        a, b = self.planes(mask)  # _SWAP
+        return [f"k = (P[{a}] ^ P[{b}]) & {c}", f"P[{a}] ^= k", f"P[{b}] ^= k"], 0
 
 
 class _Kernel:
@@ -157,7 +152,7 @@ class _Kernel:
 
     def __init__(self, writer):
         self.write = writer
-        self.ns = {"CircuitError": CircuitError}
+        self.ns = {}
         self.defined = 0
 
     def define(self, lines: list[str], level: int) -> str:
@@ -214,7 +209,8 @@ def _compiled(writer, prog):
 
 
 def kernel(prog):
-    """A compiled function of a basis state s, equal to _run(prog, s)."""
+    """A compiled function of a basis state s that runs the h-free
+    compiled program prog on it."""
     return _compiled(_Basis(), prog)
 
 
@@ -222,6 +218,6 @@ def planes(prog, order, qubits):
     """A compiled function of a plane list P, plane i being qubit
     order[i], and the condition c0 of the terms it runs, that does in
     place what _planes(prog, planes, c0, qubits) does; order holds every
-    qubit the h-free entries touch, and qubits maps a mask to its
-    qubits, lowest first."""
+    qubit the entries touch, and qubits maps a mask to its qubits,
+    lowest first."""
     return _compiled(_Planes(order, qubits), prog)

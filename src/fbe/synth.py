@@ -141,6 +141,8 @@ class SynthesizedCircuit:
             raise CircuitError(f"{self.config.function} takes a number, not digits")
         if isinstance(digits, str):
             digits = parse_digits(digits)
+        if digits.radix != 2:
+            raise CircuitError(f"digits of radix {digits.radix}, the circuit reads radix 2")
         if len(digits.digits) != self.config.n:
             raise CircuitError(f"expected {self.config.n} digits, got {len(digits.digits)}")
         rego = self.circuit.registers["RegO"]

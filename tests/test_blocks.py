@@ -32,7 +32,7 @@ from fbe.blocks import (
     square_width,
     sub_from,
 )
-from fbe import circuit
+from fbe import circuit, codegen
 from fbe.circuit import _BLK, _RADD, CircuitError, export_text
 from fbe.fixedpoint import Layout, add as fp_add, make, sqrt_nonrestoring
 from fbe.fixedpoint import square as fp_square
@@ -571,7 +571,8 @@ def test_add_under_a_mixed_context_every_state(sign):
     # clear, src of w = 1..3 qubits, dst of w and w + 2, on every basis
     # state, anc set or clear: dst +- (src + anc) where the context holds,
     # every state unchanged elsewhere, one register-add entry, and the
-    # compiled program equal to the gates run one by one
+    # compiled program as generated code (codegen.kernel, the basis
+    # kernel of the compiled stage) equal to the gates run one by one
     emit = add_into if sign > 0 else sub_from
     for w in range(1, 4):
         for wd in (w, w + 2):
@@ -586,13 +587,13 @@ def test_add_under_a_mixed_context_every_state(sign):
             for g in c.gates:
                 circuit._fuse([g], one_by_one, bit, conds)
             assert len(one_by_one) == len(c.gates)
-            compiled = c._prepared(circuit._COMPILE_AFTER)
+            compiled = codegen.kernel(c._prepared(circuit._COMPILE_AFTER))
             for st in range(1 << c.n_qubits):
                 a, y, cin = st >> 2 & (1 << w) - 1, st >> 2 + w & (1 << wd) - 1, st >> anc & 1
                 want = st
                 if st & 3 == 1:
                     want ^= (y ^ (y + sign * (a + cin)) % (1 << wd)) << dst[0]
-                got = circuit._run(compiled, st)
+                got = compiled(st)
                 assert got == circuit._run(one_by_one, st) == want, (sign, w, wd, st)
 
 

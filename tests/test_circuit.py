@@ -367,33 +367,48 @@ def test_sparse_planes_cancelled_targets(monkeypatch):
         assert circuit._run_planes(under, states, kernel=run) == [s ^ 4 for s in states]
 
 
-def test_sparse_stretch_kernels_follow_the_term_count(monkeypatch):
-    # an h between stretches: the one-term and two-term stretches run
-    # through _run, the stretch after three more h holds up to 16 terms
-    # and runs bit-sliced once it holds _PLANES_FROM or more
+def test_sparse_stage_picks_the_kernel(monkeypatch):
+    # an h between two stretches: the flat program runs each sparse
+    # stretch through _run at any term count; the compiled one runs
+    # bit-sliced at any term count, each stretch's first batch through
+    # the interpreter _planes and every later one as generated planes
+    # code, never through _run.  Calls of generated code count under the
+    # generator's name, and every result equals the gate-by-gate reference
     rng = random.Random(59)
-    sizes = []
-    run_planes = circuit._run_planes
+    n = 9
+    c = Circuit(n)
+    c.extend(fusable_circuit(rng, n, 8).gates)
+    c.add(Gate("h", (0,)))
+    c.extend(fusable_circuit(rng, n, 8).gates)
+    calls = []
 
-    def counted(prog, states, *rest):
-        sizes.append(len(states))
-        return run_planes(prog, states, *rest)
+    def counted(name, f, generator=False):
+        def g(*args):
+            calls.append(name)
+            out = f(*args)
+            return counted(name, out) if generator else out
+        return g
 
-    monkeypatch.setattr(circuit, "_run_planes", counted)
-    for trial in range(6):
-        n = 9
-        c = Circuit(n)
-        c.extend(fusable_circuit(rng, n, 8).gates)
-        c.add(Gate("h", (0,)))
-        c.extend(fusable_circuit(rng, n, 8).gates)
-        for q in rng.sample(range(n), 3):
-            c.add(Gate("h", (q,)))
-        c.extend(fusable_circuit(rng, n, 8).gates)
-        s = rng.randrange(1 << n)
-        got, want = c.simulate_sparse(s), ref_sparse(c, s)
-        assert got.keys() == want.keys(), trial
-        assert all(abs(got[k] - want[k]) < 1e-12 for k in want), trial
-    assert sizes and min(sizes) >= circuit._PLANES_FROM
+    for module, name in ((circuit, "_run"), (circuit, "_planes"),
+                         (codegen, "kernel"), (codegen, "planes")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name),
+                                                  module is codegen))
+
+    def kernels(terms):
+        calls.clear()
+        start = {s: complex(i + 1, -i) for i, s in enumerate(rng.sample(range(1 << n), terms))}
+        got, want = c.simulate_sparse(start), ref_sparse(c, start)
+        assert got.keys() == want.keys(), terms
+        assert all(abs(got[k] - want[k]) < 1e-12 for k in want), terms
+        return set(calls)
+
+    for terms in (1, 5, 40):
+        assert kernels(terms) == {"_run"}, terms
+    assert c._runs < circuit._COMPILE_AFTER <= c._runs + 65
+    assert kernels(65) == {"_planes"}  # each stretch's first batch
+    assert check_blocks(c._prepared(0)) >= 1
+    for terms in (1, 5, 64):
+        assert kernels(terms) == {"planes"}, terms
 
 
 def check_blocks(prog, outm=0, outv=0):
@@ -420,7 +435,8 @@ def check_blocks(prog, outm=0, outv=0):
 def test_nest_keeps_program_order_and_results():
     # runs under shared 1-2 bit contexts nest to depth 2 and more; the
     # blocks flatten back to the fused program, and on every basis state
-    # the nested program, the flat one and the gate list agree
+    # the nested program as generated code, the flat one through _run and
+    # the gate list agree
     rng = random.Random(61)
     depths = []
     for trial in range(16):
@@ -439,11 +455,12 @@ def test_nest_keeps_program_order_and_results():
                 assert got.keys() == want.keys(), (trial, s)
                 assert all(abs(got[k] - want[k]) < 1e-12 for k in want), (trial, s)
             continue
+        run = codegen.kernel(nested)
         for s in range(1 << n):
             want = s
             for g in c.gates:
                 want = ref_apply(g, want, n)
-            assert circuit._run(nested, s) == circuit._run(flat, s) == want, (trial, s)
+            assert run(s) == circuit._run(flat, s) == want, (trial, s)
     assert max(depths) >= 2 and min(depths) >= 1
 
 
@@ -496,8 +513,8 @@ def gate_by_gate(gates, n):
 
 
 def adder_program_runs(gates, n):
-    """Every basis state through the adder-fused program, flat (_run)
-    and nested (_run, generated code and _run_planes), and through
+    """Every basis state through the adder-fused program, flat (generated
+    code) and nested (generated code and _run_planes), and through
     simulate_sparse, each against the gate list applied gate by gate;
     returns the flat program."""
     want = gate_by_gate(gates, n)
@@ -506,8 +523,7 @@ def adder_program_runs(gates, n):
     flat = circuit._fuse_adders(c.gates)
     nested = circuit._nest(flat)
     states = list(range(1 << n))
-    assert [circuit._run(flat, s) for s in states] == want
-    assert [circuit._run(nested, s) for s in states] == want
+    assert list(map(codegen.kernel(flat), states)) == want
     assert list(map(codegen.kernel(nested), states)) == want
     assert circuit._run_planes(nested, states) == want
     start = {s: complex(s + 1, -s) for s in states}
@@ -691,8 +707,8 @@ def generated_cases(rng):
 
 def test_generated_kernel_matches_gate_by_gate(monkeypatch):
     # the nested register-add program as generated code, basis and
-    # planes, equals _run and _planes on it and the gate list on every
-    # basis state, whole and cut into functions of at most 6 lines and 2
+    # planes, equals _planes on it and the gate list on every basis
+    # state, whole and cut into functions of at most 6 lines and 2
     # levels, so that runs of entries are split between functions and
     # blocks hoisted into their own
     rng = random.Random(97)
@@ -700,7 +716,6 @@ def test_generated_kernel_matches_gate_by_gate(monkeypatch):
     for gates, n, want in generated_cases(rng):
         nested = circuit._nest(circuit._fuse_adders(gates))
         states = list(range(1 << n))
-        assert [circuit._run(nested, s) for s in states] == want
         assert circuit._run_planes(nested, states) == want
         whole = codegen.kernel(nested)
         with monkeypatch.context() as m:
@@ -740,8 +755,15 @@ def test_generated_kernel_nests_deep(monkeypatch):
     # a staircase of gate pairs under controls {0}, {0, 1}, .. {0..129}
     # nests 129 blocks deep, past the 100 indentation levels Python
     # reads: the generated code, basis and planes, calls functions for
-    # the deep blocks
+    # the deep blocks.  Pair k flips qubits 130 and 131 when qubits 0..k
+    # are all set, so a state's pairs fire as often as its low 130 qubits
+    # have trailing ones
     n = 132
+
+    def by_gates(s):
+        low = s & (1 << 130) - 1
+        return s ^ ((low ^ low + 1).bit_length() - 1 & 1) * (3 << 130)
+
     c = Circuit(n)
     for k in range(130):
         ctl = [(q, True) for q in range(k + 1)]
@@ -752,44 +774,43 @@ def test_generated_kernel_nests_deep(monkeypatch):
     rng = random.Random(101)
     for j in range(n):
         s = (1 << j) - 1 | rng.randrange(4) << 130 if j < 130 else rng.randrange(1 << n)
-        assert run(s) == circuit._run(nested, s) == circuit._run(c._prepared(0), s), j
+        assert run(s) == circuit._run(c._prepared(0), s) == by_gates(s), j
     states = sorted({(1 << j) - 1 | rng.randrange(4) << 130 for j in range(131)})
-    want = [circuit._run(nested, s) for s in states]
+    want = list(map(by_gates, states))
     for run in planes_kernels(nested, monkeypatch):
         assert circuit._run_planes(nested, states, kernel=run) == want
 
 
-def test_generated_kernel_refuses_h():
-    # an h entry raises as _run does, whether the code is generated by
-    # hand or by simulate_basis after _COMPILE_AFTER refused states, and
-    # as _planes does in generated planes code
+def test_generated_kernel_refuses_h(monkeypatch):
+    # simulate_basis refuses a circuit with an h gate before it runs or
+    # generates anything, with one message on both sides of
+    # _COMPILE_AFTER: no state reaches _run and no kernel is generated,
+    # while its sparse runs split at the h as the gate list does
     rng = random.Random(103)
     c = context_circuit(rng, 7, 6)
     c.add(Gate("h", (3,)))
     c.extend(context_circuit(rng, 7, 2).gates)
-    nested = circuit._nest(circuit._fuse_adders(c.gates))
-    run = codegen.kernel(nested)
+    ran = []
+    run, kernel = circuit._run, codegen.kernel
+    monkeypatch.setattr(circuit, "_run", lambda prog, s: ran.append(s) or run(prog, s))
+    monkeypatch.setattr(codegen, "kernel", lambda prog: ran.append(prog) or kernel(prog))
     message = "^h gate present, use simulate_sparse$"
-    for s in (0, 5):
-        for kernel in (run, lambda s: circuit._run(nested, s)):
-            with pytest.raises(CircuitError, match=message):
-                kernel(s)
-    qs = circuit._Memo(circuit._qubits_of)
-    sliced = codegen.planes(nested, qs[circuit._touched(nested)], qs)
-    with pytest.raises(CircuitError, match=message):
-        circuit._run_planes(nested, list(range(16)), kernel=sliced)
-    with pytest.raises(CircuitError, match=message):
-        circuit._run_planes(nested, list(range(16)))
     for s in range(circuit._COMPILE_AFTER + 1):
         with pytest.raises(CircuitError, match=message):
             c.simulate_basis(s % 128)
-    assert c._generated is not None
+    assert c._prepared(0) == circuit._nest(circuit._fuse_adders(c.gates))
+    assert not ran and c._generated is None
+    for s in (0, 5):
+        got, want = c.simulate_sparse(s), ref_sparse(c, s)
+        assert got.keys() == want.keys(), s
+        assert all(abs(got[k] - want[k]) < 1e-12 for k in want), s
 
 
 def test_lazy_modules_wait_for_the_compiled_program():
     # in a fresh interpreter, neither import fbe nor basis and sparse
-    # runs that stay below _COMPILE_AFTER, bit-sliced ones among them,
-    # load codegen or ripple; the run that reaches it loads both
+    # runs that stay below _COMPILE_AFTER, which run term by term
+    # however many terms they hold, load codegen or ripple; the run that
+    # reaches it loads both, and its sparse terms run bit-sliced
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = """if True:
         import sys
@@ -799,6 +820,9 @@ def test_lazy_modules_wait_for_the_compiled_program():
 
         lazy = {"fbe.codegen", "fbe.ripple"}
         assert not lazy & set(sys.modules), "import"
+        sliced = []
+        run_planes = circuit._run_planes
+        circuit._run_planes = lambda *a: sliced.append(len(a[1])) or run_planes(*a)
         c = Circuit(6)
         c.extend([Gate("cx", (1,), (0,)), Gate("ccx", (3,), (1, 2)), Gate("h", (4,)),
                   Gate("cswap", (2, 5), (4,))])
@@ -808,11 +832,11 @@ def test_lazy_modules_wait_for_the_compiled_program():
         for s in range(below):
             d.simulate_basis(s)
         c.simulate_sparse({s: 1.0 + 0j for s in range(below)})
-        assert circuit._PLANES_FROM <= below
-        assert not lazy & set(sys.modules), "runs"
+        assert not sliced and not lazy & set(sys.modules), "runs"
         d.simulate_basis(0)
         c.simulate_sparse(0)
         assert lazy <= set(sys.modules), "compiled"
+        assert sliced == [1, 2], sliced
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
@@ -821,11 +845,11 @@ def test_lazy_modules_wait_for_the_compiled_program():
 
 def test_sparse_split_once_per_program(monkeypatch):
     # the stretches between h entries are cut on the first sparse run of
-    # a program, flat or nested, and reused by later runs; a stretch's
-    # touched mask is walked for once, on its first bit-sliced run, and
-    # its planes code generated once, on its second bit-sliced run of the
-    # compiled program, never for the flat one; all are dropped with the
-    # program
+    # a program, flat or nested, and reused by later runs.  The flat
+    # program runs term by term, so it needs neither touched masks nor
+    # planes code; on the compiled one a stretch's touched mask is walked
+    # for once, on its first bit-sliced run, and its planes code generated
+    # once, on its second; all are dropped with the program
     rng = random.Random(73)
     n = 8
     c = context_circuit(rng, n, 6, with_h=True)
@@ -867,10 +891,9 @@ def test_sparse_split_once_per_program(monkeypatch):
     split = check_split(c._prepared(0))
     assert all(t is None and k is None for _, t, k, _ in split)
     assert not walked(1) and c._stretches is split
-    # the flat program's stretches run bit-sliced through _planes
-    assert walked({s: 1.0 + 0j for s in range(circuit._PLANES_FROM)})
-    assert any(t is not None for _, t, _, _ in split)
-    assert not builds and all(k is None for _, _, k, _ in split)
+    # the flat program's stretches run term by term at any term count
+    assert not walked({s: 1.0 + 0j for s in range(40)}) and c._stretches is split
+    assert not builds and all(t is None and k is None for _, t, k, _ in split)
     start = {s: 1.0 + 0j for s in range(circuit._COMPILE_AFTER)}
     assert walked(start)  # the compiled program gets its own split
     assert check_blocks(c._prepared(0)) >= 1

@@ -475,6 +475,11 @@ def test_config_validation():
         sc2.encode_input(Fraction(1, 2))
     with pytest.raises(CircuitError):
         sc2.encode_digits(DigitString((0, 1, 1)))
+    # digits of another radix are refused, not read as binary: (2, 0) in
+    # radix 3 would encode as binary 10, and radix 4's 13 as binary 11
+    for digits in (DigitString((2, 0), 3), DigitString((1, 3), 4), DigitString((1, 0), 3)):
+        with pytest.raises(CircuitError, match=f"^digits of radix {digits.radix}, "):
+            sc2.encode_digits(digits)
 
 
 def test_synth_spec_covers_all_six():
