@@ -398,28 +398,48 @@ def sqrt_stages(b: Builder, frame, root, stages: int):
 def div_stages(b: Builder, frame, d_bits, q_bits, anc: int, shift: int = 0):
     """Non-restoring division, numerator in frame, divisor read only.
 
-    Produces quo = floor(numerator / D), D = divisor * 2^shift, in q_bits
-    (clean, quotient must fit) and leaves numerator - (quo|1) D in frame:
-    the walk stops at its last quotient bit, with no correction to the
-    remainder, which no caller reads.  frame needs
-    max(num_width, len(d_bits)+shift+len(q_bits)-1) + 1 bits.  The shift
-    places the divisor operand higher instead of materialising a doubled
-    copy.  Stage j subtracts the divisor where the last quotient bit is
-    1 and adds it where it is 0: one uncontrolled add between two
-    complements of the window under that bit, W - X = ~(~W + X).  Under
-    a context only the add takes it (see complemented).
+    Produces quo = floor(N / D), D = divisor * 2^shift, in q_bits (clean)
+    from the numerator N in frame.  The caller owns the precondition
+    D >= 1 and 0 <= N < D 2^t, t = len(q_bits): a zero divisor or a
+    quotient that does not fit t bits is out of scope.  frame needs
+    max(num_width, len(d_bits)+shift+len(q_bits)-1) + 1 bits
+    (div_frame_width).  The shift places the divisor operand higher
+    instead of materialising a doubled copy.  Stage j subtracts the
+    divisor where the last quotient bit is 1 and adds it where it is 0:
+    one uncontrolled add between two complements of the window under
+    that bit, W - X = ~(~W + X).  Under a context only the add takes it
+    (see complemented).
+
+    Each stage runs only on the bits its remainder can reach.  Stage j
+    ends on R_j = N - (2 (quo >> j+1) + 1) D 2^j, and from the
+    precondition R_j lies in [-D 2^j, D 2^j), which fits k+shift+j+1
+    bits for k = len(d_bits).  D 2^j has no bits below j+shift, and an
+    add is exact modulo 2^w on a window of w bits whatever the bits
+    above hold, so adding on the window frame[j+shift : k+shift+j+1]
+    leaves frame[:k+shift+j+1] = R_j in two's complement, its sign, the
+    complement of quotient bit j, in the top bit.  The top stage
+    keeps the whole frame above j+shift.  The bit a window sheds is not
+    flipped back, since nothing runs this walk inverted: callers
+    uncompute by replaying it.  So the walk stops at its last quotient
+    bit, with no correction to the remainder, and leaves
+
+    - frame[:k+shift+1] = N - (quo|1) D mod 2^(k+shift+1), and
+    - frame bit k+shift+1+i = not quo[min(i+1, t-1)],
+
+    which at the exact width div_frame_width gives is
+    frame[k+shift+1:] = ~quo >> 1.
     """
     frame, d_bits, q_bits = tuple(frame), tuple(d_bits), tuple(q_bits)
-    sign = frame[-1]
-    t = len(q_bits)
+    t, k = len(q_bits), len(d_bits)
     for j in range(t - 1, -1, -1):
-        win = frame[j + shift:]
+        top = k + shift + j
         if j == t - 1:
-            sub_from(b, d_bits, win, anc)
+            sub_from(b, d_bits, frame[j + shift:], anc)
         else:
+            win = frame[j + shift:top + 1]
             with complemented(b, win, q_bits[j + 1]):
                 add_into(b, d_bits, win, anc)
-        b.flip(q_bits[j], [(sign, False)])
+        b.flip(q_bits[j], [(frame[top], False)])
 
 
 def square_via_root(b: Builder, src, frame, root_tmp):
@@ -593,8 +613,12 @@ def build_reciprocal(width: int, frac_bits: int, policy: str = "garbage") -> Cir
 
     Divides the constant 2^2q by the register value with the
     non-restoring walk, which is trunc(1/a) at the same layout whenever
-    the true reciprocal fits the width (1/a below 2^int_bits); callers
-    own that precondition, and a zero divisor is out of scope.
+    the true reciprocal fits the width (1/a below 2^int_bits).  That is
+    div_stages' precondition N < D 2^t with N = 2^2q, D = a and
+    t = width, and a zero divisor is out of scope; callers own both.
+    Under garbage the frame R keeps div_stages' windowed end state,
+    2^2q - (quo|1) a in its low width+1 bits and ~quo >> 1 above them;
+    under clean the walk is replayed backwards and R comes out zero.
     """
     b = Builder(policy)
     q = frac_bits

@@ -292,30 +292,30 @@ def _synth_arccot(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout)
         b.flip(anc1, [(z, True)])  # freeze from here on
         with b.controls([(d, True)]):
             negate_bits(b, a)
+        # the trigger step's a = 0 divides 1.0 instead, so its quotient
+        # is 0 as a frozen step's is, whose a holds the sentinel 1.0: no
+        # write into nxt needs the freeze flag
+        b.flip(a[q], [(z, True)])
         # |a| < 1 exactly when no integer bit of the magnitude is set
         _zero_test(b, s, a[q:])
-        # only the writes into nxt wait for the freeze flag; the blocks
-        # that write scratch run regardless, C(V.W.V') = V.C(W).V'
-        frozen = [(anc1, False)]
         with b.compute() as live:
             square(b, cfg.square_method, a[:m - 1], w, root_t, car)
             decrement(b, w[2 * q:])
             with b.controls([(s, True)]):
                 negate_bits(b, w)
             # under garbage the quotient lands in nxt itself
-            with b.controls([] if quot_t else frozen):
-                div_stages(b, w, a[:m - 1], quot_t or nxt[:m - 1], car, shift=1)
+            div_stages(b, w, a[:m - 1], quot_t or nxt[:m - 1], car, shift=1)
         if quot_t:
-            with b.controls(frozen):
-                copy_bits(b, quot_t, nxt[:m - 1])
+            copy_bits(b, quot_t, nxt[:m - 1])
         b.uncompute(live)
         # the sign of |a| < 1 and the digit's cancel: one negation where
         # s xor d, with s holding it around the negation
         b.flip(s, [(d, True)])
-        with b.controls(frozen + [(s, True)]):
+        with b.controls([(s, True)]):
             negate_bits(b, nxt)
         b.flip(s, [(d, True)])
         _zero_test(b, s, a[q:])
+        b.flip(a[q], [(z, True)])
         b.flip(nxt[q], [(anc1, True)])  # frozen chain carries the sentinel
         with b.controls([(d, True)]):
             negate_bits(b, a)

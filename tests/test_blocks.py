@@ -465,6 +465,15 @@ def test_random_wide_blocks():
         assert B.extract(out) == math.isqrt(a)
 
 
+def div_end_frame(nn, dd, dw, shift, t, fw):
+    """The frame div_stages leaves for numerator nn and the dw-bit
+    divisor dd: nn - (quo|1) dd 2^shift in its low dw+shift+1 bits, and
+    not quo[min(i+1, t-1)] in frame bit dw+shift+1+i above them."""
+    quo, low = nn // (dd << shift), dw + shift + 1
+    rem = (nn - (quo | 1) * (dd << shift)) % (1 << low)
+    return rem | sum((~quo >> min(i + 1, t - 1) & 1) << low + i for i in range(fw - low))
+
+
 def test_divider_stage_frame_sizing():
     rng = random.Random(77)
     for dw, t in ((3, 3), (4, 4), (5, 3)):
@@ -482,8 +491,40 @@ def test_divider_stage_frame_sizing():
             got_q = (out >> (fw + dw)) & ((1 << t) - 1)
             assert got_q == nn // dd, (dw, t, nn, dd)
             assert (out >> fw) & ((1 << dw) - 1) == dd
-            # the walk stops at the last quotient bit: nn - (q|1) dd
-            assert out & ((1 << fw) - 1) == (nn - (got_q | 1) * dd) % (1 << fw)
+            # the walk stops at the last quotient bit: nn - (q|1) dd in
+            # frame[:dw+1], and at this exact width ~q >> 1 above it
+            rem = out & ((1 << fw) - 1)
+            assert rem & ((2 << dw) - 1) == (nn - (got_q | 1) * dd) % (2 << dw)
+            assert rem >> dw + 1 == (~got_q >> 1) % (1 << t - 1)
+
+
+def check_every_quotient(dw, t, shift, ctx=0, extra=0):
+    """Run div_stages on every numerator and nonzero dw-bit divisor whose
+    quotient fits t bits, in a frame extra bits wider than
+    div_frame_width and under ctx context qubits, as one batch, and
+    check the full end state.  Returns the number of cases."""
+    num_w = dw + shift + t - 1
+    fw = div_frame_width(num_w, dw + shift, t) + extra
+    b = Builder()
+    ctl = b.alloc(ctx)
+    frame, d, q, anc = b.alloc(fw), b.alloc(dw), b.alloc(t), b.alloc(1)[0]
+    with b.controls([(x, True) for x in ctl]):
+        div_stages(b, frame, d, q, anc, shift)
+    c = b.finish()
+    cases = [(on, nn, dd) for on in range(1 << ctx) for dd in range(1, 1 << dw)
+             for nn in range(min(dd << t + shift, 1 << num_w))]
+    starts = [on | (nn | dd << fw) << ctx for on, nn, dd in cases]
+    for (on, nn, dd), st, out in zip(cases, starts, every_end_state(c, starts)):
+        if ctx and not on:
+            assert out == st, (dw, t, shift, extra, nn, dd)
+            continue
+        quo = nn // (dd << shift)
+        # the windowed frame (div_end_frame), divisor kept, quotient,
+        # anc 0
+        rem = div_end_frame(nn, dd, dw, shift, t, fw)
+        want = on | (rem | dd << fw | quo << fw + dw) << ctx
+        assert out == want, (dw, t, shift, ctx, extra, nn, dd)
+    return len(cases)
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -494,27 +535,17 @@ def test_divider_every_quotient(ctx, shift):
     # where it is set
     for dw in range(1, 6):
         for t in range(1, 6):
-            num_w = dw + shift + t - 1
-            fw = div_frame_width(num_w, dw + shift, t)
-            b = Builder()
-            ctl = b.alloc(ctx)
-            frame, d, q, anc = b.alloc(fw), b.alloc(dw), b.alloc(t), b.alloc(1)[0]
-            with b.controls([(x, True) for x in ctl]):
-                div_stages(b, frame, d, q, anc, shift)
-            c = b.finish()
-            cases = [(on, nn, dd) for on in range(1 << ctx) for dd in range(1, 1 << dw)
-                     for nn in range(min(dd << t + shift, 1 << num_w))]
-            starts = [on | (nn | dd << fw) << ctx for on, nn, dd in cases]
-            for (on, nn, dd), st, out in zip(cases, starts, every_end_state(c, starts)):
-                if ctx and not on:
-                    assert out == st, (dw, t, shift, nn, dd)
-                    continue
-                quo = nn // (dd << shift)
-                rem = (nn - (quo | 1) * (dd << shift)) % (1 << fw)
-                # nn - (quo|1) dd 2^shift in the frame, divisor kept,
-                # quotient, anc 0
-                want = on | (rem | dd << fw | quo << fw + dw) << ctx
-                assert out == want, (dw, t, shift, ctx, nn, dd)
+            check_every_quotient(dw, t, shift, ctx)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_divider_wider_frames(shift):
+    # frames 1-3 bits wider than div_frame_width, dw, t <= 4: the windows
+    # stay where they are, and every frame bit above the top stage's
+    # window holds the sign that stage read, the complement of quo[t-1]
+    cases = sum(check_every_quotient(dw, t, shift, extra=extra)
+                for dw in range(1, 5) for t in range(1, 5) for extra in (1, 2, 3))
+    assert cases == (10800, 21600)[shift]
 
 
 def compiled_adds(c):
@@ -684,7 +715,7 @@ def test_compute_uncompute_follow_the_policy():
 
 # SHA-256 of the concatenated export_text of the 90 block-factory circuits
 # below.  A change that alters them on purpose updates it and says so.
-BLOCKS_DIGEST = "df18ec62f60960500b00b0ec5394be17c91f9d3846c2167c6cbcb7357f4c833e"
+BLOCKS_DIGEST = "7c5a598ea8e6c346a430322cec407717f378c57f2e62fe307246ad344830abef"
 
 
 def test_block_factory_circuits_digest():

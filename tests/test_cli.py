@@ -156,7 +156,7 @@ def test_synth_report_is_pinned(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == (
-        "e0a459c2476e43830bbe78c382d4402f8ddc53ecc3630ee7ffb2969a83ac256b")
+        "137bba4750d8919c36879d4ac4cfeef77fd510c720011dd7567845c3095ccead")
 
 
 def test_synth_report_names_no_square_for_exp_and_cos(capsys):

@@ -346,17 +346,19 @@ def test_every_variant_at_the_workload_sizes_exhaustive(fn, n, m):
 
 
 @pytest.mark.parametrize("fn, n, m, inputs", [
-    ("arccot", 6, 10, 1023), ("cot", 8, 12, 256),
+    ("arccot", 6, 10, 1023), ("arccot", 8, 12, 4095), ("cot", 8, 12, 256),
     # (12, 8), whose cot chain wraps from step 5; the workload sizes are
     # in test_every_variant_at_the_workload_sizes_exhaustive
     ("cot", 12, 8, 4096)])
 def test_writeback_control_exhaustive(fn, n, m, inputs):
     # arccot and cot run each step's scratch blocks with no freeze or
-    # latch control and control only the writes into the next chain
-    # register.  Each cot step also squares and roots only the bits
-    # cot_chain_bounds lets the value it reads reach, so every chain
-    # register is checked against the trace as well.  Every valid input,
-    # both policies and both square methods
+    # latch control.  cot controls only the writes into the next chain
+    # register, and arccot's writes carry no freeze control either: its
+    # trigger step divides 1.0, so a frozen step's quotient is 0.  Each
+    # cot step also squares and roots only the bits cot_chain_bounds
+    # lets the value it reads reach, so every chain register is checked
+    # against the trace as well.  Every valid input, both policies and
+    # both square methods
     args = None
     for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
         sc = synthesize(SynthConfig(fn, n, m, policy, square))
@@ -367,6 +369,51 @@ def test_writeback_control_exhaustive(fn, n, m, inputs):
         run = exhaustive_run(sc, args)
         assert chain_divergence(sc, args, chains, run[2]) is None, (policy, square)
         assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
+
+
+def arccot_flag_gates(sc):
+    """(Anc1, AncZ, the qubit a[q] of each chain register) of an arccot
+    circuit."""
+    regs, q = sc.circuit.registers, sc.layout.frac_bits
+    unit = {regs[nm].start + q: nm for nm in sc.chain}
+    return regs["Anc1"].start, regs["AncZ"].start, unit
+
+
+def test_arccot_trigger_flip_shows_only_in_the_chain():
+    # each step flips a[q] under AncZ around its division, so the
+    # trigger step divides 1.0, not 0.  Without the two flips every
+    # digit, clean ancilla and the inverse stay right on every input:
+    # only the chain registers see them
+    n, m = 4, 8
+    args = None
+    for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
+        sc = synthesize(SynthConfig("arccot", n, m, policy, square))
+        if args is None:
+            args, want = every_input(sc)
+            chains = trace_chains(sc, args)
+        _, z, unit = arccot_flag_gates(sc)
+        flips = [g for g in sc.circuit.gates if g.targets[0] in unit and g.controls == (z,)]
+        assert len(flips) == 2 * (n - 1), (policy, square)
+        sc.circuit.gates = [g for g in sc.circuit.gates if g not in flips]
+        run = exhaustive_run(sc, args)
+        assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
+        assert chain_divergence(sc, args, chains, run[2]) == \
+            "input 0: step 1, RegI1 wanted raw 16, got 110", (policy, square)
+
+
+def test_arccot_freeze_flag_guards_only_the_sentinel():
+    # Anc1 is set under AncZ once per digit and read by nothing but the
+    # n - 1 sentinel flips onto RegI{i+1}[q], with no other control
+    n, m = 4, 8
+    for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
+        sc = synthesize(SynthConfig("arccot", n, m, policy, square))
+        anc1, z, unit = arccot_flag_gates(sc)
+        gates = sc.circuit.gates
+        reads = [(g.controls, g.neg_mask, unit.get(g.targets[0]))
+                 for g in gates if anc1 in g.controls]
+        assert reads == [((anc1,), 0, f"RegI{i}") for i in range(1, n)], (policy, square)
+        writes = [(g.controls, g.neg_mask) for g in gates if anc1 in g.targets]
+        assert writes == [((z,), 0)] * n, (policy, square)
 
 
 @pytest.mark.parametrize("fn", INVERSE)
@@ -426,7 +473,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "09fcd18169b7e13a6563558c9a66b67e2d0d55c814328bccabe914cf14375b1f"
+BUILDER_DIGEST = "cccc2ce02be7d1bf3621babbb841436855cf0468e0edd8a643dd994ba9f9a6ac"
 
 
 def test_builder_circuits_digest_and_gate_checks():
