@@ -113,11 +113,15 @@ class Builder:
         register named role, and every later call hands the same one
         back: each step uncomputes it to zero before the next uses it
         (Bennett's compute-copy-uncompute), so n steps need one register,
-        not n."""
+        not n.  The first call must ask for the widest: a later call
+        for more bits than the register holds raises CircuitError."""
         if not self.clean:
             return self.reg(role if step is None else f"{role}{step}", "garbage", size)
         if role not in self.shared:
             self.shared[role] = self.reg(role, "ancilla-clean", size)
+        if size > self.shared[role].size:
+            raise CircuitError(f"scratch {role}: {size} bits asked, the shared "
+                               f"register holds {self.shared[role].size}")
         return self.shared[role]
 
     @contextmanager
@@ -576,9 +580,10 @@ def build_square(width: int, out_width: Optional[int] = None, drop_low: int = 0,
     p = b.reg("P", "output", out_width)
     root_t = (b.reg("RootT", "ancilla-clean", width).bits
               if method == "reversed_sqrt" else None)
-    anc = b.reg("Anc", "ancilla-clean", 1)
+    # the reversed root walk needs no carry qubit
+    anc = b.reg("Anc", "ancilla-clean", 1).bits[0] if method == "shift_add" else None
     with b.compute() as make:
-        square(b, method, a.bits, wide.bits, root_t, anc.bits[0])
+        square(b, method, a.bits, wide.bits, root_t, anc)
     copy_bits(b, wide.bits[drop_low:drop_low + out_width], p.bits)
     b.uncompute(make)
     return b.finish()

@@ -8,7 +8,6 @@ failure, 2 usage or domain errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import random
 import sys
@@ -138,23 +137,21 @@ def cmd_synth(args) -> int:
 def _load_synthesized(path: str):
     with open(path) as fh:
         c = import_text(fh.read())
-    if "RegO" not in c.registers or "RegI0" not in c.registers:
+    rego = c.registers.get("RegO")
+    # digits out of RegO need a number in RegI0; digits into RegO put
+    # the value in the last RegI* output
+    if rego is None or (rego.role == "output" and "RegI0" not in c.registers):
         raise CircuitError(f"{path}: missing RegO/RegI0 register headers")
-    # a digit input in RegO reads its value off the last RegI* output
-    if c.registers["RegO"].role != "output" and not any(
-            r.role == "output" for r in _chain_registers(c)):
+    if rego.role != "output" and _value_register(c) is None:
         raise CircuitError(f"{path}: RegO is not an output, and no RegI register is one")
     return c
 
 
-def _chain_registers(c) -> list:
-    regs = []
-    for i in itertools.count():
-        r = c.registers.get(f"RegI{i}")
-        if r is None:
-            break
-        regs.append(r)
-    return regs
+def _value_register(c):
+    """The output register RegI{i} of the highest i, or None."""
+    outs = {int(nm[4:]): r for nm, r in c.registers.items()
+            if nm[:4] == "RegI" and nm[4:].isdecimal() and r.role == "output"}
+    return outs[max(outs)] if outs else None
 
 
 def cmd_sim(args) -> int:
@@ -189,7 +186,7 @@ def cmd_sim(args) -> int:
         ds = DigitString(tuple((raw >> i) & 1 for i in range(rego.size)))
         print(f"digits {ds.text(rego.int_bits)}")
     else:
-        out = [r for r in _chain_registers(c) if r.role == "output"][-1]
+        out = _value_register(c)
         fp = make(out.extract(state), Layout(out.int_bits, out.frac_bits, out.signed))
         flag = c.registers.get("Anc1")
         if flag is not None and flag.role == "output" and flag.extract(state):

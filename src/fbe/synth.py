@@ -9,19 +9,21 @@ bit for bit.
 
 The forward evaluators (log, arccos, arccot) read a number from RegI0
 and write digits into RegO; the inverse evaluators (exp, cos, cot) read
-digits from RegO and build the value in the last chain register.  Value
-registers between the ends keep the intermediate chain values, which
-both policies leave in place.  The policy itself belongs to the Builder:
+digits from RegO and build the value in the last chain register.  A
+chain register RegI{i} holds the recurrence's value after step i, and
+both policies leave it in place.  The policy itself belongs to the Builder:
 each step computes into scratch from Builder.scratch, copies out, and
 hands the compute block to Builder.uncompute, which returns that scratch
 to zero under the clean policy and leaves it as garbage otherwise.  So
 under garbage every step gets its own scratch register (AncW0, AncW1,
 ...), and under clean all steps share one (AncW).
 
-An inverse evaluator's chain register after j steps holds one of 2^j
-values, one per digit prefix, so the first TABLE_DIGITS of them are
-written by a table on the digit qubits (_prefix_tables).  Only the steps
-after them compute, and only those take scratch.
+An inverse evaluator's chain value after j steps is one of 2^j values,
+one per digit prefix, so the value after the first TABLE_DIGITS steps is
+written by one table on the digit qubits (_prefix_table).  The registers
+before it would be read by no gate, so they are not allocated: the chain
+starts at the table's register, and only the steps after it compute and
+take scratch.
 """
 
 from __future__ import annotations
@@ -105,6 +107,12 @@ class SynthesizedCircuit:
     holds the i-th displayed digit (most significant first).  For the
     inverse evaluators RegO qubit i holds the digit absorbed at step i,
     which is the string read from the right end (lsb first).
+
+    chain names the value registers in step order; RegI{i} holds the
+    recurrence's value after step i (for cot, after absorb step i).  A
+    forward evaluator keeps RegI0 .. RegI{n-1}.  An inverse one keeps
+    the digit table's register up to the output, the last entry: at
+    n <= TABLE_DIGITS that is the output alone.
     """
 
     def __init__(self, config: SynthConfig, spec: FunctionSpec, layout: Layout,
@@ -179,23 +187,32 @@ def _zero_test(b: Builder, target: int, bits):
     b.flip(target, [(q, False) for q in bits])
 
 
-def _chain(b: Builder, lay: Layout, roles) -> list:
-    """Value registers RegI0, RegI1, ... in the given roles."""
+def _chain(b: Builder, lay: Layout, roles, start: int = 0) -> list:
+    """Value registers RegI{start}, RegI{start+1}, ... in the given roles."""
     return [b.reg(f"RegI{i}", role, lay.width, frac_bits=lay.frac_bits,
-                  signed=lay.signed) for i, role in enumerate(roles)]
+                  signed=lay.signed) for i, role in enumerate(roles, start)]
 
 
-def _prefix_tables(b: Builder, spec: FunctionSpec, lay: Layout, digits, regs) -> list:
-    """Write regs[j] from a table: the chain value after the recurrence
-    absorbs digits[:j+1], one entry per value of those digits, so the
-    register equals the recurrence by construction.  Returns the states
-    after all len(regs) digits, indexed by the integer they spell."""
-    for j, reg in enumerate(regs, 1):
-        # _absorb_raw takes the digits in display order, last absorbed first
-        states = [_absorb_raw(spec, spec.init(lay), [x >> i & 1 for i in reversed(range(j))], lay)
-                  for x in range(1 << j)]
-        lookup(b, digits[:j], [st[0] for st in states], reg.bits)
+def _prefix_table(b: Builder, spec: FunctionSpec, lay: Layout, digits, reg) -> list:
+    """Write reg from a table: the chain value after the recurrence
+    absorbs digits, one entry per value of those digits, so the register
+    equals the recurrence by construction.  Returns the states, indexed
+    by the integer the digits spell."""
+    j = len(digits)
+    # _absorb_raw takes the digits in display order, last absorbed first
+    states = [_absorb_raw(spec, spec.init(lay), [x >> i & 1 for i in reversed(range(j))], lay)
+              for x in range(1 << j)]
+    lookup(b, digits, [st[0] for st in states], reg.bits)
     return states
+
+
+def _square_scratch(b: Builder, cfg: SynthConfig, k: int):
+    """(root_tmp, carry) for square() of k bits: the reversed root walk
+    takes a k-bit root register and shift-and-add a carry qubit, and
+    neither touches the other's."""
+    if cfg.square_method == "reversed_sqrt":
+        return b.reg("AncRoot", "ancilla-clean", k).bits, None
+    return None, b.reg("AncC", "ancilla-clean", 1).bits[0]
 
 
 # ----------------------------------------------------------------- forward
@@ -206,9 +223,7 @@ def _synth_log(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
     wides = [b.scratch("AncW", square_width(m - 1, cfg.square_method), i)
              for i in range(n - 1)]
-    root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
-              if cfg.square_method == "reversed_sqrt" else None)
-    car = b.reg("AncC", "ancilla-clean", 1).bits[0]
+    root_t, car = _square_scratch(b, cfg, m - 1)
 
     for i in range(n - 1):
         a, nxt, w = regs[i].bits, regs[i + 1].bits, wides[i].bits
@@ -234,10 +249,8 @@ def _synth_arccos(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout)
     regs = _chain(b, lay, ["input"] + ["garbage"] * (n - 1))
     wides = [b.scratch("AncW", square_width(m - 1, cfg.square_method), i)
              for i in range(n - 1)]
-    root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
-              if cfg.square_method == "reversed_sqrt" else None)
     z = b.reg("AncZ", "ancilla-clean", 1).bits[0]
-    car = b.reg("AncC", "ancilla-clean", 1).bits[0]
+    root_t, car = _square_scratch(b, cfg, m - 1)
 
     for i in range(n - 1):
         a, nxt, w = regs[i].bits, regs[i + 1].bits, wides[i].bits
@@ -334,18 +347,17 @@ def _synth_arccot(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout)
 def _synth_exp(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
     rego = b.reg("RegO", "input", n, int_bits=0)
-    regs = _chain(b, lay, ["garbage"] * n + ["output"])
     tab = min(n, TABLE_DIGITS)
+    regs = _chain(b, lay, ["garbage"] * (n - tab) + ["output"], tab)
     wides = {i: b.scratch("AncW", 2 * m + 1, i) for i in range(tab, n)}
     root_t = b.reg("AncRoot", "ancilla-clean", m).bits if b.clean and wides else None
     # no gate touches AncC; it stays so that even an all-table circuit
     # has a clean ancilla for the benchmark's dirty-ancilla check to flip
     b.reg("AncC", "ancilla-clean", 1)
 
-    b.flip(regs[0].bits[q])  # a0 = 1
-    _prefix_tables(b, spec, lay, rego.bits, regs[1:tab + 1])
-    for i in range(tab, n):
-        a, nxt, w = regs[i].bits, regs[i + 1].bits, wides[i].bits
+    _prefix_table(b, spec, lay, rego.bits[:tab], regs[0])
+    for i, (cur, after) in enumerate(zip(regs, regs[1:]), tab):
+        a, nxt, w = cur.bits, after.bits, wides[i].bits
         v = rego.bits[i]
         with b.compute() as mk:
             # radicand a << (q + v): the digit selects the placement
@@ -362,8 +374,8 @@ def _synth_exp(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
 def _synth_cos(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
     rego = b.reg("RegO", "input", n, int_bits=0)
-    regs = _chain(b, lay, ["garbage"] * n + ["output"])
     tab = min(n, TABLE_DIGITS)
+    regs = _chain(b, lay, ["garbage"] * (n - tab) + ["output"], tab)
     wides = {i: b.scratch("AncW", 2 * m - 1, i) for i in range(tab, n)}
     root_t = b.reg("AncRoot", "ancilla-clean", m - 1).bits if b.clean and wides else None
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
@@ -371,11 +383,10 @@ def _synth_cos(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     # has a clean ancilla for the benchmark's dirty-ancilla check to flip
     b.reg("AncC", "ancilla-clean", 1)
 
-    b.flip(regs[0].bits[q])  # a0 = 1
-    _prefix_tables(b, spec, lay, rego.bits, regs[1:tab + 1])
+    _prefix_table(b, spec, lay, rego.bits[:tab], regs[0])
     b.flip(p, [(rego.bits[tab - 1], True)])  # p = the last digit absorbed
-    for i in range(tab, n):
-        a, nxt, w = regs[i].bits, regs[i + 1].bits, wides[i].bits
+    for i, (cur, after) in enumerate(zip(regs, regs[1:]), tab):
+        a, nxt, w = cur.bits, after.bits, wides[i].bits
         v = rego.bits[i]
         b.flip(p, [(v, True)])  # p = v xor previous digit
         t = w[q - 1:q + m]  # the 1 +- a scratch at one extra frac bit
@@ -393,7 +404,7 @@ def _synth_cos(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         b.uncompute(mk)
         b.flip(p, [(rego.bits[i - 1], True)])  # back to p = v_i
     with b.controls([(p, True)]):
-        negate_bits(b, regs[n].bits)  # the top digit decides the sign
+        negate_bits(b, regs[-1].bits)  # the top digit decides the sign
     b.flip(p, [(rego.bits[n - 1], True)])
     return regs
 
@@ -407,28 +418,37 @@ def _cot_step_widths(bound: int, q: int) -> tuple[int, int]:
 def _synth_cot(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
     n, m, q = cfg.n, cfg.m, lay.frac_bits
     rego = b.reg("RegO", "input", n, int_bits=0)
-    regs = _chain(b, lay, ["garbage"] * (n - 1) + ["output"])
-    # each step squares and roots only the bits its chain value can
-    # reach (cot_chain_bounds derives the bound); once the chain can wrap,
-    # a^2 + 1 can take 2m+1 bits, so the scratch is sized for a walk of
-    # m+1 stages and the root gets its own m+1 bit register
-    bounds = cot_chain_bounds(lay, n)
     tab = min(n, TABLE_DIGITS)
-    sqs = {i: b.scratch("AncSq", 2 * m + 3, i) for i in range(tab, n)}
-    roots = {i: b.scratch("AncRoot", m + 1, i) for i in range(tab, n)}
+    # RegI{i} holds the value after absorb step i, so the table's
+    # register, after TABLE_DIGITS steps, is RegI{tab - 1}
+    regs = _chain(b, lay, ["garbage"] * (n - tab) + ["output"], tab - 1)
+    # each step squares and roots only the bits its chain value can
+    # reach (cot_chain_bounds derives the bound), and its scratch holds
+    # just those bits; under clean one register serves every step, so
+    # it takes the widest step's width
+    bounds = cot_chain_bounds(lay, n)
+    widths = {i: _cot_step_widths(bounds[i - 1], q) for i in range(tab, n)}
+    sq_w = {i: max(square_width(k, cfg.square_method), 2 * s + 1)
+            for i, (k, s) in widths.items()}
+    rt_w = {i: max(k if cfg.square_method == "reversed_sqrt" else 0, s)
+            for i, (k, s) in widths.items()}
+    if b.clean:
+        sq_w, rt_w = ({i: max(ws.values()) for i in ws} for ws in (sq_w, rt_w))
+    sqs = {i: b.scratch("AncSq", sq_w[i], i) for i in widths}
+    roots = {i: b.scratch("AncRoot", rt_w[i], i) for i in widths}
     anc1 = b.reg("Anc1", "output", 1).bits[0]  # the infinity flag
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
-    car = b.reg("AncC", "ancilla-clean", 1).bits[0]
+    car = b.reg("AncC", "ancilla-clean", 1).bits[0] if widths else None
 
-    # the tables hold the trigger step, which turns the infinity sentinel
+    # the table holds the trigger step, which turns the infinity sentinel
     # into cot(pi/2) = 0 on the first set digit, and the latch with it
-    states = _prefix_tables(b, spec, lay, rego.bits, regs[:tab])
+    states = _prefix_table(b, spec, lay, rego.bits[:tab], regs[0])
     lookup(b, rego.bits[:tab], [st[1] & 1 for st in states], [anc1])
     b.flip(p, [(rego.bits[tab - 1], True)])  # p = the last digit absorbed
-    for i in range(tab, n):
-        a, nxt, w, rt = regs[i - 1].bits, regs[i].bits, sqs[i].bits, roots[i].bits
+    for i, (cur, after) in enumerate(zip(regs, regs[1:]), tab):
+        a, nxt, w, rt = cur.bits, after.bits, sqs[i].bits, roots[i].bits
         v = rego.bits[i]
-        k, s = _cot_step_widths(bounds[i - 1], q)
+        k, s = widths[i]
         b.flip(p, [(v, True)])  # p = v xor previous digit
         # only the write-back into nxt waits for the latch: the blocks
         # around it write scratch or restore a, C(V.W.V') = V.C(W).V'
@@ -447,7 +467,7 @@ def _synth_cot(b: Builder, cfg: SynthConfig, spec: FunctionSpec, lay: Layout):
         _zero_test(b, anc1, nxt)  # uniform latch toggle on a zero value
         b.flip(p, [(rego.bits[i - 1], True)])
     with b.controls([(p, True)]):
-        negate_bits(b, regs[n - 1].bits)
+        negate_bits(b, regs[-1].bits)
     b.flip(p, [(rego.bits[n - 1], True)])
     return regs
 

@@ -715,7 +715,7 @@ def test_compute_uncompute_follow_the_policy():
 
 # SHA-256 of the concatenated export_text of the 90 block-factory circuits
 # below.  A change that alters them on purpose updates it and says so.
-BLOCKS_DIGEST = "7c5a598ea8e6c346a430322cec407717f378c57f2e62fe307246ad344830abef"
+BLOCKS_DIGEST = "b3fb22fbc97c33ce45fd3cf0878b73c9401b2b9242986d005cdde19c77f4529e"
 
 
 def test_block_factory_circuits_digest():

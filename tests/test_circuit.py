@@ -935,8 +935,8 @@ def test_sparse_edge_behaviour():
 def test_fused_program_is_smaller():
     c = synthesize(SynthConfig("cot", n=6, m=10, policy="clean")).circuit
     # exact pins of the gate count and of the flat program's entries
-    assert len(c.gates) == 2722
-    assert len(c._prepared(0)) == 2008
+    assert len(c.gates) == 2705
+    assert len(c._prepared(0)) == 1996
 
 
 def test_gate_validation():
@@ -1236,7 +1236,7 @@ def pin_mutant(rng, lines, n_qubits):
 
 
 # SHA-256 over the import_text outcomes of test_import_outcomes_are_pinned
-IMPORT_OUTCOMES_DIGEST = "b51c4984b86a25f46c0e740f8b1b1b9c99d4c8c6af328f86321fd98fa6bd0950"
+IMPORT_OUTCOMES_DIGEST = "3b1a17a4291d1cd17cfa0778348270689f06f4be8fba0ca44ae0924963323a30"
 
 
 def test_import_outcomes_are_pinned():

@@ -156,7 +156,7 @@ def test_synth_report_is_pinned(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == (
-        "137bba4750d8919c36879d4ac4cfeef77fd510c720011dd7567845c3095ccead")
+        "88d97c25a8677b296f0421f31d7529bedf569c2201a16847945bdc7ac958b473")
 
 
 def test_synth_report_names_no_square_for_exp_and_cos(capsys):
@@ -219,6 +219,20 @@ def test_sim_reports_infinity(capsys, tmp_path):
     code, out, _ = run(capsys, "sim", str(cot), ".00")
     assert code == 0
     assert "value infinite" in out
+
+
+def test_sim_reads_the_value_off_the_last_output_register(capsys, tmp_path):
+    # exp's chain starts at its digit table's register, RegI4, so the
+    # text has no RegI0; the value is the last RegI* output, RegI6
+    path = tmp_path / "exp.fbe"
+    assert run(capsys, "synth", "exp", "--n", "6", "--m", "10", "-o", str(path))[0] == 0
+    sc = synthesize(SynthConfig("exp", 6, 10))
+    assert "RegI0" not in sc.circuit.registers and sc.chain[-1] == "RegI6"
+    for inp in (".000000", ".101101", ".111111"):
+        fp, _ = sc.decode_value(sc.circuit.simulate_basis(sc.encode_digits(inp)))
+        code, out, err = run(capsys, "sim", str(path), inp)
+        assert (code, err) == (0, ""), inp
+        assert out == f"value {cli.render(fp)} = {cli._fnum(fp.value)}\n", inp
 
 
 def test_sim_width_mismatch_exits_2(capsys, tmp_path):

@@ -48,28 +48,23 @@ def test_forward_exhaustive_bit_exact(fn, policy):
 @pytest.mark.parametrize("fn", INVERSE)
 @pytest.mark.parametrize("policy", ("garbage", "clean"))
 def test_inverse_exhaustive_bit_exact(fn, policy):
-    # at n = 4 every chain register comes from a digit table; n = 7 has
-    # three computed steps after them
+    # at n = 4 a digit table writes the one chain register, the output;
+    # n = 7 has three computed steps after it
     for n, m in ((4, 6), (7, 8)):
         sc = synthesize(SynthConfig(fn, n, m, policy))
-        for bits in itertools.product((0, 1), repeat=n):
-            ds = DigitString(bits)
-            (want, want_inf), trace = ifbe_evaluate_trace(sc.spec, ds, m)
+        args = [DigitString(bits) for bits in itertools.product((0, 1), repeat=n)]
+        finals = []
+        for ds in args:
+            want, want_inf = ifbe_evaluate(sc.spec, ds, m)
             state = sc.circuit.simulate_basis(sc.encode_digits(ds))
             got, got_inf = sc.decode_value(state)
-            assert (got.raw, got_inf) == (want.raw, want_inf), (fn, bits)
-            chain = sc.chain_values(state)
-            if fn == "cot":
-                # RegI{i} holds the value after absorb step i, so the
-                # chain is one step ahead of the trace and ends on the
-                # finished value
-                assert [c.raw for c in chain[:-1]] == \
-                    [t.raw for t in trace[1:n]], (fn, bits)
-            else:
-                assert [c.raw for c in chain[:-1]] == \
-                    [t.raw for t in trace[:n]], (fn, bits)
+            assert (got.raw, got_inf) == (want.raw, want_inf), (fn, ds.digits)
             if policy == "clean":
-                assert checks.clean_ancillae_zero(sc, state), (fn, bits)
+                assert checks.clean_ancillae_zero(sc, state), (fn, ds.digits)
+            finals.append(state)
+        assert len(sc.chain) == n - synth.TABLE_DIGITS + 1, (fn, n)
+        # every chain register against its step of the trace
+        assert chain_divergence(sc, args, trace_chains(sc, args), finals) is None, (fn, n)
 
 
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
@@ -151,14 +146,20 @@ def test_log_worked_trace_m16():
 
 
 def test_exp_worked_trace_m16():
-    # 2^0.1011 = 2^11/16; intermediate registers hold the printed chain
+    # 2^0.1011 = 2^11/16: the recurrence passes through the printed
+    # chain, and at n = 4 the circuit's one chain register is the table
+    # that holds its end
+    ds = DigitString((1, 0, 1, 1))
     sc = synthesize(SynthConfig("exp", 4, 16))
-    state = sc.circuit.simulate_basis(sc.encode_digits(DigitString((1, 0, 1, 1))))
-    chain = [float(c.value) for c in sc.chain_values(state)]
-    for got, want in zip(chain[1:], (1.4142, 1.6818, 1.2968, 1.6105)):
-        assert abs(got - want) < 1e-4
+    _, trace = ifbe_evaluate_trace(sc.spec, ds, 16)
+    for t, want in zip(trace[1:], (1.4142, 1.6818, 1.2968, 1.6105)):
+        assert abs(float(t.value) - want) < 1e-4
+    assert sc.chain == ["RegI4"]
+    state = sc.circuit.simulate_basis(sc.encode_digits(ds))
+    (reg4,) = sc.chain_values(state)
+    assert abs(float(reg4.value) - 1.6105) < 1e-4
     fp, inf = sc.decode_value(state)
-    assert not inf and fp.raw == 52772
+    assert not inf and fp.raw == reg4.raw == 52772
 
 
 # ------------------------------------------------------- structural checks
@@ -296,12 +297,50 @@ def test_clean_scratch_is_one_register_per_role():
         assert exhaustive_tally(clean, args, want) == (0, 0, True), (fn, square)
 
 
+def test_clean_scratch_refuses_a_wider_later_step():
+    # one register serves every step under clean, so the first call must
+    # ask for the widest; a later call for more bits fails, not narrows
+    b = Builder("clean")
+    w = b.scratch("AncSq", 5, 4)
+    assert b.scratch("AncSq", 3, 5) is w
+    with pytest.raises(CircuitError, match="^scratch AncSq: 6 bits asked, "
+                                          "the shared register holds 5$"):
+        b.scratch("AncSq", 6, 6)
+    g = Builder()
+    assert [g.scratch("AncSq", k, i).size for i, k in ((4, 5), (5, 6))] == [5, 6]
+
+
+@pytest.mark.parametrize("fn", FORWARD + INVERSE)
+def test_every_allocated_qubit_is_touched(fn):
+    # a register is allocated only if some gate reads or writes it.  The
+    # two exceptions: exp's and cos's AncC, which gives every circuit a
+    # clean ancilla, and bit 1 of each shift-and-add square, which holds
+    # x^2 mod 4 in {0, 1}
+    for policy, square, (n, m) in itertools.product(
+            ("garbage", "clean"), SQUARE_METHODS, ((3, 6), (4, 8), (6, 10))):
+        sc = synthesize(SynthConfig(fn, n, m, policy, square))
+        touched = {q for g in sc.circuit.gates for q in g.qubits}
+        idle = [(r.name, q - r.start) for r in sc.circuit.registers.values()
+                for q in r.bits if q not in touched]
+        allowed = {("AncC", 0)} if fn in ("exp", "cos") else set()
+        if square == "shift_add":
+            role = "AncSq" if fn in ("arccot", "cot") else "AncW"
+            allowed |= {(nm, 1) for nm in sc.circuit.registers
+                        if nm.rstrip("0123456789") == role}
+        assert set(idle) <= allowed, (policy, square, n, m)
+
+
+def test_chain_divergence_needs_a_compared_register():
+    sc = synthesize(SynthConfig("exp", 4, 8))
+    assert chain_divergence(sc, [], [], []) == "no chain register compared"
+
+
 def trace_chains(sc, args):
-    """Per argument, the raw values the chain registers must end on: a_0
-    .. a_{n-1} of the trace for a forward evaluator; for an inverse one
-    the trace, and the finished value in the last register.  cot's
-    RegI{i} holds the value after absorb step i, so its chain starts one
-    step into the trace."""
+    """Per argument, the raw values a chain register RegI{i} must end on,
+    at index i: a_0 .. a_{n-1} of the trace for a forward evaluator; for
+    an inverse one the trace, and the finished value at the last index.
+    cot's RegI{i} holds the value after absorb step i, so its list starts
+    one step into the trace."""
     n, m = sc.config.n, sc.config.m
     if sc.group == 1:
         return [[t.raw for t in fbe_expand_trace(sc.spec, x, n, m)[1][:n]] for x in args]
@@ -314,16 +353,20 @@ def trace_chains(sc, args):
 
 
 def chain_divergence(sc, args, chains, finals):
-    """The first argument whose chain registers differ from chains,
-    named with the step, the register and both raw values, or None."""
-    regs = [sc.circuit.registers[nm] for nm in sc.chain]
+    """The first argument whose chain registers differ from chains, each
+    RegI{i} against entry i, named with the step, the register and both
+    raw values, or None.  A run that compares no register diverges: it
+    would pass on any circuit."""
+    regs = [(int(nm[4:]), sc.circuit.registers[nm]) for nm in sc.chain]
+    compared = 0
     for x, want, state in zip(args, chains, finals):
-        for i, (w, reg) in enumerate(zip(want, regs)):
+        for i, reg in regs:
             got = reg.extract(state)
-            if got != w:
+            if got != want[i]:
                 name = f"digits {x.text()}" if sc.group == 2 else f"input {x}"
-                return f"{name}: step {i}, {reg.name} wanted raw {w}, got {got}"
-    return None
+                return f"{name}: step {i}, {reg.name} wanted raw {want[i]}, got {got}"
+            compared += 1
+    return None if compared else "no chain register compared"
 
 
 @pytest.mark.parametrize("fn, n, m", [(fn, 4, 8) for fn in FORWARD] + [("log", 6, 10)]
@@ -473,7 +516,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "cccc2ce02be7d1bf3621babbb841436855cf0468e0edd8a643dd994ba9f9a6ac"
+BUILDER_DIGEST = "92b21af55bc4dd49e961855aea96af42efc67e5ecf4a25bf95e677789c6c347e"
 
 
 def test_builder_circuits_digest_and_gate_checks():
@@ -534,5 +577,11 @@ def test_synth_spec_covers_all_six():
     for fn, spec_name in SYNTH_SPEC.items():
         sc = synthesize(SynthConfig(fn, 2, 6))
         assert sc.spec.name == spec_name
-        assert ("RegO" in sc.circuit.registers
-                and sc.chain[0] == "RegI0")
+        assert "RegO" in sc.circuit.registers
+        if fn in FORWARD:
+            assert sc.chain[0] == "RegI0"
+        else:
+            # the chain starts at the digit table's register, which here
+            # is the output
+            assert sc.chain == [f"RegI{2 - (fn == 'cot')}"]
+            assert sc.circuit.registers[sc.chain[-1]].role == "output"
