@@ -1,7 +1,11 @@
-"""Check bodies shared by `fbe verify` and the acceptance tests.
+"""Check bodies shared by `fbe verify`, the acceptance tests, the tier-1
+tests and CI.
 
 Each body takes sizes, seeded generators and sample counts from its
-caller and returns tallies; the caller writes the report line.
+caller and returns tallies; the caller writes the report line or the
+assertion.  The inputs a body runs go through one Circuit.simulate_batch
+call, and exhaustive is the one check of a whole circuit against its
+recurrence.  No body asserts, so each holds under python -O.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from typing import Optional
 
 from .expansion import (
     DigitString,
+    _absorb_raw,
+    _expand_raw,
     error_budget,
     fbe_expand,
     get_spec,
@@ -50,10 +56,24 @@ def valid_raws(sc: SynthesizedCircuit):
     return itertools.chain(*_valid_ranges(sc.spec.domain, sc.layout))
 
 
+def valid_args(sc: SynthesizedCircuit):
+    """Every valid argument of sc in order: each number the encoder
+    accepts for a forward evaluator, each digit string for an inverse
+    one."""
+    if sc.group == 1:
+        return (make(raw, sc.layout).value for raw in valid_raws(sc))
+    return map(DigitString, itertools.product((0, 1), repeat=sc.config.n))
+
+
+def _dirty(sc: SynthesizedCircuit, states) -> int:
+    """How many of states have a clean ancilla set."""
+    clean = sum(((1 << r.size) - 1) << r.start for r in sc.circuit.registers.values()
+                if r.role == "ancilla-clean")
+    return sum(bool(s & clean) for s in states)
+
+
 def clean_ancillae_zero(sc: SynthesizedCircuit, state: int) -> bool:
-    return all(reg.extract(state) == 0
-               for reg in sc.circuit.registers.values()
-               if reg.role == "ancilla-clean")
+    return not _dirty(sc, [state])
 
 
 def table2_rows():
@@ -86,15 +106,13 @@ def group1_digits(sc: SynthesizedCircuit) -> tuple[int, int, int]:
     whose circuit digits differ from the recurrence's, and inputs whose
     recurrence digits differ from the same recurrence run at width 4m."""
     spec, n, m = sc.spec, sc.config.n, sc.config.m
-    cases = circuit_bad = oracle_bad = 0
-    for raw in valid_raws(sc):
-        x = make(raw, sc.layout).value
-        cases += 1
+    args = list(valid_args(sc))
+    circuit_bad = oracle_bad = 0
+    for x, state in zip(args, sc.circuit.simulate_batch(map(sc.encode_input, args))):
         digits = fbe_expand(spec, x, n, m).digits
-        state = sc.circuit.simulate_basis(sc.encode_input(x))
         circuit_bad += sc.decode_digits(state).digits != digits
         oracle_bad += digits != fbe_expand(spec, x, n, 4 * m).digits
-    return cases, circuit_bad, oracle_bad
+    return len(args), circuit_bad, oracle_bad
 
 
 def group1_values(sc: SynthesizedCircuit):
@@ -153,14 +171,72 @@ def reversibility(sc: SynthesizedCircuit, rng, trials: int,
     for _ in range(trials):
         start = rng.randrange(1 << sc.n_qubits)
         inverse_bad += inv.simulate_basis(c.simulate_basis(start)) != start
+    encode = sc.encode_input if sc.group == 1 else sc.encode_digits
+    ends = c.simulate_batch(map(encode, itertools.islice(valid_args(sc), inputs)))
+    return inverse_bad, len(ends), _dirty(sc, ends)
+
+
+def _reference(sc: SynthesizedCircuit):
+    """Per valid argument, in order: the argument, the basis state it
+    encodes to, the recurrence's output (digits for group 1, raw value
+    and infinity flag for group 2) and the raw value each chain register
+    RegI{i} must end on, at index i, from one pass of the recurrence on
+    raw ints.  A forward evaluator's chain is a_0 .. a_{n-1}; an inverse
+    one's is the trace with the finished value at the last index, and
+    cot's RegI{i} holds the value after absorb step i, so its list
+    starts one step into the trace."""
+    spec, n, lay = sc.spec, sc.config.n, sc.layout
+    rows = []
     if sc.group == 1:
-        starts = (sc.encode_input(make(raw, sc.layout).value)
-                  for raw in valid_raws(sc))
+        reg0 = sc.circuit.registers["RegI0"]
+        for x in valid_args(sc):
+            st = spec.encode(x, lay)
+            trace = [st[0]]
+            digits = _expand_raw(spec, st, n, lay, trace)
+            # encode_input, with x encoded once
+            rows.append((x, reg0.insert(0, st[0]), digits, trace[:n]))
+        return rows
+    first = sc.config.function == "cot"
+    for ds in valid_args(sc):
+        st = spec.init(lay)
+        trace = [st[0]]
+        value, infinite = spec.finish(_absorb_raw(spec, st, ds.digits, lay, trace),
+                                      ds.digits, lay)
+        rows.append((ds, sc.encode_digits(ds), (value.raw, infinite),
+                     trace[first:n] + [value.raw]))
+    return rows
+
+
+def exhaustive(sc: SynthesizedCircuit) -> tuple[int, int, bool, Optional[str]]:
+    """(mismatches, dirty, inverse_exact, witness) with every valid input
+    of sc run in one simulate_batch against one pass of the recurrence:
+    the outputs that differ from the recurrence's, the outputs with a
+    clean ancilla set, whether the inverse circuit takes every output
+    back to its start, and the first input whose chain registers differ
+    from the recurrence's trace, each RegI{i} against step i, named with
+    the step, the register and both raw values, or None.  A run that
+    compares no chain register diverges: it would pass on any circuit."""
+    rows = _reference(sc)
+    c = sc.circuit
+    starts = [row[1] for row in rows]
+    finals = c.simulate_batch(starts)
+    if sc.group == 1:
+        outputs = (sc.decode_digits(s).digits for s in finals)
     else:
-        starts = (sc.encode_digits(DigitString(bits))
-                  for bits in itertools.product((0, 1), repeat=sc.config.n))
-    ran = ancilla_bad = 0
-    for start in itertools.islice(starts, inputs):
-        ran += 1
-        ancilla_bad += not clean_ancillae_zero(sc, c.simulate_basis(start))
-    return inverse_bad, ran, ancilla_bad
+        outputs = ((v.raw, infinite) for v, infinite in map(sc.decode_value, finals))
+    mismatches = sum(got != row[2] for got, row in zip(outputs, rows))
+    return (mismatches, _dirty(sc, finals), c.inverse().simulate_batch(finals) == starts,
+            _chain_divergence(sc, rows, finals))
+
+
+def _chain_divergence(sc: SynthesizedCircuit, rows, finals) -> Optional[str]:
+    regs = [(int(nm[4:]), sc.circuit.registers[nm]) for nm in sc.chain]
+    compared = 0
+    for (arg, _, _, chain), state in zip(rows, finals):
+        for i, reg in regs:
+            got = reg.extract(state)
+            if got != chain[i]:
+                name = f"input {arg}" if sc.group == 1 else f"digits {arg.text()}"
+                return f"{name}: step {i}, {reg.name} wanted raw {chain[i]}, got {got}"
+            compared += 1
+    return None if compared else "no chain register compared"

@@ -27,7 +27,9 @@ touched qubit with a bit per term.  Every entry but h maps basis states
 one to one, so the sparse mode runs each h-free stretch as a permutation
 of its terms, with amplitudes following their terms, and splits
 amplitudes only at the h entries between stretches (_split, the one
-place that handles h).  A stretch's first bit-sliced batch goes through
+place that handles h).  simulate_batch runs a list of basis states
+through an h-free circuit's one stretch the same way (_run_stretch),
+with no amplitudes.  A stretch's first bit-sliced batch goes through
 the interpreter _planes, later ones as the Python code fbe.codegen
 writes out over the planes.  Compile keeps masks only for the qubits gates
 touch, so its memory does not grow with the declared qubit count.  Gate
@@ -394,7 +396,7 @@ def _run_planes(prog, states, qubits=None, touched=None, kernel=None) -> list[in
     qs = _Memo(_qubits_of) if qubits is None else qubits
     if touched is None:
         touched = _touched(prog)
-    if not touched:  # only uncontrolled entries whose targets cancelled
+    if not (touched and states):  # no terms, or entries whose targets cancelled
         return list(states)
     full = (1 << len(states)) - 1
     order = qs[touched]
@@ -481,7 +483,7 @@ class Circuit:
         self.gates: list[Gate] = []
         self.registers: dict[str, Register] = {}
         self._program = None
-        self._stretches = None  # _program split for simulate_sparse
+        self._stretches = None  # _program split at its h entries, for _run_stretch
         self._runs = 0  # states and terms run since the last change
         self._generated = None  # the compiled program as a Python function
         self._qubits = _Memo(_qubits_of)
@@ -585,19 +587,51 @@ class Circuit:
             run = self._generated = kernel(prog)
         return run(state)
 
+    def _run_stretch(self, part, states: list[int], compiled: bool) -> list[int]:
+        """The end state of each of states, in order, through one stretch
+        of _split: the flat program's through _run state by state, the
+        compiled program's through _run_planes, all at once, first
+        through the interpreter _planes, then as the Python code
+        codegen.planes writes out, generated on its second run."""
+        stretch, touched, run, _ = part
+        if not compiled:
+            return [_run(stretch, s) for s in states]
+        if touched is None:
+            # the first run goes through _planes: a one-shot batch of
+            # thousands of terms would not win back the 0.2-0.5 s of
+            # generating the code
+            touched = part[1] = _touched(stretch)
+        elif run is None:
+            # imported here: a circuit run fewer times never compiles it
+            from .codegen import planes
+
+            run = part[2] = planes(stretch, self._qubits[touched], self._qubits)
+        return _run_planes(stretch, states, self._qubits, touched, run)
+
+    def simulate_batch(self, states: Iterable[int]) -> list[int]:
+        """The final state of each basis state in states, in order, all
+        run through _run_stretch as simulate_sparse runs them; a state
+        given twice runs twice.  The states count towards _COMPILE_AFTER.
+        A state outside the register file, or a circuit with an h gate,
+        is refused before anything is compiled or run."""
+        states = list(states)
+        for s in states:
+            self._check_state(s)
+        if "h" in map(itemgetter(0), self.gates):
+            raise CircuitError("h gate present, use simulate_sparse")
+        (part,) = self._split(self._prepared(len(states)))
+        return self._run_stretch(part, states, self._runs >= _COMPILE_AFTER)
+
     def simulate_sparse(self, state, cap: int = 1 << 20) -> dict[int, complex]:
         """Exact sparse-state simulation from one basis state or a
         {state: amplitude} dict.  Every entry but h is a bijection on
         basis states, so each stretch between h entries permutes the
-        terms, each keeping its amplitude.  The program's stage picks the
-        kernel: a stretch of the flat program runs through _run term by
-        term, one of the compiled program through _run_planes, all terms
-        at once, first through the interpreter _planes, then as the
-        Python code codegen.planes writes out, generated on its second
-        run.  The stretches, the qubits each one touches and its
-        generated code come from _split, once per program.  The terms of
-        the start count towards _COMPILE_AFTER.  h splits amplitudes by
-        1/sqrt(2) and drops the terms that cancel to zero.
+        terms, each keeping its amplitude: the stretches come from
+        _split, once per program, and each runs through _run_stretch,
+        the stretch runner simulate_batch uses, so the program's stage
+        picks the kernel.  The terms of the start count towards
+        _COMPILE_AFTER.  h splits amplitudes by 1/sqrt(2) and drops the
+        terms that cancel to zero.
         Raises SimulationLimit once an entry leaves more than cap terms."""
         amps = {state: 1.0 + 0j} if isinstance(state, int) else dict(state)
         for s in amps:
@@ -606,26 +640,11 @@ class Circuit:
         prog = self._prepared(len(amps))
         compiled = self._runs >= _COMPILE_AFTER
         for part in self._split(prog):
-            stretch, touched, run, mask = part
-            if stretch:
-                if compiled:
-                    if touched is None:
-                        # the first run goes through _planes: a one-shot
-                        # batch of thousands of terms would not win back
-                        # the 0.2-0.5 s of generating the code
-                        touched = part[1] = _touched(stretch)
-                    elif run is None:
-                        # imported here: a circuit run fewer times never
-                        # compiles it
-                        from .codegen import planes
-
-                        run = part[2] = planes(stretch, self._qubits[touched], self._qubits)
-                    amps = dict(zip(_run_planes(stretch, list(amps), self._qubits,
-                                                touched, run), amps.values()))
-                else:
-                    amps = {_run(stretch, s): a for s, a in amps.items()}
+            if part[0]:
+                amps = dict(zip(self._run_stretch(part, list(amps), compiled), amps.values()))
                 if len(amps) > cap:
                     raise SimulationLimit(f"state grew past {cap} terms")
+            mask = part[3]
             if not mask:
                 return amps
             nxt: dict[int, complex] = {}

@@ -236,14 +236,6 @@ def test_sqrt_blocks_exhaustive():
                         assert got == ((a << q) - (r | 1) ** 2) % (1 << s + 2), (w, q, a)
 
 
-def every_end_state(c, starts):
-    """The end state of each start, all run in one simulate_sparse batch,
-    each start at its own amplitude."""
-    out = c.simulate_sparse({s: complex(i + 1) for i, s in enumerate(starts)})
-    by_amp = {int(a.real) - 1: s for s, a in out.items()}
-    return [by_amp[i] for i in range(len(starts))]
-
-
 @pytest.mark.parametrize("extra", [0, 2])
 def test_sqrt_stages_every_radicand(extra):
     # frames of 2s+1 and 2s+3 bits, each width one bit-sliced batch
@@ -252,7 +244,7 @@ def test_sqrt_stages_every_radicand(extra):
         frame, root = b.alloc(2 * s + 1 + extra), b.alloc(s)
         sqrt_stages(b, frame, root, s)
         c = b.finish()
-        for n, out in enumerate(every_end_state(c, range(4 ** s))):
+        for n, out in enumerate(c.simulate_batch(range(4 ** s))):
             r = math.isqrt(n)
             # frame[:s+2] holds n - (r|1)^2 in two's complement, every
             # frame bit above it 0
@@ -268,7 +260,7 @@ def test_square_every_source(method, extra):
         root_t, anc = b.alloc(k), b.alloc(1)[0]
         square(b, method, src, dst, root_t, anc)
         c = b.finish()
-        for a, out in enumerate(every_end_state(c, range(1 << k))):
+        for a, out in enumerate(c.simulate_batch(range(1 << k))):
             # src kept, dst = a^2, root_t and anc back at 0
             assert out == a | (a * a << k), (method, extra, k, a)
 
@@ -287,8 +279,8 @@ def test_reversed_square_preimage():
         cut = len(rev.gates) - len(fwd.gates)
         assert rev.gates[cut:] == fwd.gates[::-1], k
         rev.gates[cut:] = []
-        ends = every_end_state(fwd.finish(), [a | a * a << k for a in range(1 << k)])
-        assert every_end_state(rev.finish(), range(1 << k)) == ends, k
+        ends = fwd.finish().simulate_batch([a | a * a << k for a in range(1 << k)])
+        assert rev.finish().simulate_batch(range(1 << k)) == ends, k
 
 
 def sqrt_stage_values(n, s):
@@ -335,7 +327,7 @@ def test_stage_windows_are_tight():
             used = set(src[:j + 1] + dst[:2 * j + 2] + (anc,))
             assert all(set(g.qubits) <= used for g in low.gates), (k, j)
             c = low.finish()
-            for a, out in enumerate(every_end_state(c, range(1 << k))):
+            for a, out in enumerate(c.simulate_batch(range(1 << k))):
                 lo = a % (2 << j)
                 assert out == a | lo * lo << k, (k, j, a)
 
@@ -514,7 +506,7 @@ def check_every_quotient(dw, t, shift, ctx=0, extra=0):
     cases = [(on, nn, dd) for on in range(1 << ctx) for dd in range(1, 1 << dw)
              for nn in range(min(dd << t + shift, 1 << num_w))]
     starts = [on | (nn | dd << fw) << ctx for on, nn, dd in cases]
-    for (on, nn, dd), st, out in zip(cases, starts, every_end_state(c, starts)):
+    for (on, nn, dd), st, out in zip(cases, starts, c.simulate_batch(starts)):
         if ctx and not on:
             assert out == st, (dw, t, shift, extra, nn, dd)
             continue

@@ -1,6 +1,6 @@
 """The shared check bodies must see a fault: fed a circuit with one gate
-dropped, one clean ancilla left flipped or a recurrence whose output is
-off, each reports it in its tally."""
+dropped, one clean ancilla left flipped, a wrong inverse or a recurrence
+whose output is off, each reports it in its tally."""
 
 import random
 
@@ -81,6 +81,32 @@ def test_reversibility_sees_a_wrong_inverse(monkeypatch):
     inv.add(Gate("x", (0,)))
     monkeypatch.setattr(sc.circuit, "inverse", lambda: inv)
     assert checks.reversibility(sc, random.Random(1), 20, 0)[0] == 20
+
+
+def test_exhaustive_sees_a_dropped_gate():
+    for family, n in (("log", 3), ("cos", 3), ("cot", 6)):
+        sc = synthesize(SynthConfig(family, n, 6))
+        assert checks.exhaustive(sc) == (0, 0, True, None)
+        assert checks.exhaustive(without_last_output_gate(sc))[0] > 0, family
+
+
+def test_exhaustive_sees_a_flipped_clean_ancilla():
+    for family, n in (("log", 3), ("exp", 6)):
+        sc = synthesize(SynthConfig(family, n, 6, "clean"))
+        anc = next(r for r in sc.circuit.registers.values()
+                   if r.role == "ancilla-clean")
+        sc.circuit.add(Gate("x", (anc.start,)))
+        # every output and chain still right, but no input ends clean
+        inputs = sum(1 for _ in checks.valid_args(sc))
+        assert checks.exhaustive(sc) == (0, inputs, True, None), family
+
+
+def test_exhaustive_sees_a_wrong_inverse(monkeypatch):
+    sc = synthesize(SynthConfig("cos", 3, 6))
+    inv = sc.circuit.inverse()
+    inv.add(Gate("x", (0,)))
+    monkeypatch.setattr(sc.circuit, "inverse", lambda: inv)
+    assert checks.exhaustive(sc) == (0, 0, False, None)
 
 
 def test_table2_rows_see_a_dropped_gate(monkeypatch):

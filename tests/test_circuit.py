@@ -1336,6 +1336,48 @@ def test_sparse_permutation_agrees_with_basis():
             c.simulate_sparse({0: 0.6 + 0j, bad: 0.8 + 0j})
 
 
+def test_batch_runs_like_basis():
+    # simulate_batch gives each state's simulate_basis end, in order, a
+    # repeated state once per occurrence: below _COMPILE_AFTER through
+    # the flat program state by state, then past it through the compiled
+    # one bit-sliced, interpreted on its first run and generated after
+    rng = random.Random(117)
+    n = 8
+    for trial in range(6):
+        c = (fusable_circuit, context_circuit)[trial % 2](rng, n, 12)
+        ref = Circuit(n)
+        ref.extend(c.gates)
+        few = [rng.randrange(1 << n) for _ in range(10)]
+        many = rng.sample(range(1 << n), 100)
+        for states in (few + few[:3], many + [few[0]] * 3, many):
+            assert c.simulate_batch(states) == list(map(ref.simulate_basis, states)), trial
+            if states is not many:
+                stage = c._runs < circuit._COMPILE_AFTER, c._stretches[0][1] is None
+                assert stage == ((True, True) if len(states) == 13 else (False, False))
+        assert c._stretches[0][2] is not None, trial
+    assert Circuit(3).simulate_batch([5, 5]) == [5, 5]
+
+
+def test_batch_refuses_h_and_outside_states():
+    # an h gate, or a state outside the register file, is refused with
+    # simulate_basis's message before anything is compiled or run
+    rng = random.Random(119)
+    c = context_circuit(rng, 7, 4)
+    c.add(Gate("h", (2,)))
+    with pytest.raises(CircuitError, match="^h gate present, use simulate_sparse$"):
+        c.simulate_batch([0, 1])
+    d = context_circuit(rng, 7, 4)
+    for bad in (-1, 1 << 7):
+        with pytest.raises(CircuitError, match="^state outside the register file$"):
+            d.simulate_batch([0, bad])
+    for x in (c, d):
+        assert x._program is None and x._stretches is None and x._runs == 0
+    # no states, in either stage
+    assert d.simulate_batch([]) == [] and d._runs == 0
+    d.simulate_batch(range(circuit._COMPILE_AFTER))
+    assert d.simulate_batch([]) == [] and d.simulate_sparse({}) == {}
+
+
 def test_sparse_cap():
     c = Circuit(6)
     for q in range(6):

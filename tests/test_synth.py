@@ -11,14 +11,13 @@ from fbe.blocks import Builder
 from fbe.circuit import CircuitError, Gate, export_text, import_text
 from fbe.expansion import (
     DigitString,
-    fbe_expand,
     fbe_expand_trace,
     get_spec,
     ifbe_evaluate,
     ifbe_evaluate_trace,
 )
 from fbe.fixedpoint import make, render
-from fbe.synth import SQUARE_METHODS, SYNTH_SPEC, SynthConfig, synthesize
+from fbe.synth import SQUARE_METHODS, SYNTH_SPEC, SynthConfig, SynthesizedCircuit, synthesize
 
 FORWARD = ("log", "arccos", "arccot")
 INVERSE = ("exp", "cos", "cot")
@@ -52,19 +51,17 @@ def test_inverse_exhaustive_bit_exact(fn, policy):
     # n = 7 has three computed steps after it
     for n, m in ((4, 6), (7, 8)):
         sc = synthesize(SynthConfig(fn, n, m, policy))
-        args = [DigitString(bits) for bits in itertools.product((0, 1), repeat=n)]
-        finals = []
-        for ds in args:
+        for bits in itertools.product((0, 1), repeat=n):
+            ds = DigitString(bits)
             want, want_inf = ifbe_evaluate(sc.spec, ds, m)
             state = sc.circuit.simulate_basis(sc.encode_digits(ds))
             got, got_inf = sc.decode_value(state)
             assert (got.raw, got_inf) == (want.raw, want_inf), (fn, ds.digits)
             if policy == "clean":
                 assert checks.clean_ancillae_zero(sc, state), (fn, ds.digits)
-            finals.append(state)
         assert len(sc.chain) == n - synth.TABLE_DIGITS + 1, (fn, n)
         # every chain register against its step of the trace
-        assert chain_divergence(sc, args, trace_chains(sc, args), finals) is None, (fn, n)
+        assert checks.exhaustive(sc)[3] is None, (fn, n)
 
 
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
@@ -219,47 +216,6 @@ VARIANTS = [(fn, square) for fn in FORWARD + INVERSE
             if fn not in ("exp", "cos") or square == "shift_add"]
 
 
-def every_input(sc):
-    """Every valid argument of sc, each with the recurrence's output:
-    digits for group 1, (raw value, infinity flag) for group 2."""
-    n, m = sc.config.n, sc.config.m
-    if sc.group == 1:
-        args = [make(raw, sc.layout).value for raw in checks.valid_raws(sc)]
-        return args, [fbe_expand(sc.spec, x, n, m).digits for x in args]
-    args = [DigitString(bits) for bits in itertools.product((0, 1), repeat=n)]
-    want = [ifbe_evaluate(sc.spec, ds, m) for ds in args]
-    return args, [(v.raw, inf) for v, inf in want]
-
-
-def exhaustive_run(sc, args):
-    """(start, out, final state of each argument) with every argument in
-    one simulate_sparse start, each at its own amplitude."""
-    encode = sc.encode_input if sc.group == 1 else sc.encode_digits
-    start = {encode(x): complex(i + 1, -i) for i, x in enumerate(args)}
-    out = sc.circuit.simulate_sparse(start)
-    assert len(start) == len(out) == len(args)
-    by_amp = {a: s for s, a in out.items()}
-    return start, out, [by_amp[a] for a in start.values()]
-
-
-def exhaustive_tally(sc, args, want, run=None):
-    """(mismatches, dirty, inverse exact) over exhaustive_run, or over the
-    run given: outputs that differ from want, outputs with a clean ancilla
-    set, and whether the inverse circuit takes the outputs back to the
-    start."""
-    start, out, finals = run or exhaustive_run(sc, args)
-    mismatches = dirty = 0
-    for s, expected in zip(finals, want):
-        if sc.group == 1:
-            got = sc.decode_digits(s).digits
-        else:
-            v, inf = sc.decode_value(s)
-            got = (v.raw, inf)
-        mismatches += got != expected
-        dirty += not checks.clean_ancillae_zero(sc, s)
-    return mismatches, dirty, sc.circuit.inverse().simulate_sparse(out) == start
-
-
 def test_clean_scratch_is_one_register_per_role():
     # Builder: one register per role under clean, one per step under garbage
     b = Builder("clean")
@@ -274,8 +230,8 @@ def test_clean_scratch_is_one_register_per_role():
 
     # every step of a clean circuit computes into the one shared scratch
     # register: each valid input, run in one bit-sliced batch, gives the
-    # recurrence's output and leaves every clean ancilla at zero, and the
-    # inverse takes the outputs back
+    # recurrence's output and chain and leaves every clean ancilla at
+    # zero, and the inverse takes the outputs back
     assert len(VARIANTS) == 10
     for fn, square in VARIANTS:
         n, m = (4, 8) if fn in FORWARD else (6, 8)
@@ -293,8 +249,7 @@ def test_clean_scratch_is_one_register_per_role():
         assert [r.name for r in scratch[1]] == [f"{role}{i}" for i in steps]
         assert clean.n_qubits < garbage.n_qubits, (fn, square)
 
-        args, want = every_input(clean)
-        assert exhaustive_tally(clean, args, want) == (0, 0, True), (fn, square)
+        assert checks.exhaustive(clean) == (0, 0, True, None), (fn, square)
 
 
 def test_clean_scratch_refuses_a_wider_later_step():
@@ -331,42 +286,11 @@ def test_every_allocated_qubit_is_touched(fn):
 
 
 def test_chain_divergence_needs_a_compared_register():
-    sc = synthesize(SynthConfig("exp", 4, 8))
-    assert chain_divergence(sc, [], [], []) == "no chain register compared"
-
-
-def trace_chains(sc, args):
-    """Per argument, the raw values a chain register RegI{i} must end on,
-    at index i: a_0 .. a_{n-1} of the trace for a forward evaluator; for
-    an inverse one the trace, and the finished value at the last index.
-    cot's RegI{i} holds the value after absorb step i, so its list starts
-    one step into the trace."""
-    n, m = sc.config.n, sc.config.m
-    if sc.group == 1:
-        return [[t.raw for t in fbe_expand_trace(sc.spec, x, n, m)[1][:n]] for x in args]
-    first = sc.config.function == "cot"
-    chains = []
-    for ds in args:
-        (value, _), trace = ifbe_evaluate_trace(sc.spec, ds, m)
-        chains.append([t.raw for t in trace[first:n]] + [value.raw])
-    return chains
-
-
-def chain_divergence(sc, args, chains, finals):
-    """The first argument whose chain registers differ from chains, each
-    RegI{i} against entry i, named with the step, the register and both
-    raw values, or None.  A run that compares no register diverges: it
-    would pass on any circuit."""
-    regs = [(int(nm[4:]), sc.circuit.registers[nm]) for nm in sc.chain]
-    compared = 0
-    for x, want, state in zip(args, chains, finals):
-        for i, reg in regs:
-            got = reg.extract(state)
-            if got != want[i]:
-                name = f"digits {x.text()}" if sc.group == 2 else f"input {x}"
-                return f"{name}: step {i}, {reg.name} wanted raw {want[i]}, got {got}"
-            compared += 1
-    return None if compared else "no chain register compared"
+    # a circuit that names no chain register would pass on any chain
+    sc = synthesize(SynthConfig("log", 3, 6))
+    unchained = SynthesizedCircuit(sc.config, sc.spec, sc.layout, sc.circuit, [])
+    assert checks.exhaustive(sc) == (0, 0, True, None)
+    assert checks.exhaustive(unchained) == (0, 0, True, "no chain register compared")
 
 
 @pytest.mark.parametrize("fn, n, m", [(fn, 4, 8) for fn in FORWARD] + [("log", 6, 10)]
@@ -376,16 +300,10 @@ def test_every_variant_at_the_workload_sizes_exhaustive(fn, n, m):
     # of fn, both policies and square methods, one batch per circuit:
     # outputs, every chain register against the trace, clean ancillas
     # and the inverse
-    args = None
     for policy, square in itertools.product(
             ("garbage", "clean"), [sq for f, sq in VARIANTS if f == fn]):
         sc = synthesize(SynthConfig(fn, n, m, policy, square))
-        if args is None:
-            args, want = every_input(sc)  # once per size
-            chains = trace_chains(sc, args)
-        run = exhaustive_run(sc, args)
-        assert chain_divergence(sc, args, chains, run[2]) is None, (policy, square)
-        assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
+        assert checks.exhaustive(sc) == (0, 0, True, None), (policy, square)
 
 
 @pytest.mark.parametrize("fn, n, m, inputs", [
@@ -402,16 +320,10 @@ def test_writeback_control_exhaustive(fn, n, m, inputs):
     # lets the value it reads reach, so every chain register is checked
     # against the trace as well.  Every valid input, both policies and
     # both square methods
-    args = None
     for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
         sc = synthesize(SynthConfig(fn, n, m, policy, square))
-        if args is None:
-            args, want = every_input(sc)  # once per size
-            chains = trace_chains(sc, args)
-        assert len(args) == inputs
-        run = exhaustive_run(sc, args)
-        assert chain_divergence(sc, args, chains, run[2]) is None, (policy, square)
-        assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
+        assert sum(1 for _ in checks.valid_args(sc)) == inputs
+        assert checks.exhaustive(sc) == (0, 0, True, None), (policy, square)
 
 
 def arccot_flag_gates(sc):
@@ -428,20 +340,14 @@ def test_arccot_trigger_flip_shows_only_in_the_chain():
     # digit, clean ancilla and the inverse stay right on every input:
     # only the chain registers see them
     n, m = 4, 8
-    args = None
     for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
         sc = synthesize(SynthConfig("arccot", n, m, policy, square))
-        if args is None:
-            args, want = every_input(sc)
-            chains = trace_chains(sc, args)
         _, z, unit = arccot_flag_gates(sc)
         flips = [g for g in sc.circuit.gates if g.targets[0] in unit and g.controls == (z,)]
         assert len(flips) == 2 * (n - 1), (policy, square)
         sc.circuit.gates = [g for g in sc.circuit.gates if g not in flips]
-        run = exhaustive_run(sc, args)
-        assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (policy, square)
-        assert chain_divergence(sc, args, chains, run[2]) == \
-            "input 0: step 1, RegI1 wanted raw 16, got 110", (policy, square)
+        assert checks.exhaustive(sc) == (
+            0, 0, True, "input 0: step 1, RegI1 wanted raw 16, got 110"), (policy, square)
 
 
 def test_arccot_freeze_flag_guards_only_the_sentinel():
@@ -469,10 +375,7 @@ def test_digit_tables_then_computed_steps_exhaustive(fn):
     narrowest = get_spec(SYNTH_SPEC[fn]).min_width
     for n, m, policy in itertools.product((1, 4, 5, 6), (narrowest, 8), ("garbage", "clean")):
         sc = synthesize(SynthConfig(fn, n, m, policy))
-        args, want = every_input(sc)
-        run = exhaustive_run(sc, args)
-        assert chain_divergence(sc, args, trace_chains(sc, args), run[2]) is None, (n, m, policy)
-        assert exhaustive_tally(sc, args, want, run) == (0, 0, True), (n, m, policy)
+        assert checks.exhaustive(sc) == (0, 0, True, None), (n, m, policy)
 
 
 @pytest.mark.parametrize("narrow", ("k", "s"))
@@ -483,10 +386,7 @@ def test_cot_step_one_bit_narrower_is_caught(monkeypatch, narrow):
     # tables, the last of which reads a wrapped chain
     n, m = 8, 10
     widths = synth._cot_step_widths
-    sc = synthesize(SynthConfig("cot", n, m))
-    args, _ = every_input(sc)
-    chains = trace_chains(sc, args)
-    finals = exhaustive_run(sc, args)[2]
+    assert checks.exhaustive(synthesize(SynthConfig("cot", n, m))) == (0, 0, True, None)
     for step in range(synth.TABLE_DIGITS, n):
         def narrowed(bound, q, calls=itertools.count(synth.TABLE_DIGITS), step=step):
             k, s = widths(bound, q)
@@ -496,9 +396,7 @@ def test_cot_step_one_bit_narrower_is_caught(monkeypatch, narrow):
 
         monkeypatch.setattr(synth, "_cot_step_widths", narrowed)
         mutant = synthesize(SynthConfig("cot", n, m))
-        got = exhaustive_run(mutant, args)[2]
-        assert got != finals, step
-        assert chain_divergence(mutant, args, chains, got) is not None, step
+        assert checks.exhaustive(mutant)[3] is not None, step
 
 
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
