@@ -11,9 +11,9 @@ tests and the command line exercise directly.
 
 The Builder owns the ancilla policy: blocks compute into Builder.scratch,
 copy out, and pass the compute block to Builder.uncompute, which undoes
-it only under "clean" (Bennett's compute-copy-uncompute).  Under clean
-the scratch is zero again after each block, so every step of a circuit
-computes into the same scratch register.
+it only under "clean" (Bennett's compute-copy-uncompute); computed()
+does all three around a temp.  Under clean the scratch is zero again
+after each block, so every step computes into the same scratch register.
 
 All arithmetic is two's complement on fixed-width registers, truncation
 toward zero, matching the classical fixed-point routines bit for bit.
@@ -136,6 +136,16 @@ class Builder:
         """Append a compute() block reversed under clean; no-op under garbage."""
         if self.clean:
             self.gates.extend(reversed(done))
+
+    @contextmanager
+    def computed(self, out, tmp):
+        """Compute into the bits yielded and end with the result on out:
+        tmp, copied onto out and uncomputed, under clean; out under garbage."""
+        with self.compute() as done:
+            yield tmp if self.clean else out
+        if self.clean:
+            copy_bits(self, tmp, out)
+        self.uncompute(done)
 
     @contextmanager
     def inverted(self):
@@ -603,13 +613,10 @@ def build_sqrt(width: int, frac_bits: int = 0, policy: str = "garbage") -> Circu
     low = b.scratch("AncLow", frac_bits).bits if frac_bits else ()
     a = b.reg("A", "input" if b.clean else "garbage", width)
     high = b.scratch("AncHigh", frame_w - width - frac_bits)
-    root_t = b.reg("RootT", "ancilla-clean", stages) if b.clean else None
+    root_t = b.reg("RootT", "ancilla-clean", stages).bits if b.clean else None
     root = b.reg("B", "output", stages)
-    with b.compute() as walk:
-        sqrt_stages(b, low + a.bits + high.bits, (root_t or root).bits, stages)
-    if root_t:
-        copy_bits(b, root_t.bits, root.bits)
-    b.uncompute(walk)
+    with b.computed(root.bits, root_t) as out:
+        sqrt_stages(b, low + a.bits + high.bits, out, stages)
     return b.finish()
 
 
@@ -630,13 +637,10 @@ def build_reciprocal(width: int, frac_bits: int, policy: str = "garbage") -> Cir
     frame_w = div_frame_width(2 * q + 1, width, width)
     a = b.reg("A", "input", width)
     frame = b.scratch("R", frame_w).bits
-    quot_t = b.reg("QuotT", "ancilla-clean", width) if b.clean else None
+    quot_t = b.reg("QuotT", "ancilla-clean", width).bits if b.clean else None
     quot = b.reg("B", "output", width)
     anc = b.reg("Anc", "ancilla-clean", 1)
-    with b.compute() as walk:
+    with b.computed(quot.bits, quot_t) as out:
         b.flip(frame[2 * q])
-        div_stages(b, frame, a.bits, (quot_t or quot).bits, anc.bits[0])
-    if quot_t:
-        copy_bits(b, quot_t.bits, quot.bits)
-    b.uncompute(walk)
+        div_stages(b, frame, a.bits, out, anc.bits[0])
     return b.finish()

@@ -24,7 +24,7 @@ from .expansion import (
     get_spec,
     group1_value_bound,
     group1_value_enclosure,
-    ifbe_evaluate_trace,
+    ifbe_evaluate,
     parse_digits,
 )
 from .fixedpoint import make, parse, render
@@ -153,7 +153,7 @@ def group2_errors(name: str, n: int, m: int, samples: int, rng):
     under, worst = 0, 0.0
     for bits in strings:
         ds = DigitString(bits)
-        (out, _), _ = ifbe_evaluate_trace(spec, ds, m)
+        out, _ = ifbe_evaluate(spec, ds, m)
         err = abs(float(out.value) - spec.closed_form(float(ds.value())))
         worst = max(worst, err)
         under += err < bound

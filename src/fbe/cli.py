@@ -15,10 +15,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import blocks, checks, fixedpoint
+from . import blocks, checks, fixedpoint, synth
 from .circuit import CircuitError, import_text
 from .expansion import (
-    DigitString,
     fbe_expand_trace,
     get_spec,
     ifbe_evaluate_trace,
@@ -52,16 +51,6 @@ def _family(name: str) -> str:
         raise DomainError(f"no circuit family named {name!r}") from None
 
 
-def _digit_point(spec) -> int:
-    # how many emitted digits sit left of the point: only meaningful when
-    # the value scale is a whole power of the digit radix
-    point, s = 0, 1
-    while s < spec.value_scale:
-        s *= spec.radix
-        point += 1
-    return point if s == spec.value_scale else 0
-
-
 def _fnum(x) -> str:
     return repr(float(x))
 
@@ -79,7 +68,7 @@ def cmd_eval(args) -> int:
         raise DomainError("need at least one digit")
     if spec.group == 1:
         ds, trace = fbe_expand_trace(spec, args.arg, args.n, args.m)
-        print(f"digits {ds.text(_digit_point(spec))}")
+        print(f"digits {ds.text(spec.digit_point)}")
         print(f"approx {_fnum(spec.value_scale * ds.value())}")
     else:
         ds = parse_digits(args.arg, spec.radix)
@@ -142,16 +131,9 @@ def _load_synthesized(path: str):
     # the value in the last RegI* output
     if rego is None or (rego.role == "output" and "RegI0" not in c.registers):
         raise CircuitError(f"{path}: missing RegO/RegI0 register headers")
-    if rego.role != "output" and _value_register(c) is None:
+    if rego.role != "output" and synth.value_registers(c.registers)[0] is None:
         raise CircuitError(f"{path}: RegO is not an output, and no RegI register is one")
     return c
-
-
-def _value_register(c):
-    """The output register RegI{i} of the highest i, or None."""
-    outs = {int(nm[4:]): r for nm, r in c.registers.items()
-            if nm[:4] == "RegI" and nm[4:].isdecimal() and r.role == "output"}
-    return outs[max(outs)] if outs else None
 
 
 def cmd_sim(args) -> int:
@@ -167,13 +149,7 @@ def cmd_sim(args) -> int:
                 f"circuit wants {reg.int_bits}.{reg.frac_bits}")
         start = reg.insert(0, fp.raw)
     else:
-        ds = parse_digits(args.input)
-        if len(ds.digits) != rego.size:
-            raise DomainError(f"expected {rego.size} digits, got {len(ds.digits)}")
-        start = 0
-        for i in range(rego.size):
-            if ds.digits[rego.size - 1 - i]:
-                start |= 1 << (rego.start + i)
+        start = synth.encode_digits(rego, args.input)
     if args.mode == "sparse":
         amps = c.simulate_sparse(start)
         for s in sorted(amps):
@@ -182,17 +158,10 @@ def cmd_sim(args) -> int:
         return 0
     state = c.simulate_basis(start)
     if group == 1:
-        raw = rego.extract(state)
-        ds = DigitString(tuple((raw >> i) & 1 for i in range(rego.size)))
-        print(f"digits {ds.text(rego.int_bits)}")
+        print(f"digits {synth.decode_digits(rego, state).text(rego.int_bits)}")
     else:
-        out = _value_register(c)
-        fp = make(out.extract(state), Layout(out.int_bits, out.frac_bits, out.signed))
-        flag = c.registers.get("Anc1")
-        if flag is not None and flag.role == "output" and flag.extract(state):
-            print("value infinite")
-        else:
-            print(f"value {render(fp)} = {_fnum(fp.value)}")
+        fp, infinite = synth.decode_value(*synth.value_registers(c.registers), state)
+        print("value infinite" if infinite else f"value {render(fp)} = {_fnum(fp.value)}")
     return 0
 
 

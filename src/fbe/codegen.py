@@ -12,10 +12,10 @@ of a list of bit-sliced planes, plane i being qubit order[i], and the
 condition of the terms it runs, that does what circuit._planes does on
 them: each entry is written out as `c1 = c0 & P[3] & ~P[7]` and
 `if c1:`, its op inline on the planes, a block as an indented body under
-its own condition variable.  Circuit.simulate_sparse runs each stretch
-of the compiled program through it from the stretch's second bit-sliced
-run on.  The source holds only ints (the basis writer's masks formatted
-:#x, the planes writer's plane indices in decimal) and fixed text.
+its own condition variable.  Circuit._run_stretch, shared by
+simulate_sparse and simulate_batch, runs each compiled stretch through
+it from its second bit-sliced run on.  The source holds only ints (the
+basis writer's masks as :#x, plane indices in decimal) and fixed text.
 
 Compile's transient memory grows with the source it parses, so the
 source is compiled in functions of at most CHUNK_LINES lines each:

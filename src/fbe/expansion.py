@@ -142,6 +142,15 @@ class FunctionSpec:
             lay = self._layouts[m, n] = self.make_layout(m, n)
         return lay
 
+    @property
+    def digit_point(self) -> int:
+        """Digits left of the point: k when value_scale is radix^k, else 0."""
+        point, s = 0, 1
+        while s < self.value_scale:
+            s *= self.radix
+            point += 1
+        return point if s == self.value_scale else 0
+
 
 def _encode_interval(spec_name, domain):
     """The encoder of a spec with this domain and no encoder of its own:

@@ -399,6 +399,79 @@ def test_cot_step_one_bit_narrower_is_caught(monkeypatch, narrow):
         assert checks.exhaustive(mutant)[3] is not None, step
 
 
+
+def step_cases(sc, i):
+    """{start: want} for step i of sc over every valid input.  start
+    holds the raw-int recurrence's state before step i: the chain value
+    in the register the step reads, the digits so far in RegO (for an
+    inverse evaluator up to digit i, which the step absorbs), the digit
+    before in AncP and the freeze flag or latch in Anc1.  want adds what
+    the step must leave: the next chain value, digit and flags."""
+    spec, lay, regs = sc.spec, sc.layout, sc.circuit.registers
+    k = i - (0 if sc.group == 1 else synth.TABLE_DIGITS)
+    cur, nxt = (regs[nm] for nm in sc.chain[k:k + 2])
+    rego, flag, par = regs["RegO"], regs.get("Anc1"), regs.get("AncP")
+
+    def put(state, reg, raw):
+        return state if reg is None else reg.insert(state, raw)
+
+    cases = {}
+    for arg in checks.valid_args(sc):
+        if sc.group == 1:
+            st, digits = spec.encode(arg, lay), 0
+            for j in range(i):
+                d, st = spec.step(st, lay)
+                digits |= d << j
+            d, after = spec.step(st, lay)
+            start = put(rego.insert(cur.insert(0, st[0]), digits), flag, st[1])
+            want = put(rego.insert(nxt.insert(start, after[0]), digits | d << i), flag, after[1])
+        else:
+            bits = arg.digits[::-1]  # bits[j] is absorbed at step j
+            st = spec.init(lay)
+            for j in range(i):
+                st = spec.absorb(st, bits[j], j, lay)
+            after = spec.absorb(st, bits[i], i, lay)
+            digits = sum(b << j for j, b in enumerate(bits[:i + 1]))
+            start = rego.insert(cur.insert(0, st[0]), digits)
+            start = put(put(start, flag, st[1] & 1), par, bits[i - 1])
+            want = put(put(nxt.insert(start, after[0]), flag, after[1] & 1), par, bits[i])
+        cases[start] = want
+    return cases
+
+
+@pytest.mark.parametrize("fn", FORWARD + INVERSE)
+def test_each_step_alone_runs_its_recurrence_step(fn):
+    # every computed step as a circuit of its own, from every distinct
+    # state the recurrence holds before it, in one batch: the next chain
+    # value, digit and flags, the register it read restored, every other
+    # register but garbage scratch unchanged, so every clean ancilla
+    # ends at 0 (AncP at the digit the step absorbed).  Its gates are one
+    # contiguous run of the whole circuit's
+    n, m = (6, 8) if fn in FORWARD else (10, 8)
+    for policy, square in itertools.product(("garbage", "clean"),
+                                            [sq for f, sq in VARIANTS if f == fn]):
+        config = SynthConfig(fn, n, m, policy, square)
+        sc = synthesize(config)
+        care = sum(((1 << r.size) - 1) << r.start for r in sc.circuit.registers.values()
+                   if r.role != "garbage" or r.name in sc.chain or r.name == "Anc1")
+        steps = range(n - 1) if fn in FORWARD else range(synth.TABLE_DIGITS, n)
+        for i in steps:
+            c = synth.step_circuit(config, i)
+            assert c.registers == sc.circuit.registers
+            cases = step_cases(sc, i)
+            finals = c.simulate_batch(cases)
+            bad = [s for s, f in zip(cases, finals) if f & care != cases[s]]
+            assert len(cases) > 1 and not bad, (policy, square, i, len(bad), len(cases))
+            full, gates = sc.circuit.gates, c.gates
+            assert gates and any(full[j:j + len(gates)] == gates
+                                 for j, g in enumerate(full) if g == gates[0]), (policy, square, i)
+        with pytest.raises(CircuitError, match=f"^{fn} has no computed step {steps.stop}, "):
+            synth.step_circuit(config, steps.stop)
+        if fn in INVERSE:
+            with pytest.raises(CircuitError, match=f"^{fn} has no computed step 0, "):
+                synth.step_circuit(config, 0)
+
+
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
 def test_qubit_count_affine_in_m(fn):
     n = 4
@@ -438,6 +511,22 @@ def test_builder_circuits_digest_and_gate_checks():
     assert digest.hexdigest() == BUILDER_DIGEST
 
 
+# SHA-256 of the concatenated export() of the 48 circuits below: past
+# the digit tables, where exp, cos and cot run computed steps.  A change
+# that alters circuits on purpose updates it and says so.
+COMPUTED_STEPS_DIGEST = "a21010eda4638a2d57de87a7c07a32f0c2a56db5019c8648923f166da84207cc"
+
+
+def test_computed_steps_text_is_pinned():
+    digest = hashlib.sha256()
+    configs = list(itertools.product(FORWARD + INVERSE, ("garbage", "clean"), SQUARE_METHODS,
+                                     ((6, 10), (8, 12))))
+    for fn, policy, square, (n, m) in configs:
+        digest.update(synthesize(SynthConfig(fn, n, m, policy, square)).export().encode())
+    assert len(configs) == 48
+    assert digest.hexdigest() == COMPUTED_STEPS_DIGEST
+
+
 def test_export_import_simulates_identically():
     sc = synthesize(SynthConfig("exp", 3, 6))
     c2 = import_text(sc.export())
@@ -458,6 +547,8 @@ def test_config_validation():
     sc = synthesize(SynthConfig("log", 2, 6))
     with pytest.raises(CircuitError):
         sc.encode_digits(DigitString((0, 1)))
+    with pytest.raises(CircuitError, match="^log writes digits, not a value$"):
+        sc.decode_value(0)
     sc2 = synthesize(SynthConfig("cos", 2, 6))
     with pytest.raises(CircuitError):
         sc2.encode_input(Fraction(1, 2))
