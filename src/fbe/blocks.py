@@ -58,10 +58,15 @@ class Builder:
 
     The Builder owns the ancilla policy; `clean` says which is in force.
     scratch() gives block scratch in the matching role: a fresh register
-    per step under garbage, and under clean one register per scratch
-    role, shared by every step.  compute() emits and records its body,
-    and uncompute() appends that reversed under clean only, which returns
-    the shared scratch to zero before the next step computes into it.
+    per call under garbage, and under clean one register per scratch
+    role, shared by every step.  frames() lays out a whole chain's
+    per-step scratch: under garbage the steps' frames stack, each on the
+    bits the step before returned to zero, and under clean every step
+    shares one register.  borrowed records each step's frames, which
+    must be zero when the step starts.  compute() emits and records its
+    body, and uncompute() appends that reversed under clean only, which
+    returns the shared scratch to zero before the next step computes
+    into it.
     inverted() emits its body's inverse under either policy: every gate
     here is self-inverse, so reversed order is the inverse.
     """
@@ -75,6 +80,7 @@ class Builder:
         self.regs: list[Register] = []
         self.ctx: tuple[tuple[int, ...], int] = ((), 0)
         self.shared: dict[str, Register] = {}  # clean scratch by role
+        self.borrowed: dict[int, list[tuple[int, ...]]] = {}  # frames by step
 
     def alloc(self, size: int) -> tuple[int, ...]:
         bits = tuple(range(self.n, self.n + size))
@@ -123,6 +129,36 @@ class Builder:
             raise CircuitError(f"scratch {role}: {size} bits asked, the shared "
                                f"register holds {self.shared[role].size}")
         return self.shared[role]
+
+    def frames(self, role: str, sizes: dict, kept: Optional[dict] = None) -> dict:
+        """{step: frame bits} for per-step scratch of sizes {step: width}.
+
+        Under clean every step gets the one register scratch(role) gives,
+        at the widest size.  Under garbage step i may leave only its low
+        kept[i] frame bits set (all of them when kept is None) and must
+        return every bit above them to zero, as sqrt_stages does.  So the
+        frames stack: step i's frame is one run of consecutive qubits that
+        starts kept[i-1] bits after step i-1's, on the top that step has
+        just zeroed, and a ripple add across it stays one run.  role{i}
+        names step i's kept bits, in the garbage role, and the bits past
+        the last kept part, zero again once the last step ends, form one
+        ancilla-clean register, role + "Top"."""
+        if not sizes:
+            return {}
+        if self.clean:
+            bits = dict.fromkeys(sizes, self.scratch(role, max(sizes.values())).bits)
+        else:
+            kept = kept or sizes
+            bits, end = {}, self.n
+            for i, size in sizes.items():
+                bits[i] = tuple(range(self.n, self.n + size))
+                end = max(end, self.n + size)
+                self.scratch(role, kept[i], i)
+            if end > self.n:
+                self.reg(f"{role}Top", "ancilla-clean", end - self.n)
+        for i, qs in bits.items():
+            self.borrowed.setdefault(i, []).append(qs)
+        return bits
 
     @contextmanager
     def compute(self):

@@ -15,6 +15,7 @@ from functools import lru_cache
 from importlib.resources import files
 from typing import Optional
 
+from .circuit import Circuit
 from .expansion import (
     DigitString,
     _absorb_raw,
@@ -63,6 +64,12 @@ def valid_args(sc: SynthesizedCircuit):
     if sc.group == 1:
         return (make(raw, sc.layout).value for raw in valid_raws(sc))
     return map(DigitString, itertools.product((0, 1), repeat=sc.config.n))
+
+
+def _starts(sc: SynthesizedCircuit, inputs: Optional[int] = None):
+    """The basis states of the first `inputs` valid arguments (all if None)."""
+    encode = sc.encode_input if sc.group == 1 else sc.encode_digits
+    return map(encode, itertools.islice(valid_args(sc), inputs))
 
 
 def _dirty(sc: SynthesizedCircuit, states) -> int:
@@ -171,8 +178,7 @@ def reversibility(sc: SynthesizedCircuit, rng, trials: int,
     for _ in range(trials):
         start = rng.randrange(1 << sc.n_qubits)
         inverse_bad += inv.simulate_basis(c.simulate_basis(start)) != start
-    encode = sc.encode_input if sc.group == 1 else sc.encode_digits
-    ends = c.simulate_batch(map(encode, itertools.islice(valid_args(sc), inputs)))
+    ends = c.simulate_batch(_starts(sc, inputs))
     return inverse_bad, len(ends), _dirty(sc, ends)
 
 
@@ -240,3 +246,22 @@ def _chain_divergence(sc: SynthesizedCircuit, rows, finals) -> Optional[str]:
                 return f"{name}: step {i}, {reg.name} wanted raw {chain[i]}, got {got}"
             compared += 1
     return None if compared else "no chain register compared"
+
+
+def zero_at_borrow(sc: SynthesizedCircuit, spans: dict[int, slice],
+                   borrowed: dict[int, list[tuple[int, ...]]]) -> dict[int, int]:
+    """{step i: how many valid inputs reach computed step i's first gate
+    with a qubit of its scratch frame set}, off synth._build's spans and
+    borrowed frames, with one simulate_batch per step.  Every count must
+    be 0 (Builder.frames).  Under garbage a step's frame takes bits an
+    earlier step's walk returned to zero; a walk that leaves one set can
+    still give every output, chain register and clean ancilla right, so
+    exhaustive alone does not prove it."""
+    c, states, done, counts = sc.circuit, _starts(sc), 0, {}
+    for i, span in spans.items():
+        part = Circuit(c.n_qubits)
+        part.gates = c.gates[done:span.start]
+        states, done = part.simulate_batch(states), span.start
+        mask = sum(1 << q for frame in borrowed[i] for q in frame)
+        counts[i] = sum(bool(s & mask) for s in states)
+    return counts

@@ -22,9 +22,14 @@ one per digit prefix, so the value after the first TABLE_DIGITS steps is
 written by one table on the digit qubits (_prefix_table): the chain
 starts at the table's register, and only the steps after it compute.
 
-The Builder owns the ancilla policy (Builder.uncompute, .computed): under
-garbage every step gets its own scratch register (AncW0, AncW1, ...),
-under clean all steps share one (AncW).
+The Builder owns the ancilla policy (Builder.frames, .uncompute,
+.computed).  Under clean all steps share one scratch register (AncW).
+Under garbage step i's frame is one run of qubits that starts where the
+step before's kept bits end, and AncW{i} names the low bits step i
+leaves set: all of its frame for log, arccos and arccot, while the root
+walks of exp, cos and cot return the rest to zero for the next step to
+take.  The bits past the last kept part end at zero, in one clean
+register (AncWTop).
 """
 
 from __future__ import annotations
@@ -229,8 +234,8 @@ def _square_scratch(b: Builder, cfg: SynthConfig, k: int):
 
 def _log(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
     m, q = cfg.m, lay.frac_bits
-    wides = [b.scratch("AncW", square_width(m - 1, cfg.square_method), i).bits for i in steps]
-    root_t, car = _square_scratch(b, cfg, m - 1)
+    wides = b.frames("AncW", dict.fromkeys(steps, square_width(m - 1, cfg.square_method)))
+    root_t, car = _square_scratch(b, cfg, m - 1) if steps else (None, None)
 
     def last(a, d):
         b.flip(d, [(a[m - 1], True)])
@@ -253,9 +258,9 @@ def _log(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
 
 def _arccos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
     m, q = cfg.m, lay.frac_bits
-    wides = [b.scratch("AncW", square_width(m - 1, cfg.square_method), i).bits for i in steps]
+    wides = b.frames("AncW", dict.fromkeys(steps, square_width(m - 1, cfg.square_method)))
     z = b.reg("AncZ", "ancilla-clean", 1).bits[0]
-    root_t, car = _square_scratch(b, cfg, m - 1)
+    root_t, car = _square_scratch(b, cfg, m - 1) if steps else (None, None)
 
     def step(i, a, nxt, d):
         _zero_test(b, z, a)
@@ -290,14 +295,19 @@ def _arccos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
 def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
     m, q = cfg.m, lay.frac_bits
     # square scratch doubles as the division frame, one guard bit on top
-    sqs = [b.scratch("AncSq", 2 * m - 1, i).bits for i in steps]
-    quot_t = b.reg("AncQuot", "ancilla-clean", m - 1).bits if b.clean else None
+    sqs = b.frames("AncSq", dict.fromkeys(steps, 2 * m - 1))
     root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
-              if cfg.square_method == "reversed_sqrt" else None)
+              if steps and cfg.square_method == "reversed_sqrt" else None)
+    # under clean the quotient needs a zero temp.  The reversed walk
+    # hands AncRoot back clean before div_stages writes the quotient,
+    # and the replay clears the quotient before that walk runs again,
+    # so AncRoot serves as that temp too
+    quot_t = ((root_t or b.reg("AncQuot", "ancilla-clean", m - 1).bits)
+              if b.clean and steps else None)
     anc1 = b.reg("Anc1", "garbage", 1).bits[0]
     z = b.reg("AncZ", "ancilla-clean", 1).bits[0]
-    s = b.reg("AncS", "ancilla-clean", 1).bits[0]
-    car = b.reg("AncC", "ancilla-clean", 1).bits[0]
+    s, car = ([b.reg(nm, "ancilla-clean", 1).bits[0] for nm in ("AncS", "AncC")]
+              if steps else (None, None))
 
     def digit(a, d):
         b.flip(d, [(a[m - 1], True)])
@@ -346,7 +356,9 @@ def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
 
 def _exp(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, table):
     m, q = cfg.m, lay.frac_bits
-    wides = {i: b.scratch("AncW", 2 * m + 1, i).bits for i in steps}
+    # the root walk's m stages leave the frame zero above its low m + 2
+    # bits, where the next step's frame starts under garbage
+    wides = b.frames("AncW", dict.fromkeys(steps, 2 * m + 1), dict.fromkeys(steps, m + 2))
     root_t = b.reg("AncRoot", "ancilla-clean", m).bits if b.clean and steps else None
     # no gate touches AncC; it stays so that even an all-table circuit
     # has a clean ancilla for the benchmark's dirty-ancilla check to flip
@@ -367,7 +379,8 @@ def _exp(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, 
 
 def _cos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, table):
     m, q = cfg.m, lay.frac_bits
-    wides = {i: b.scratch("AncW", 2 * m - 1, i).bits for i in steps}
+    # m - 1 root stages: the frame is zero above its low m + 1 bits
+    wides = b.frames("AncW", dict.fromkeys(steps, 2 * m - 1), dict.fromkeys(steps, m + 1))
     root_t = b.reg("AncRoot", "ancilla-clean", m - 1).bits if b.clean and steps else None
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
     b.reg("AncC", "ancilla-clean", 1)  # touched by no gate, as in _exp
@@ -399,18 +412,15 @@ def _cot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, 
     m, q = cfg.m, lay.frac_bits
     # each step squares and roots only the bits its chain value can
     # reach (cot_chain_bounds derives the bound), and its scratch holds
-    # just those bits; under clean one register serves every step, so
-    # it takes the widest step's width
+    # just those bits.  a^2 + 1 < 4^s, so the square and the root walk
+    # leave the frame zero above its low s + 2 bits
     bounds = cot_chain_bounds(lay, cfg.n)
     widths = {i: _cot_step_widths(bounds[i - 1], q) for i in steps}
-    sq_w = {i: max(square_width(k, cfg.square_method), 2 * s + 1)
-            for i, (k, s) in widths.items()}
-    rt_w = {i: max(k if cfg.square_method == "reversed_sqrt" else 0, s)
-            for i, (k, s) in widths.items()}
-    if b.clean:
-        sq_w, rt_w = ({i: max(ws.values()) for i in ws} for ws in (sq_w, rt_w))
-    sqs = {i: b.scratch("AncSq", sq_w[i], i).bits for i in steps}
-    roots = {i: b.scratch("AncRoot", rt_w[i], i).bits for i in steps}
+    sqs = b.frames("AncSq", {i: max(square_width(k, cfg.square_method), 2 * s + 1)
+                             for i, (k, s) in widths.items()},
+                   {i: s + 2 for i, (k, s) in widths.items()})
+    roots = b.frames("AncRoot", {i: max(k if cfg.square_method == "reversed_sqrt" else 0, s)
+                                 for i, (k, s) in widths.items()})
     anc1 = b.reg("Anc1", "output", 1).bits[0]  # the infinity flag
     p = b.reg("AncP", "ancilla-clean", 1).bits[0]
     car = b.reg("AncC", "ancilla-clean", 1).bits[0] if steps else None
@@ -453,8 +463,10 @@ _FAMILIES = {
 
 # ------------------------------------------------------------------ driver
 
-def _build(config: SynthConfig) -> tuple[SynthesizedCircuit, dict[int, slice]]:
-    """synthesize's circuit and the slice of its gates each step emitted."""
+def _build(config: SynthConfig) -> tuple[SynthesizedCircuit, dict[int, slice], dict]:
+    """synthesize's circuit, the slice of its gates each computed step
+    emitted, and the scratch frames each step borrows, which must be zero
+    on every input when the step starts (Builder.frames)."""
     spec = get_spec(SYNTH_SPEC[config.function])
     lay = spec.layout(config.m, config.n)
     n, forward = config.n, spec.group == 1
@@ -488,7 +500,8 @@ def _build(config: SynthConfig) -> tuple[SynthesizedCircuit, dict[int, slice]]:
         with b.controls([(p, True)]):
             negate_bits(b, regs[-1].bits)  # the top digit decides the sign
         b.flip(p, [(rego.bits[-1], True)])
-    return SynthesizedCircuit(config, spec, lay, b.finish(), [r.name for r in regs]), spans
+    return (SynthesizedCircuit(config, spec, lay, b.finish(), [r.name for r in regs]), spans,
+            b.borrowed)
 
 
 def synthesize(config: SynthConfig) -> SynthesizedCircuit:
@@ -503,7 +516,7 @@ def synthesize(config: SynthConfig) -> SynthesizedCircuit:
 def step_circuit(config: SynthConfig, i: int) -> Circuit:
     """synthesize(config)'s registers with only computed step i's gates,
     with cos's and cot's two flips of p around them."""
-    sc, spans = _build(config)
+    sc, spans, _ = _build(config)
     if i not in spans:
         raise CircuitError(f"{config.function} has no computed step {i}, only {list(spans)}")
     sc.circuit.gates = sc.circuit.gates[spans[i]]

@@ -1,10 +1,11 @@
 """The shared check bodies must see a fault: fed a circuit with one gate
-dropped, one clean ancilla left flipped, a wrong inverse or a recurrence
-whose output is off, each reports it in its tally."""
+dropped, one clean ancilla left flipped, a wrong inverse, a recurrence
+whose output is off or a frame bit left set, each reports it in its
+tally."""
 
 import random
 
-from fbe import checks
+from fbe import checks, synth
 from fbe.circuit import Circuit, Gate
 from fbe.expansion import DigitString
 from fbe.fixedpoint import make
@@ -117,3 +118,23 @@ def test_table2_rows_see_a_dropped_gate(monkeypatch):
     broken = list(checks.table2_rows())
     assert [r[:3] for r in broken] == [r[:3] for r in rows]
     assert any(got != want for _, _, want, got, info in broken if not info)
+
+
+def test_zero_at_borrow_sees_a_frame_bit_left_set():
+    # exp's root walk returns its frame to zero from bit m + 2 up, where
+    # step 5's frame starts under garbage.  Without the flip that clears
+    # the sign bit step 4's last stage sheds, frame[m + 2], every output,
+    # chain register and clean ancilla stays right, but 104 of the 256
+    # inputs reach step 5 with that bit set
+    m = 10
+    sc, spans, borrowed = synth._build(SynthConfig("exp", 8, m))
+    assert checks.zero_at_borrow(sc, spans, borrowed) == dict.fromkeys(range(4, 8), 0)
+    (frame,) = borrowed[4]
+    gates = sc.circuit.gates
+    k = max(g for g in range(spans[4].start, spans[4].stop)
+            if gates[g].kind == "cx" and gates[g].neg_mask and gates[g].targets[0] in frame)
+    assert gates[k].targets == (frame[m + 2],) and borrowed[5][0][0] == frame[m + 2]
+    sc.circuit.gates = gates[:k] + gates[k + 1:]
+    spans = {i: slice(s.start - (s.start > k), s.stop - (s.stop > k)) for i, s in spans.items()}
+    assert checks.exhaustive(sc) == (0, 0, True, None)
+    assert checks.zero_at_borrow(sc, spans, borrowed) == {4: 0, 5: 104, 6: 0, 7: 0}

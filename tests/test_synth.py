@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fbe import checks, synth
+from fbe import checks, circuit, synth
 from fbe.blocks import Builder
 from fbe.circuit import CircuitError, Gate, export_text, import_text
 from fbe.expansion import (
@@ -268,21 +268,65 @@ def test_clean_scratch_refuses_a_wider_later_step():
 @pytest.mark.parametrize("fn", FORWARD + INVERSE)
 def test_every_allocated_qubit_is_touched(fn):
     # a register is allocated only if some gate reads or writes it.  The
-    # two exceptions: exp's and cos's AncC, which gives every circuit a
-    # clean ancilla, and bit 1 of each shift-and-add square, which holds
-    # x^2 mod 4 in {0, 1}
-    for policy, square, (n, m) in itertools.product(
-            ("garbage", "clean"), SQUARE_METHODS, ((3, 6), (4, 8), (6, 10))):
+    # exceptions: exp's and cos's AncC, which gives every circuit a clean
+    # ancilla, bit 1 of each shift-and-add square, which holds x^2 mod 4
+    # in {0, 1}, and at n = 1 the input and output, whose layout is fixed:
+    # a forward evaluator's one digit reads only the sign of RegI0, and
+    # exp's one-digit table writes bits that are 0 on both digits.  The
+    # inverse evaluators' garbage frames stack at (8, 10)
+    sizes = ((1, 6), (3, 6), (4, 8), (6, 10)) + (((8, 10),) if fn in INVERSE else ())
+    for policy, square, (n, m) in itertools.product(("garbage", "clean"), SQUARE_METHODS, sizes):
         sc = synthesize(SynthConfig(fn, n, m, policy, square))
         touched = {q for g in sc.circuit.gates for q in g.qubits}
         idle = [(r.name, q - r.start) for r in sc.circuit.registers.values()
                 for q in r.bits if q not in touched]
         allowed = {("AncC", 0)} if fn in ("exp", "cos") else set()
+        if n == 1:
+            allowed |= {(r.name, q - r.start) for r in sc.circuit.registers.values()
+                        if r.role in ("input", "output") for q in r.bits}
         if square == "shift_add":
             role = "AncSq" if fn in ("arccot", "cot") else "AncW"
             allowed |= {(nm, 1) for nm in sc.circuit.registers
                         if nm.rstrip("0123456789") == role}
         assert set(idle) <= allowed, (policy, square, n, m)
+
+
+def test_garbage_frames_are_consecutive_qubits():
+    # under garbage step i's frame starts on its kept bits, AncW{i} or
+    # AncSq{i}, and runs on through the later steps' kept bits into the
+    # zero top register: one run of qubits, so a ripple add across the
+    # seam stays one fused register-add entry.  The entry counts are
+    # pinned at (6, 10): a layout that built each frame from fresh low
+    # bits and a top register elsewhere took exp from 186 to 306 entries
+    # and cot from 209 to 339
+    entries = {("exp", "shift_add"): 186, ("cos", "shift_add"): 186,
+               ("cot", "shift_add"): 209, ("cot", "reversed_sqrt"): 320}
+    for (fn, square), want in entries.items():
+        for n in (6, 8):
+            sc, spans, borrowed = synth._build(SynthConfig(fn, n, 10, "garbage", square))
+            regs = sc.circuit.registers
+            role = "AncSq" if fn == "cot" else "AncW"
+            kept = [regs[f"{role}{i}"] for i in spans] + [regs[f"{role}Top"]]
+            assert [r.role for r in kept] == ["garbage"] * len(spans) + ["ancilla-clean"]
+            assert [r.start for r in kept[1:]] == [r.start + r.size for r in kept[:-1]]
+            for i, r in zip(spans, kept):
+                assert borrowed[i][0][0] == r.start, (fn, square, n, i)
+                for frame in borrowed[i]:
+                    assert frame == tuple(range(frame[0], frame[0] + len(frame)))
+                assert borrowed[i][0][-1] < kept[-1].start + kept[-1].size
+            if n == 6:
+                assert len(circuit._fuse_adders(sc.circuit.gates)) == want, (fn, square)
+
+
+@pytest.mark.parametrize("n, m", ((8, 10), (12, 16)))
+def test_every_frame_is_zero_where_its_step_borrows_it(n, m):
+    # every valid input reaches each computed step with that step's
+    # scratch frames at zero, which under garbage is the stacked frames'
+    # contract: the walk before returned them to zero
+    for (fn, square), policy in itertools.product(VARIANTS, ("garbage", "clean")):
+        if fn in INVERSE:
+            counts = checks.zero_at_borrow(*synth._build(SynthConfig(fn, n, m, policy, square)))
+            assert counts == dict.fromkeys(range(synth.TABLE_DIGITS, n), 0), (fn, square, policy)
 
 
 def test_chain_divergence_needs_a_compared_register():
@@ -487,7 +531,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "92b21af55bc4dd49e961855aea96af42efc67e5ecf4a25bf95e677789c6c347e"
+BUILDER_DIGEST = "34f9778699809c2019d9e69a41adde11f1d0e363f25a02a7766b2b8f28c43001"
 
 
 def test_builder_circuits_digest_and_gate_checks():
@@ -514,7 +558,7 @@ def test_builder_circuits_digest_and_gate_checks():
 # SHA-256 of the concatenated export() of the 48 circuits below: past
 # the digit tables, where exp, cos and cot run computed steps.  A change
 # that alters circuits on purpose updates it and says so.
-COMPUTED_STEPS_DIGEST = "a21010eda4638a2d57de87a7c07a32f0c2a56db5019c8648923f166da84207cc"
+COMPUTED_STEPS_DIGEST = "708c02e83717c4907f2eb9d53fd74fcc22af5364a7189f33340af62b5dbf1a49"
 
 
 def test_computed_steps_text_is_pinned():
