@@ -288,11 +288,14 @@ def decrement(b: Builder, bits):
         increment(b, bits)
 
 
-def negate_bits(b: Builder, bits):
-    """Two's complement in place: bitwise not, then +1."""
+def negate_bits(b: Builder, bits, reach: Optional[int] = None):
+    """Two's complement in place: bitwise not, then +1 on bits[:reach]
+    (all of bits if None).  Exact when bits[:reach] is never all zero on
+    entry: its complement is then never all ones, so the +1's carry ends
+    inside it and the bits above only need the flip."""
     for q in bits:
         b.flip(q)
-    increment(b, bits)
+    increment(b, bits[:reach])
 
 
 def copy_bits(b: Builder, src, dst):

@@ -265,3 +265,33 @@ def zero_at_borrow(sc: SynthesizedCircuit, spans: dict[int, slice],
         mask = sum(1 << q for frame in borrowed[i] for q in frame)
         counts[i] = sum(bool(s & mask) for s in states)
     return counts
+
+
+def never_fire(sc: SynthesizedCircuit) -> int:
+    """Toffoli-equivalents, priced by Circuit.resource_count, of the gates
+    of sc's flat gate list that fire on no valid input.  One bit-sliced
+    pass over every valid start: one int per qubit whose bit k is that
+    qubit in start k, and each gate's condition the AND of its control
+    planes, negative controls complemented.  Dropping such a gate
+    changes the run of no valid input."""
+    starts = list(_starts(sc))
+    full, nq = (1 << len(starts)) - 1, sc.n_qubits
+    # start k's bits, msb first, are the k-th last block of nq characters
+    packed = "".join([format(s, f"0{nq}b") for s in reversed(starts)])
+    planes = [int(packed[nq - 1 - q::nq], 2) for q in range(nq)]
+    dead = Circuit(nq)
+    for g in sc.circuit.gates:
+        kind, targets, controls, neg = g
+        cond = full
+        for i, c in enumerate(controls):
+            cond &= ~planes[c] if neg >> i & 1 else planes[c]
+        if not cond:
+            dead.gates.append(g)
+        elif kind in ("swap", "cswap"):
+            a, b = targets
+            d = (planes[a] ^ planes[b]) & cond
+            planes[a] ^= d
+            planes[b] ^= d
+        else:
+            planes[targets[0]] ^= cond
+    return dead.resource_count()["toffoli_equivalent"]

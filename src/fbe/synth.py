@@ -265,8 +265,10 @@ def _arccos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
     def step(i, a, nxt, d):
         _zero_test(b, z, a)
         b.flip(d, [(a[m - 1], True)])
+        # d holds only the sign here, and -1 <= a < 0 has a bit below
+        # the sign set, so the +1 ends below it
         with b.controls([(d, True)]):
-            negate_bits(b, a)
+            negate_bits(b, a, m - 1)
         with b.compute() as sq:
             square(b, cfg.square_method, a[:m - 1], wides[i], root_t, car)
         # window starts one place lower: the product is doubled on copy
@@ -279,6 +281,8 @@ def _arccos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
         b.flip(d, [(z, True)])
         b.flip(nxt[m - 1], [(z, True)])
         b.uncompute(sq)
+        # the restoring negation stays whole: the midpoint flip has set d
+        # for a = 0 as well, whose +1 carries out of every bit
         with b.controls([(d, True)]):
             negate_bits(b, a)
         _zero_test(b, z, a)
@@ -329,8 +333,11 @@ def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
         with b.computed(nxt[:m - 1], quot_t) as quo:
             square(b, cfg.square_method, a[:m - 1], w, root_t, car)
             decrement(b, w[2 * q:])
+            # under s, 0 < |a| < 1 (the trigger flip made a = 0 into
+            # 1.0), so the low 2q bits hold a^2 >= 1 ulp^2 exactly and
+            # the +1 ends inside them
             with b.controls([(s, True)]):
-                negate_bits(b, w)
+                negate_bits(b, w, 2 * q)
             div_stages(b, w, a[:m - 1], quo, car, shift=1)
         # the sign of |a| < 1 and the digit's cancel: one negation where
         # s xor d, with s holding it around the negation
@@ -392,8 +399,10 @@ def _cos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, 
         with b.computed(nxt[:m - 1], root_t) as root:
             for j in range(m):
                 b.flip(w[q + j], [(a[j], True)])  # t = a << 1
+            # t's low bit w[q - 1] is zero, as the frame is where the
+            # step borrows it, so -t = -(t >> 1) << 1: negate above it
             with b.controls([(p, True)]):
-                negate_bits(b, t)
+                negate_bits(b, t[1:])
             increment(b, t[q + 1:])  # + 1 at the unit column
             # halve exactly: the low bit is zero so rotation is a shift
             rotate_right1(b, t)

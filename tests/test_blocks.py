@@ -116,6 +116,22 @@ def test_increment_decrement_negate():
                 assert c.simulate_basis(x) == ref(x) % (1 << w)
 
 
+def test_negate_bits_reach():
+    # with a reach the +1 runs on the low bits alone: -x whenever they
+    # are not all zero, and wrong on some x whose low bits are zero and
+    # whose high bits are not, where the carry would have left them
+    for w in range(2, 7):
+        for reach in range(1, w):
+            b = Builder()
+            bits = b.alloc(w)
+            negate_bits(b, bits, reach)
+            c = b.finish()
+            low = (1 << reach) - 1
+            finals = c.simulate_batch(range(1 << w))
+            assert all(f == -x % (1 << w) for x, f in enumerate(finals) if x & low), (w, reach)
+            assert any(f != -x % (1 << w) for x, f in enumerate(finals) if not x & low and x)
+
+
 def test_rotation_ladders():
     for w in (2, 3, 5):
         b = Builder()

@@ -138,3 +138,20 @@ def test_zero_at_borrow_sees_a_frame_bit_left_set():
     spans = {i: slice(s.start - (s.start > k), s.stop - (s.stop > k)) for i, s in spans.items()}
     assert checks.exhaustive(sc) == (0, 0, True, None)
     assert checks.zero_at_borrow(sc, spans, borrowed) == {4: 0, 5: 104, 6: 0, 7: 0}
+
+
+def test_never_fire_prices_the_gates_no_input_fires():
+    # arccot (4, 8), garbage shift-add: 81 of its 1,361 Toffoli-
+    # equivalents fire on no valid input.  Appended at the end, where
+    # AncZ is back at zero on every input, a gate under AncZ joins them
+    # at its price, and one under not-AncZ and a bit some input sets
+    # does not
+    sc = synthesize(SynthConfig("arccot", 4, 8))
+    assert sc.circuit.resource_count()["toffoli_equivalent"] == 1361
+    assert checks.never_fire(sc) == 81
+    regs, gates = sc.circuit.registers, sc.circuit.gates
+    z, a0, out = regs["AncZ"].start, regs["RegI0"].start, regs["RegO"].start
+    sc.circuit.gates = gates + [Gate("mcx", (out,), (z, a0, a0 + 1))]
+    assert checks.never_fire(sc) == 81 + 3
+    sc.circuit.gates = gates + [Gate("ccx", (out,), (z, a0), 0b01)]
+    assert checks.never_fire(sc) == 81

@@ -156,7 +156,7 @@ def test_synth_report_is_pinned(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == (
-        "88d97c25a8677b296f0421f31d7529bedf569c2201a16847945bdc7ac958b473")
+        "d4ec5c6b6f5b087a5ecdcf90eaa89e938a44fd2f09f3921177437984ec4386c2")
 
 
 def test_synth_report_names_no_square_for_exp_and_cos(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fbe import checks, circuit, synth
-from fbe.blocks import Builder
+from fbe.blocks import Builder, negate_bits
 from fbe.circuit import CircuitError, Gate, export_text, import_text
 from fbe.expansion import (
     DigitString,
@@ -378,20 +378,79 @@ def arccot_flag_gates(sc):
     return regs["Anc1"].start, regs["AncZ"].start, unit
 
 
+def drop_trigger_flips(sc) -> int:
+    """Drop arccot's flips of a[q] under AncZ around each division from
+    sc; returns how many went."""
+    _, z, unit = arccot_flag_gates(sc)
+    gates = sc.circuit.gates
+    sc.circuit.gates = [g for g in gates if not (g.targets[0] in unit and g.controls == (z,))]
+    return len(gates) - len(sc.circuit.gates)
+
+
 def test_arccot_trigger_flip_shows_only_in_the_chain():
     # each step flips a[q] under AncZ around its division, so the
     # trigger step divides 1.0, not 0.  Without the two flips every
     # digit, clean ancilla and the inverse stay right on every input:
-    # only the chain registers see them
+    # only the chain registers see them.  The mutant's a = 0 also breaks
+    # the frame negation's reach (0 < |a| < 1 under AncS), which moves
+    # the wrong quotient but still only in the chain
     n, m = 4, 8
     for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
         sc = synthesize(SynthConfig("arccot", n, m, policy, square))
-        _, z, unit = arccot_flag_gates(sc)
-        flips = [g for g in sc.circuit.gates if g.targets[0] in unit and g.controls == (z,)]
-        assert len(flips) == 2 * (n - 1), (policy, square)
-        sc.circuit.gates = [g for g in sc.circuit.gates if g not in flips]
+        assert drop_trigger_flips(sc) == 2 * (n - 1), (policy, square)
         assert checks.exhaustive(sc) == (
-            0, 0, True, "input 0: step 1, RegI1 wanted raw 16, got 110"), (policy, square)
+            0, 0, True, "input 0: step 1, RegI1 wanted raw 16, got 111"), (policy, square)
+
+
+def whole_negations(monkeypatch, config, mutate=None):
+    """(shipped, whole) final states of every valid input, in one batch
+    per circuit: config's circuit as synthesized, and built again with
+    every negation whole, carrying its +1 through every bit.  The whole
+    build ignores reach, and it negates cos's 1 +- a scratch t with its
+    low bit: the frame qubit below the t[1:] the shipped step negates.
+    mutate, if given, edits both circuits before they run."""
+    shipped = synthesize(config)
+
+    def whole(b, bits, reach=None):
+        if any(bits[0] in f and bits[0] - 1 in f for fs in b.borrowed.values() for f in fs):
+            bits = (bits[0] - 1, *bits)
+        negate_bits(b, bits)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(synth, "negate_bits", whole)
+        full = synthesize(config)
+    # the two builds differ, in cascade gates only
+    assert full.circuit.registers == shipped.circuit.registers
+    assert len(full.circuit.gates) > len(shipped.circuit.gates)
+    starts = list(checks._starts(shipped))
+    if mutate:
+        mutate(shipped)
+        mutate(full)
+    return shipped.circuit.simulate_batch(starts), full.circuit.simulate_batch(starts)
+
+
+@pytest.mark.parametrize("fn, n, m", [(fn, n, m) for fn in ("arccos", "arccot")
+                                      for n, m in ((4, 8), (6, 10))]
+                         + [("cos", 6, 10), ("cos", 8, 10)])
+def test_negation_reach_keeps_every_whole_state(monkeypatch, fn, n, m):
+    # each narrowed negation (arccot's frame, arccos's first negation of
+    # a, cos's 1 +- a) ends every valid input on the very state, garbage
+    # frames included, that whole negations give; checks.exhaustive
+    # reads outputs, chain registers and clean ancillas only
+    for policy, square in itertools.product(("garbage", "clean"),
+                                            [sq for f, sq in VARIANTS if f == fn]):
+        shipped, full = whole_negations(monkeypatch, SynthConfig(fn, n, m, policy, square))
+        assert shipped == full, (policy, square)
+
+
+def test_negation_reach_differential_sees_a_broken_contract(monkeypatch):
+    # without the trigger flips, a = 0 reaches arccot's narrowed frame
+    # negation under AncS with an all-zero square: the carry the reach
+    # drops would have left its low 2q bits, and the final states differ
+    for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
+        shipped, full = whole_negations(monkeypatch, SynthConfig("arccot", 4, 8, policy, square),
+                                        drop_trigger_flips)
+        assert sum(a != b for a, b in zip(shipped, full)) > 0, (policy, square)
 
 
 def test_arccot_freeze_flag_guards_only_the_sentinel():
@@ -531,7 +590,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "34f9778699809c2019d9e69a41adde11f1d0e363f25a02a7766b2b8f28c43001"
+BUILDER_DIGEST = "814224c9df006f3129a8dbe4c0636339943e5f54c47b06675f902f74f218deac"
 
 
 def test_builder_circuits_digest_and_gate_checks():
@@ -558,7 +617,7 @@ def test_builder_circuits_digest_and_gate_checks():
 # SHA-256 of the concatenated export() of the 48 circuits below: past
 # the digit tables, where exp, cos and cot run computed steps.  A change
 # that alters circuits on purpose updates it and says so.
-COMPUTED_STEPS_DIGEST = "708c02e83717c4907f2eb9d53fd74fcc22af5364a7189f33340af62b5dbf1a49"
+COMPUTED_STEPS_DIGEST = "ae24f6439ddcfc16d1a1f9ca7aa98d2d097b84ae2eaaea2b59af8aa03a226540"
 
 
 def test_computed_steps_text_is_pinned():
