@@ -182,35 +182,49 @@ def reversibility(sc: SynthesizedCircuit, rng, trials: int,
     return inverse_bad, len(ends), _dirty(sc, ends)
 
 
+def chain_words(sc: SynthesizedCircuit, trace, digits) -> tuple[list[int], list[int]]:
+    """(held, ends) for a forward evaluator's raw trace a_0 .. a_{n-1}
+    and its digits: held[k] is the word RegI{k} holds when its step
+    reads it, and ends[k] the word it ends on.  log holds and ends on
+    a_k.  arccos and arccot carry the chain's sign in the digits: RegI{k}
+    holds u_k, a_k negated where d_{k-1} is 1 (for arccot only while the
+    chain is live, so not the sentinel after the a = 0 trigger step);
+    RegI0 ends on x, RegI1 .. RegI{n-2} on |a_k| and the last on
+    u_{n-1}."""
+    if sc.config.function == "log":
+        return list(trace), list(trace)
+    width, last = sc.layout.width, len(trace) - 1
+    arccos = sc.config.function == "arccos"
+    held = [-a % (1 << width) if k and digits[k - 1] and (arccos or trace[k - 1]) else a
+            for k, a in enumerate(trace)]
+    return held, [a if k in (0, last) or not a >> (width - 1) else -a % (1 << width)
+                  for k, a in enumerate(held)]
+
+
 def _reference(sc: SynthesizedCircuit):
-    """Per valid argument, in order: the argument, the basis state it
-    encodes to, the recurrence's output (digits for group 1, raw value
-    and infinity flag for group 2) and the raw value each chain register
-    RegI{i} must end on, at index i, from one pass of the recurrence on
-    raw ints.  A forward evaluator's chain is a_0 .. a_{n-1}; an inverse
-    one's is the trace with the finished value at the last index, and
-    cot's RegI{i} holds the value after absorb step i, so its list
-    starts one step into the trace."""
+    """Per valid argument, in order, from one pass of the recurrence on
+    raw ints: the argument, the recurrence's output (digits for group 1,
+    raw value and infinity flag for group 2) and the raw value each chain
+    register RegI{i} must end on, at index i.  A forward evaluator's
+    chain is chain_words' ends; an inverse one's is the trace with the
+    finished value at the last index, and cot's RegI{i} holds the value
+    after absorb step i, so its list starts one step into the trace.
+    Rows are made one at a time, as the caller reads them."""
     spec, n, lay = sc.spec, sc.config.n, sc.layout
-    rows = []
     if sc.group == 1:
-        reg0 = sc.circuit.registers["RegI0"]
         for x in valid_args(sc):
             st = spec.encode(x, lay)
             trace = [st[0]]
             digits = _expand_raw(spec, st, n, lay, trace)
-            # encode_input, with x encoded once
-            rows.append((x, reg0.insert(0, st[0]), digits, trace[:n]))
-        return rows
+            yield x, digits, chain_words(sc, trace[:n], digits)[1]
+        return
     first = sc.config.function == "cot"
     for ds in valid_args(sc):
         st = spec.init(lay)
         trace = [st[0]]
         value, infinite = spec.finish(_absorb_raw(spec, st, ds.digits, lay, trace),
                                       ds.digits, lay)
-        rows.append((ds, sc.encode_digits(ds), (value.raw, infinite),
-                     trace[first:n] + [value.raw]))
-    return rows
+        yield ds, (value.raw, infinite), trace[first:n] + [value.raw]
 
 
 def exhaustive(sc: SynthesizedCircuit) -> tuple[int, int, bool, Optional[str]]:
@@ -219,33 +233,31 @@ def exhaustive(sc: SynthesizedCircuit) -> tuple[int, int, bool, Optional[str]]:
     the outputs that differ from the recurrence's, the outputs with a
     clean ancilla set, whether the inverse circuit takes every output
     back to its start, and the first input whose chain registers differ
-    from the recurrence's trace, each RegI{i} against step i, named with
-    the step, the register and both raw values, or None.  A run that
-    compares no chain register diverges: it would pass on any circuit."""
-    rows = _reference(sc)
+    from the recurrence's, each RegI{i} against _reference's entry i,
+    named with the step, the register and both raw values, or None.  A
+    run that compares no chain register diverges: it would pass on any
+    circuit.  The reference streams beside the simulated outputs, so
+    only the start and final states are held."""
     c = sc.circuit
-    starts = [row[1] for row in rows]
+    starts = list(_starts(sc))
     finals = c.simulate_batch(starts)
-    if sc.group == 1:
-        outputs = (sc.decode_digits(s).digits for s in finals)
-    else:
-        outputs = ((v.raw, infinite) for v, infinite in map(sc.decode_value, finals))
-    mismatches = sum(got != row[2] for got, row in zip(outputs, rows))
-    return (mismatches, _dirty(sc, finals), c.inverse().simulate_batch(finals) == starts,
-            _chain_divergence(sc, rows, finals))
-
-
-def _chain_divergence(sc: SynthesizedCircuit, rows, finals) -> Optional[str]:
-    regs = [(int(nm[4:]), sc.circuit.registers[nm]) for nm in sc.chain]
-    compared = 0
-    for (arg, _, _, chain), state in zip(rows, finals):
-        for i, reg in regs:
+    regs = [(int(nm[4:]), c.registers[nm]) for nm in sc.chain]
+    mismatches, witness = 0, None if regs and starts else "no chain register compared"
+    for (arg, want, chain), state in zip(_reference(sc), finals):
+        if sc.group == 1:
+            out = sc.decode_digits(state).digits
+        else:
+            value, infinite = sc.decode_value(state)
+            out = value.raw, infinite
+        mismatches += out != want
+        for i, reg in regs if witness is None else ():
             got = reg.extract(state)
             if got != chain[i]:
                 name = f"input {arg}" if sc.group == 1 else f"digits {arg.text()}"
-                return f"{name}: step {i}, {reg.name} wanted raw {chain[i]}, got {got}"
-            compared += 1
-    return None if compared else "no chain register compared"
+                witness = f"{name}: step {i}, {reg.name} wanted raw {chain[i]}, got {got}"
+                break
+    return (mismatches, _dirty(sc, finals), c.inverse().simulate_batch(finals) == starts,
+            witness)
 
 
 def zero_at_borrow(sc: SynthesizedCircuit, spans: dict[int, slice],

@@ -3,19 +3,23 @@
 synthesize is the one driver.  It lays out the digit register RegO and
 the chain registers, RegI{i} holding the recurrence's value after step
 i, and runs the one loop over the steps.  A family (_log .. _cot) takes
-(b, cfg, lay, steps) and, if inverse, the spec, the digit qubits and the
-table's register; it allocates its scratch, writes its digit table if it
-has one, and returns (step, last, p).  step(i, a, nxt, d) emits step i
-from chain bits a and digit qubit d into the next chain register nxt:
-the gate image of one recurrence step, with its truncations, wraparound
-and sentinels, so a basis-state simulation reproduces the classical
-digits or value bit for bit.  step_circuit gives one step's gates alone.
-A forward evaluator (log, arccos, arccot) reads a number from RegI0, and
-last(a, d) writes its last digit.  An inverse one (exp, cos, cot) reads
-digits from RegO and builds the value in the last chain register; cos
-and cot hand over a parity qubit p, which the driver keeps: it holds the
-last digit absorbed, within a step that digit xor the one before, and at
-the end the sign, the value negated where it is set.
+(b, cfg, lay, steps, spec, the digit qubits, the table's register); it
+allocates its scratch, writes its digit table if it has one, and returns
+(step, last, p).  step(i, a, nxt, d) emits step i from chain bits a and
+digit qubit d into the next chain register nxt: the gate image of one
+recurrence step, with its truncations, wraparound and sentinels, so a
+basis-state simulation reproduces the classical digits or value bit for
+bit.  step_circuit gives one step's gates alone.  A forward evaluator
+(log, arccos, arccot) reads a number from RegI0, and last(a, d) writes
+its last digit.  arccos and arccot carry the chain's sign in the digits:
+RegI{i} holds u_i, a_i negated where d_{i-1} is set (for arccot while
+the chain is live), d_i = sign(u_i) xor d_{i-1} or 1 where u_i = 0, and
+RegI{i} ends on x, |a_1| .. |a_{n-2}|, u_{n-1}.  An inverse one (exp,
+cos, cot) reads digits from RegO and builds the value in the last chain
+register; cos and cot hand over a parity qubit p, which the driver
+keeps: it holds the last digit absorbed, within a step that digit xor
+the one before, and at the end the sign, the value negated where it is
+set.
 
 An inverse evaluator's chain value after j steps is one of 2^j values,
 one per digit prefix, so the value after the first TABLE_DIGITS steps is
@@ -146,9 +150,10 @@ class SynthesizedCircuit:
 
     chain names the value registers in step order; RegI{i} holds the
     recurrence's value after step i (for cot, after absorb step i).  A
-    forward evaluator keeps RegI0 .. RegI{n-1}.  An inverse one keeps
-    the digit table's register up to the output, the last entry: at
-    n <= TABLE_DIGITS that is the output alone.
+    forward evaluator keeps RegI0 .. RegI{n-1}, which end on the words
+    checks.chain_words gives.  An inverse one keeps the digit table's
+    register up to the output, the last entry: at n <= TABLE_DIGITS that
+    is the output alone.
     """
 
     def __init__(self, config: SynthConfig, spec: FunctionSpec, layout: Layout,
@@ -203,11 +208,6 @@ class SynthesizedCircuit:
         return export_text(self.circuit)
 
 
-def _zero_test(b: Builder, target: int, bits):
-    """target ^= [bits all zero]."""
-    b.flip(target, [(q, False) for q in bits])
-
-
 def _prefix_table(b: Builder, spec: FunctionSpec, lay: Layout, digits, reg) -> list:
     """Write reg from a table: the chain value after the recurrence
     absorbs digits, one entry per value of those digits, so the register
@@ -256,47 +256,41 @@ def _log(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
     return step, last, None
 
 
-def _arccos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
+def _arccos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, _):
     m, q = cfg.m, lay.frac_bits
     wides = b.frames("AncW", dict.fromkeys(steps, square_width(m - 1, cfg.square_method)))
-    z = b.reg("AncZ", "ancilla-clean", 1).bits[0]
     root_t, car = _square_scratch(b, cfg, m - 1) if steps else (None, None)
 
+    def digit(i, a, d):
+        # d holds sign(u_i): d_i is that xor d_{i-1}, and 1 where u_i = 0
+        prev = digits[i - 1:i] if i else []
+        copy_bits(b, prev, [d])  # d ^= d_{i-1}
+        b.flip(d, [(x, False) for x in (*a, *prev)])
+
     def step(i, a, nxt, d):
-        _zero_test(b, z, a)
         b.flip(d, [(a[m - 1], True)])
-        # d holds only the sign here, and -1 <= a < 0 has a bit below
-        # the sign set, so the +1 ends below it
+        # -1 <= u < 0 has a bit below the sign set, so the +1 ends below it
         with b.controls([(d, True)]):
             negate_bits(b, a, m - 1)
         with b.compute() as sq:
             square(b, cfg.square_method, a[:m - 1], wides[i], root_t, car)
         # window starts one place lower: the product is doubled on copy
         copy_bits(b, wides[i][q - 1:q - 1 + m], nxt)
-        decrement(b, nxt[q:])
-        with b.controls([(d, True)]):
-            negate_bits(b, nxt)
-        # a == 0 midpoint: flip the digit and lift -1 to +1, which is a
-        # single sign-bit flip at this layout
-        b.flip(d, [(z, True)])
-        b.flip(nxt[m - 1], [(z, True)])
+        decrement(b, nxt[q:])  # u_{i+1} = trunc(2 |u_i|^2) - 1
         b.uncompute(sq)
-        # the restoring negation stays whole: the midpoint flip has set d
-        # for a = 0 as well, whose +1 carries out of every bit
-        with b.controls([(d, True)]):
-            negate_bits(b, a)
-        _zero_test(b, z, a)
+        if i == 0:  # the input register ends on x; the rest keep |u|
+            with b.controls([(d, True)]):
+                negate_bits(b, a, m - 1)
+        digit(i, a, d)
 
     def last(a, d):
-        _zero_test(b, z, a)
         b.flip(d, [(a[m - 1], True)])
-        b.flip(d, [(z, True)])
-        _zero_test(b, z, a)
+        digit(cfg.n - 1, a, d)
 
     return step, last, None
 
 
-def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
+def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, _):
     m, q = cfg.m, lay.frac_bits
     # square scratch doubles as the division frame, one guard bit on top
     sqs = b.frames("AncSq", dict.fromkeys(steps, 2 * m - 1))
@@ -313,23 +307,31 @@ def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
     s, car = ([b.reg(nm, "ancilla-clean", 1).bits[0] for nm in ("AncS", "AncC")]
               if steps else (None, None))
 
-    def digit(a, d):
-        b.flip(d, [(a[m - 1], True)])
-        _zero_test(b, z, a)
-        b.flip(d, [(z, True)])
+    def freeze(a, d):
+        # d = sign(u_i), 0 once frozen whatever the register holds
+        b.flip(d, [(a[m - 1], True), (anc1, False)])
+        b.flip(z, [(x, False) for x in a])  # z ^= [u_i = 0]
         b.flip(anc1, [(z, True)])  # freeze from here on
+
+    def digit(i, a, d):
+        # d_i is 1 where u_i = 0, and while live the sign xor d_{i-1}
+        b.flip(d, [(z, True)])
+        b.flip(z, [(x, False) for x in a])  # back to 0: |u_i| = 0 where u_i is
+        if i:
+            b.flip(d, [(digits[i - 1], True), (anc1, False)])
 
     def step(i, a, nxt, d):
         w = sqs[i]
-        digit(a, d)
+        freeze(a, d)
+        # u is never the most negative pattern, so the +1 ends below the sign
         with b.controls([(d, True)]):
-            negate_bits(b, a)
+            negate_bits(b, a, m - 1)
         # the trigger step's a = 0 divides 1.0 instead, so its quotient
         # is 0 as a frozen step's is, whose a holds the sentinel 1.0: no
         # write into nxt needs the freeze flag
         b.flip(a[q], [(z, True)])
         # |a| < 1 exactly when no integer bit of the magnitude is set
-        _zero_test(b, s, a[q:])
+        b.flip(s, [(x, False) for x in a[q:]])
         with b.computed(nxt[:m - 1], quot_t) as quo:
             square(b, cfg.square_method, a[:m - 1], w, root_t, car)
             decrement(b, w[2 * q:])
@@ -339,22 +341,20 @@ def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
             with b.controls([(s, True)]):
                 negate_bits(b, w, 2 * q)
             div_stages(b, w, a[:m - 1], quo, car, shift=1)
-        # the sign of |a| < 1 and the digit's cancel: one negation where
-        # s xor d, with s holding it around the negation
-        b.flip(s, [(d, True)])
+        # u_{i+1}: the quotient, negated where |a| < 1, where it is >= 1 ulp
         with b.controls([(s, True)]):
-            negate_bits(b, nxt)
-        b.flip(s, [(d, True)])
-        _zero_test(b, s, a[q:])
+            negate_bits(b, nxt, m - 1)
+        b.flip(s, [(x, False) for x in a[q:]])
         b.flip(a[q], [(z, True)])
         b.flip(nxt[q], [(anc1, True)])  # frozen chain carries the sentinel
-        with b.controls([(d, True)]):
-            negate_bits(b, a)
-        _zero_test(b, z, a)
+        if i == 0:  # the input register ends on x; the rest keep |u|
+            with b.controls([(d, True)]):
+                negate_bits(b, a, m - 1)
+        digit(i, a, d)
 
     def last(a, d):
-        digit(a, d)
-        _zero_test(b, z, a)
+        freeze(a, d)
+        digit(cfg.n - 1, a, d)
 
     return step, last, None
 
@@ -455,7 +455,7 @@ def _cot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, 
         with complemented(b, nxt, p), b.controls([(anc1, False)]):
             add_into(b, a, nxt, car)
         b.flip(nxt[q], [(anc1, True), (v, False)])  # frozen chain update
-        _zero_test(b, anc1, nxt)  # uniform latch toggle on a zero value
+        b.flip(anc1, [(x, False) for x in nxt])  # uniform latch toggle on a zero value
 
     return step, None, p
 

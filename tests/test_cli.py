@@ -156,7 +156,7 @@ def test_synth_report_is_pinned(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == (
-        "d4ec5c6b6f5b087a5ecdcf90eaa89e938a44fd2f09f3921177437984ec4386c2")
+        "274b350a80a26aa7e4ac075b39f9c0b59d273a289f23649aabb686c55f780112")
 
 
 def test_synth_report_names_no_square_for_exp_and_cos(capsys):

@@ -37,9 +37,11 @@ def test_forward_exhaustive_bit_exact(fn, policy):
         want, trace = fbe_expand_trace(sc.spec, x, 3, 6)
         state, got = run_forward(sc, raw)
         assert got.digits == want.digits, (fn, raw)
-        # chain registers hold a_0 .. a_{n-1} of the classical trace
+        # chain registers end on the classical trace a_0 .. a_{n-1}, for
+        # arccos and arccot as chain_words folds its signs into the digits
         chain = sc.chain_values(state)
-        assert [c.raw for c in chain] == [t.raw for t in trace[:3]], (fn, raw)
+        ends = checks.chain_words(sc, [t.raw for t in trace[:3]], want.digits)[1]
+        assert [c.raw for c in chain] == ends, (fn, raw)
         if policy == "clean":
             assert checks.clean_ancillae_zero(sc, state), (fn, raw)
 
@@ -342,8 +344,9 @@ def test_chain_divergence_needs_a_compared_register():
 def test_every_variant_at_the_workload_sizes_exhaustive(fn, n, m):
     # the benchmark's sizes: every valid input of each distinct variant
     # of fn, both policies and square methods, one batch per circuit:
-    # outputs, every chain register against the trace, clean ancillas
-    # and the inverse
+    # outputs, every chain register against its image of the trace
+    # (checks.chain_words for the forward families), clean ancillas and
+    # the inverse
     for policy, square in itertools.product(
             ("garbage", "clean"), [sq for f, sq in VARIANTS if f == fn]):
         sc = synthesize(SynthConfig(fn, n, m, policy, square))
@@ -391,15 +394,16 @@ def test_arccot_trigger_flip_shows_only_in_the_chain():
     # each step flips a[q] under AncZ around its division, so the
     # trigger step divides 1.0, not 0.  Without the two flips every
     # digit, clean ancilla and the inverse stay right on every input:
-    # only the chain registers see them.  The mutant's a = 0 also breaks
-    # the frame negation's reach (0 < |a| < 1 under AncS), which moves
-    # the wrong quotient but still only in the chain
+    # only the chain registers see them, since a frozen chain's digit
+    # does not read its register's sign.  The mutant's a = 0 also breaks
+    # the frame negation's reach (0 < |a| < 1 under AncS), and the wrong
+    # quotient, negated under AncS, reaches RegI1
     n, m = 4, 8
     for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
         sc = synthesize(SynthConfig("arccot", n, m, policy, square))
         assert drop_trigger_flips(sc) == 2 * (n - 1), (policy, square)
         assert checks.exhaustive(sc) == (
-            0, 0, True, "input 0: step 1, RegI1 wanted raw 16, got 111"), (policy, square)
+            0, 0, True, "input 0: step 1, RegI1 wanted raw 16, got 145"), (policy, square)
 
 
 def whole_negations(monkeypatch, config, mutate=None):
@@ -433,10 +437,11 @@ def whole_negations(monkeypatch, config, mutate=None):
                                       for n, m in ((4, 8), (6, 10))]
                          + [("cos", 6, 10), ("cos", 8, 10)])
 def test_negation_reach_keeps_every_whole_state(monkeypatch, fn, n, m):
-    # each narrowed negation (arccot's frame, arccos's first negation of
-    # a, cos's 1 +- a) ends every valid input on the very state, garbage
-    # frames included, that whole negations give; checks.exhaustive
-    # reads outputs, chain registers and clean ancillas only
+    # each narrowed negation (arccos's and arccot's of u_i under its
+    # sign and step 0's restore, arccot's frame and u_{i+1}, cos's 1 +- a)
+    # ends every valid input on the very state, garbage frames included,
+    # that whole negations give; checks.exhaustive reads outputs, chain
+    # registers and clean ancillas only
     for policy, square in itertools.product(("garbage", "clean"),
                                             [sq for f, sq in VARIANTS if f == fn]):
         shipped, full = whole_negations(monkeypatch, SynthConfig(fn, n, m, policy, square))
@@ -455,17 +460,61 @@ def test_negation_reach_differential_sees_a_broken_contract(monkeypatch):
 
 def test_arccot_freeze_flag_guards_only_the_sentinel():
     # Anc1 is set under AncZ once per digit and read by nothing but the
-    # n - 1 sentinel flips onto RegI{i+1}[q], with no other control
+    # n - 1 sentinel flips onto RegI{i+1}[q], with no other control, and
+    # the digits: digit i takes the sign of RegI{i} and, from i = 1, the
+    # digit before, each only while Anc1 is clear
     n, m = 4, 8
     for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
         sc = synthesize(SynthConfig("arccot", n, m, policy, square))
-        anc1, z, unit = arccot_flag_gates(sc)
+        anc1, z, _ = arccot_flag_gates(sc)
+        where = {q: f"{r.name}[{q - r.start}]" for r in sc.circuit.registers.values()
+                 for q in r.bits}
         gates = sc.circuit.gates
-        reads = [(g.controls, g.neg_mask, unit.get(g.targets[0]))
+        reads = [(where[g.targets[0]], [where[c] for c in g.controls], g.neg_mask)
                  for g in gates if anc1 in g.controls]
-        assert reads == [((anc1,), 0, f"RegI{i}") for i in range(1, n)], (policy, square)
+        want = []
+        for i in range(n):
+            want.append((f"RegO[{i}]", [f"RegI{i}[{m - 1}]", "Anc1[0]"], 0b10))
+            if i < n - 1:
+                want.append((f"RegI{i + 1}[{sc.layout.frac_bits}]", ["Anc1[0]"], 0))
+            if i:
+                want.append((f"RegO[{i}]", [f"RegO[{i - 1}]", "Anc1[0]"], 0b10))
+        assert reads == want, (policy, square)
         writes = [(g.controls, g.neg_mask) for g in gates if anc1 in g.targets]
         assert writes == [((z,), 0)] * n, (policy, square)
+
+
+@pytest.mark.parametrize("fn", ("arccos", "arccot"))
+def test_dropped_digit_fold_or_input_restore_is_caught(monkeypatch, fn):
+    # each digit i >= 1 takes sign(u_i) xor d_{i-1} (arccot's only while
+    # Anc1 is clear): without that gate the digits go wrong.  Step 0
+    # alone restores RegI0 from |x|: without it every digit stays right,
+    # and the chain check names RegI0
+    n, m = 4, 8
+    for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
+        config = SynthConfig(fn, n, m, policy, square)
+        sc = synthesize(config)
+        rego = sc.circuit.registers["RegO"].bits
+        fold = [g for g in sc.circuit.gates if g.targets[0] in rego[1:]
+                and g.controls[:1] == (g.targets[0] - 1,)]
+        assert len(fold) == n - 1, (policy, square)
+        sc.circuit.gates = [g for g in sc.circuit.gates if g not in fold]
+        assert checks.exhaustive(sc)[0] > 0, (policy, square)
+
+        calls = itertools.count()
+
+        def skip_restore(b, bits, reach=None):
+            # step 0's second negation of RegI0 is the restore
+            reg0 = next(r for r in b.regs if r.name == "RegI0")
+            if bits[0] != reg0.start or next(calls) != 1:
+                negate_bits(b, bits, reach)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(synth, "negate_bits", skip_restore)
+            unrestored = synthesize(config)
+        mismatches, dirty, inverse, witness = checks.exhaustive(unrestored)
+        assert (mismatches, dirty, inverse) == (0, 0, True), (policy, square)
+        assert witness.split(": ")[1].startswith("step 0, RegI0 wanted raw "), witness
 
 
 @pytest.mark.parametrize("fn", INVERSE)
@@ -506,10 +555,12 @@ def test_cot_step_one_bit_narrower_is_caught(monkeypatch, narrow):
 def step_cases(sc, i):
     """{start: want} for step i of sc over every valid input.  start
     holds the raw-int recurrence's state before step i: the chain value
-    in the register the step reads, the digits so far in RegO (for an
+    in the register the step reads (for a forward evaluator the word
+    checks.chain_words says it holds), the digits so far in RegO (for an
     inverse evaluator up to digit i, which the step absorbs), the digit
     before in AncP and the freeze flag or latch in Anc1.  want adds what
-    the step must leave: the next chain value, digit and flags."""
+    the step must leave: the next chain value, the word the register it
+    read ends on, the digit and the flags."""
     spec, lay, regs = sc.spec, sc.layout, sc.circuit.registers
     k = i - (0 if sc.group == 1 else synth.TABLE_DIGITS)
     cur, nxt = (regs[nm] for nm in sc.chain[k:k + 2])
@@ -521,13 +572,16 @@ def step_cases(sc, i):
     cases = {}
     for arg in checks.valid_args(sc):
         if sc.group == 1:
-            st, digits = spec.encode(arg, lay), 0
-            for j in range(i):
-                d, st = spec.step(st, lay)
-                digits |= d << j
-            d, after = spec.step(st, lay)
-            start = put(rego.insert(cur.insert(0, st[0]), digits), flag, st[1])
-            want = put(rego.insert(nxt.insert(start, after[0]), digits | d << i), flag, after[1])
+            states, digits = [spec.encode(arg, lay)], []
+            for _ in range(sc.config.n):
+                d, st = spec.step(states[-1], lay)
+                digits.append(d)
+                states.append(st)
+            held, ends = checks.chain_words(sc, [st[0] for st in states[:-1]], digits)
+            before = sum(d << j for j, d in enumerate(digits[:i]))
+            start = put(rego.insert(cur.insert(0, held[i]), before), flag, states[i][1])
+            want = put(rego.insert(nxt.insert(cur.insert(start, ends[i]), held[i + 1]),
+                                   before | digits[i] << i), flag, states[i + 1][1])
         else:
             bits = arg.digits[::-1]  # bits[j] is absorbed at step j
             st = spec.init(lay)
@@ -546,10 +600,11 @@ def step_cases(sc, i):
 def test_each_step_alone_runs_its_recurrence_step(fn):
     # every computed step as a circuit of its own, from every distinct
     # state the recurrence holds before it, in one batch: the next chain
-    # value, digit and flags, the register it read restored, every other
-    # register but garbage scratch unchanged, so every clean ancilla
-    # ends at 0 (AncP at the digit the step absorbed).  Its gates are one
-    # contiguous run of the whole circuit's
+    # value, digit and flags, the register it read on its chain_words
+    # end (restored, but for arccos's and arccot's |a_i| at i >= 1),
+    # every other register but garbage scratch unchanged, so every clean
+    # ancilla ends at 0 (AncP at the digit the step absorbed).  Its gates
+    # are one contiguous run of the whole circuit's
     n, m = (6, 8) if fn in FORWARD else (10, 8)
     for policy, square in itertools.product(("garbage", "clean"),
                                             [sq for f, sq in VARIANTS if f == fn]):
@@ -590,7 +645,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "814224c9df006f3129a8dbe4c0636339943e5f54c47b06675f902f74f218deac"
+BUILDER_DIGEST = "e232d14698445913bf9dc86638ebac99813d94859f36ad3f88a6d94cd6664813"
 
 
 def test_builder_circuits_digest_and_gate_checks():
@@ -617,7 +672,7 @@ def test_builder_circuits_digest_and_gate_checks():
 # SHA-256 of the concatenated export() of the 48 circuits below: past
 # the digit tables, where exp, cos and cot run computed steps.  A change
 # that alters circuits on purpose updates it and says so.
-COMPUTED_STEPS_DIGEST = "ae24f6439ddcfc16d1a1f9ca7aa98d2d097b84ae2eaaea2b59af8aa03a226540"
+COMPUTED_STEPS_DIGEST = "4c779d75f87d33f03372a53b7485042f15567f1decae86f7ce82888dddfba039"
 
 
 def test_computed_steps_text_is_pinned():
