@@ -28,6 +28,8 @@ from typing import Optional
 from .circuit import X_KINDS, Circuit, CircuitError, Gate, Register
 
 POLICIES = ("garbage", "clean")
+# square_into's top stage: src's top bit as +2^j, as -2^j, or known set
+SQUARE_TOPS = ("plain", "signed", "set")
 # Gate((kind, targets, controls, neg_mask)) without Gate's checks
 _record = partial(tuple.__new__, Gate)
 
@@ -359,7 +361,7 @@ def complemented(b: Builder, bits, ctl: int):
     b.gates += cx
 
 
-def square_into(b: Builder, src, dst, anc: int):
+def square_into(b: Builder, src, dst, anc: int, top: str = "plain"):
     """dst = src*src by the lower triangle of the shift-and-add products.
 
     dst must be clean and at least 2*len(src) wide, and anc clean.
@@ -372,19 +374,38 @@ def square_into(b: Builder, src, dst, anc: int):
     with a one-bit carry tail, and dst[2j+2:] is never touched.  The
     adds take k(k-1)/2 source bits in all for k = len(src).
 
+    top picks the top stage, j = k - 1 (SQUARE_TOPS):
+    - "plain" as above;
+    - "signed" squares src as a two's-complement word, its top bit
+      weighted -2^j (Baugh and Wooley, IEEE Trans. Computers C-22,
+      1973): (L - 2^j)^2 = L^2 + 4^j - 2^(j+1) L, so the stage
+      subtracts (sub_from) where it adds.  The result lies in
+      (0, 4^j] and the subtract, like the add, only moves bits from
+      j+1 up, so it is exact in the same window;
+    - "set" takes src[j] as known to be 1 and runs the stage with no
+      src[j] control.  Where src[j] is 0 it still adds, and dst ends on
+      (src + 2^j)^2.
+
     Outside a context it emits no mcx, 3k^2 - k - 1 gates and
     (k-1)(2k+1) Toffolis: stage j > 0 has 6j + 2 gates, and its add 4
     Toffolis per source bit under src[j] (see add_into) and one for the
-    carry tail.
+    carry tail.  "signed" costs the same.  "set" costs 2k - 1 Toffolis
+    less from k = 2: its top stage adds at 2 Toffolis per source bit,
+    and its carry tail is a cx.
     """
     src, dst = tuple(src), tuple(dst)
     k = len(src)
+    if top not in SQUARE_TOPS:
+        raise CircuitError(f"unknown square top stage {top!r}")
     if len(dst) < 2 * k:
         raise CircuitError("square_into: dst needs 2x the src width")
     for j in range(k):
-        b.flip(dst[2 * j], [(src[j], True)])
-        with b.controls([(src[j], True)]):
-            add_into(b, src[:j], dst[j + 1:2 * j + 2], anc)
+        last = j == k - 1
+        ctl = [] if last and top == "set" else [(src[j], True)]
+        b.flip(dst[2 * j], ctl)
+        with b.controls(ctl):
+            (sub_from if last and top == "signed" else add_into)(
+                b, src[:j], dst[j + 1:2 * j + 2], anc)
 
 
 def sqrt_stages(b: Builder, frame, root, stages: int):
@@ -517,13 +538,17 @@ def square_via_root(b: Builder, src, frame, root_tmp):
         sqrt_stages(b, frame, root_tmp, k)
 
 
-def square(b: Builder, method: str, src, dst, root_tmp, anc: int):
+def square(b: Builder, method: str, src, dst, root_tmp, anc: int, top: str = "plain"):
     """dst = src*src into a clean dst of square_width bits, by shift-and-add
     or by the reversed root walk, which returns the clean root_tmp clean
-    and leaves anc alone."""
+    and leaves anc alone.  top is square_into's top stage.  The root walk
+    squares src unsigned: it has no signed top stage, and a known set
+    top bit saves it nothing, so it runs as under "plain"."""
     if method == "shift_add":
-        square_into(b, src, dst, anc)
+        square_into(b, src, dst, anc, top)
     elif method == "reversed_sqrt":
+        if top == "signed":
+            raise CircuitError("the reversed root walk squares unsigned words only")
         square_via_root(b, src, dst, root_tmp)
     else:
         raise CircuitError(f"unknown square method {method!r}")

@@ -188,15 +188,18 @@ def chain_words(sc: SynthesizedCircuit, trace, digits) -> tuple[list[int], list[
     reads it, and ends[k] the word it ends on.  log holds and ends on
     a_k.  arccos and arccot carry the chain's sign in the digits: RegI{k}
     holds u_k, a_k negated where d_{k-1} is 1 (for arccot only while the
-    chain is live, so not the sentinel after the a = 0 trigger step);
-    RegI0 ends on x, RegI1 .. RegI{n-2} on |a_k| and the last on
-    u_{n-1}."""
+    chain is live, so not the sentinel after the a = 0 trigger step).
+    Shift-add arccos squares u_k signed, so each RegI{k} ends on u_k.
+    Otherwise RegI0 ends on x, RegI1 .. RegI{n-2} on |a_k| and the last
+    on u_{n-1}."""
     if sc.config.function == "log":
         return list(trace), list(trace)
     width, last = sc.layout.width, len(trace) - 1
     arccos = sc.config.function == "arccos"
     held = [-a % (1 << width) if k and digits[k - 1] and (arccos or trace[k - 1]) else a
             for k, a in enumerate(trace)]
+    if arccos and sc.config.square_method == "shift_add":
+        return held, held
     return held, [a if k in (0, last) or not a >> (width - 1) else -a % (1 << width)
                   for k, a in enumerate(held)]
 

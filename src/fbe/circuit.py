@@ -482,11 +482,24 @@ class Circuit:
         self.n_qubits = n_qubits
         self.gates: list[Gate] = []
         self.registers: dict[str, Register] = {}
+        self._qubits = _Memo(_qubits_of)
+
+    @property
+    def gates(self) -> list[Gate]:
+        """The gate list.  Assigning one drops the compiled program and
+        the run count, as add does; editing the list in place does not."""
+        return self._gates
+
+    @gates.setter
+    def gates(self, gates: list[Gate]):
+        self._gates = gates
+        self._changed()
+
+    def _changed(self):
         self._program = None
         self._stretches = None  # _program split at its h entries, for _run_stretch
-        self._runs = 0  # states and terms run since the last change
         self._generated = None  # the compiled program as a Python function
-        self._qubits = _Memo(_qubits_of)
+        self._runs = 0  # states and terms run since the last change
 
     def add_register(self, reg: Register):
         if reg.start + reg.size > self.n_qubits:
@@ -499,9 +512,8 @@ class Circuit:
         for q in gate.qubits:
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"qubit {_shown(q)} outside 0..{self.n_qubits - 1}")
-        self.gates.append(gate)
-        self._program = self._stretches = self._generated = None
-        self._runs = 0
+        self._gates.append(gate)
+        self._changed()
 
     def extend(self, gates: Iterable[Gate]):
         for g in gates:

@@ -13,8 +13,11 @@ bit.  step_circuit gives one step's gates alone.  A forward evaluator
 (log, arccos, arccot) reads a number from RegI0, and last(a, d) writes
 its last digit.  arccos and arccot carry the chain's sign in the digits:
 RegI{i} holds u_i, a_i negated where d_{i-1} is set (for arccot while
-the chain is live), d_i = sign(u_i) xor d_{i-1} or 1 where u_i = 0, and
-RegI{i} ends on x, |a_1| .. |a_{n-2}|, u_{n-1}.  An inverse one (exp,
+the chain is live), d_i = sign(u_i) xor d_{i-1} or 1 where u_i = 0.
+Shift-add arccos squares u_i signed, so RegI{i} ends on u_i; the others
+end RegI{i} on x, |a_1| .. |a_{n-2}|, u_{n-1}.  Each family states in
+its docstring the value facts its gates rely on, and so which gates it
+leaves out, on every valid input.  An inverse one (exp,
 cos, cot) reads digits from RegO and builds the value in the last chain
 register; cos and cot hand over a parity qubit p, which the driver
 keeps: it holds the last digit absorbed, within a step that digit xor
@@ -38,7 +41,9 @@ register (AncWTop).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .blocks import (
@@ -233,6 +238,15 @@ def _square_scratch(b: Builder, cfg: SynthConfig, k: int):
 # ----------------------------------------------------------------- forward
 
 def _log(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
+    """log2-wide at q = m - 2: every chain value lies in [1, 4).  After
+    the halving the digit (bit q + 1) fires, the low m - 1 bits hold a
+    value in [1, 2): a raw in [2^q, 2^(q+1)) is kept and one in
+    [2^(q+1), 2^(q+2)) halved into it.  So bit q, the squared window's
+    top bit, is set on every valid input (fact c), and shift-add runs
+    the square's top stage with no control ("set").  u^2 >> q for such a
+    u lies in [2^q, 2^(q+2)) again, so the fact holds at every step.  A
+    register with bits q and q + 1 clear, outside the domain, squares as
+    (u + 2^q)^2 there."""
     m, q = cfg.m, lay.frac_bits
     wides = b.frames("AncW", dict.fromkeys(steps, square_width(m - 1, cfg.square_method)))
     root_t, car = _square_scratch(b, cfg, m - 1) if steps else (None, None)
@@ -247,7 +261,7 @@ def _log(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
         with b.controls([(d, True)]):
             rotate_right1(b, a)
         with b.compute() as sq:
-            square(b, cfg.square_method, a[:m - 1], wides[i], root_t, car)
+            square(b, cfg.square_method, a[:m - 1], wides[i], root_t, car, top="set")
         copy_bits(b, wides[i][q:q + m], nxt)
         b.uncompute(sq)
         with b.controls([(d, True)]):
@@ -256,31 +270,66 @@ def _log(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, *_):
     return step, last, None
 
 
+def arccos_zero_after_step0(q: int) -> bool:
+    """Whether u_{i+1} = trunc(2 u_i^2) - 1 can be 0 at q frac bits
+    (fact b).  With R = |u_i| in ulps, trunc(2 u_i^2) = 1 exactly when
+    2^(2q-1) <= R^2 < 2^(2q-1) + 2^(q-1).  Let r be the least integer
+    with r^2 >= 2^(2q-1); then r > 2^(q-1), so the next square,
+    r^2 + 2r + 1, already lies past the interval, and only r can fall
+    in it.  One isqrt decides: False at m = q + 2 = 3, 5-17, 21-23,
+    25-27 and 29-31, True at m = 4, 18-20, 24, 28 and 32."""
+    r = math.isqrt((1 << 2 * q - 1) - 1) + 1
+    return r * r < (1 << 2 * q - 1) + (1 << q - 1)
+
+
 def _arccos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, _):
+    """arccos at q = m - 2: every chain value u lies in [-1, 1], so
+    |u| <= 2^q in ulps.
+
+    Shift-add squares u as the signed word of its low m - 1 bits, bit q
+    weighted -2^q (fact a), through square_into's "signed" top stage.
+    A u >= 0 has bit q clear, or u = 1 with the bits below it clear,
+    whose signed reading -2^q squares to 4^q = u^2 all the same.  A
+    u < 0 has low m - 1 bits 2^(q+1) + u, so bit q is set over
+    r' = 2^q + u, and r' - 2^q = u.  No negation of u is needed, none
+    to make |u| and none to restore RegI0, so every RegI{i} ends on u_i.
+    The reversed root walk squares unsigned bits and keeps the
+    negations.  The digit's zero test for u_i = 0, m + 1 controls, runs
+    past step 0 only where arccos_zero_after_step0 says u_i = 0 can
+    occur (fact b).  Off the domain a register outside [-1, 1] squares
+    as the signed word of its low m - 1 bits under shift-add, and where
+    the test is dropped a u_i = 0 at i >= 1 takes digit d_{i-1}."""
     m, q = cfg.m, lay.frac_bits
     wides = b.frames("AncW", dict.fromkeys(steps, square_width(m - 1, cfg.square_method)))
     root_t, car = _square_scratch(b, cfg, m - 1) if steps else (None, None)
+    signed = cfg.square_method == "shift_add"
+    zeros = arccos_zero_after_step0(q)
 
     def digit(i, a, d):
         # d holds sign(u_i): d_i is that xor d_{i-1}, and 1 where u_i = 0
         prev = digits[i - 1:i] if i else []
         copy_bits(b, prev, [d])  # d ^= d_{i-1}
-        b.flip(d, [(x, False) for x in (*a, *prev)])
+        if zeros or not i:
+            b.flip(d, [(x, False) for x in (*a, *prev)])
+
+    def magnitude(a, d):
+        # -1 <= u < 0 has a bit below the sign set, so the +1 ends below it
+        if not signed:
+            with b.controls([(d, True)]):
+                negate_bits(b, a, m - 1)
 
     def step(i, a, nxt, d):
         b.flip(d, [(a[m - 1], True)])
-        # -1 <= u < 0 has a bit below the sign set, so the +1 ends below it
-        with b.controls([(d, True)]):
-            negate_bits(b, a, m - 1)
+        magnitude(a, d)
         with b.compute() as sq:
-            square(b, cfg.square_method, a[:m - 1], wides[i], root_t, car)
+            square(b, cfg.square_method, a[:m - 1], wides[i], root_t, car,
+                   top="signed" if signed else "plain")
         # window starts one place lower: the product is doubled on copy
         copy_bits(b, wides[i][q - 1:q - 1 + m], nxt)
-        decrement(b, nxt[q:])  # u_{i+1} = trunc(2 |u_i|^2) - 1
+        decrement(b, nxt[q:])  # u_{i+1} = trunc(2 u_i^2) - 1
         b.uncompute(sq)
-        if i == 0:  # the input register ends on x; the rest keep |u|
-            with b.controls([(d, True)]):
-                negate_bits(b, a, m - 1)
+        if i == 0:  # the input register ends on x; under the walk the rest keep |u|
+            magnitude(a, d)
         digit(i, a, d)
 
     def last(a, d):
@@ -290,8 +339,32 @@ def _arccos(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digit
     return step, last, None
 
 
+@lru_cache(maxsize=None)
+def arccot_quotient_reach(lay: Layout) -> int:
+    """T, a carry reach for the negations of arccot's quotient (fact d):
+    one more than the most trailing zeros of any quotient a step with
+    0 < |a| < 1 writes.  Such a step writes Q = trunc((1 - a^2) / 2|a|),
+    in ulps (4^q - A^2) // 2A for A = |a| in 1 .. 2^q - 1, and Q >= 1
+    since 4^q - A^2 >= 2^q + A > 2A.  Enumerating the 2^q - 1 values
+    bounds the trailing zeros, so the low T bits of Q, and so of -Q,
+    are never all zero, and the +1 of negating either ends inside
+    them.  After step 0 the chain is negative only as such a -Q (the
+    quotient at |a| >= 1 and the frozen sentinel are >= 0), so u_i's
+    negation under its sign at i >= 1 takes the same reach.  T is 3 at
+    m = 8, 9 at m = 16 and 11 at m = 20."""
+    q = lay.frac_bits
+    quotients = ((4 ** q - a * a) // (2 * a) for a in range(1, 1 << q))
+    return 1 + max((x & -x).bit_length() - 1 for x in quotients)
+
+
 def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, _):
+    """arccot: every register word but the most negative is a valid
+    input.  Past step 0 each negation of the chain value, under its sign
+    or under AncS, carries its +1 only through the low T bits of
+    arccot_quotient_reach (fact d).  The most negative word, outside the
+    domain, may run differently from step 1 on."""
     m, q = cfg.m, lay.frac_bits
+    reach = arccot_quotient_reach(lay)
     # square scratch doubles as the division frame, one guard bit on top
     sqs = b.frames("AncSq", dict.fromkeys(steps, 2 * m - 1))
     root_t = (b.reg("AncRoot", "ancilla-clean", m - 1).bits
@@ -323,9 +396,10 @@ def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digit
     def step(i, a, nxt, d):
         w = sqs[i]
         freeze(a, d)
-        # u is never the most negative pattern, so the +1 ends below the sign
+        # u is never the most negative pattern, so the +1 ends below the
+        # sign; past step 0 a negative u is a -Q, and it ends below T
         with b.controls([(d, True)]):
-            negate_bits(b, a, m - 1)
+            negate_bits(b, a, reach if i else m - 1)
         # the trigger step's a = 0 divides 1.0 instead, so its quotient
         # is 0 as a frozen step's is, whose a holds the sentinel 1.0: no
         # write into nxt needs the freeze flag
@@ -341,9 +415,10 @@ def _arccot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digit
             with b.controls([(s, True)]):
                 negate_bits(b, w, 2 * q)
             div_stages(b, w, a[:m - 1], quo, car, shift=1)
-        # u_{i+1}: the quotient, negated where |a| < 1, where it is >= 1 ulp
+        # u_{i+1}: the quotient, negated where |a| < 1, where the +1
+        # ends in its low T bits
         with b.controls([(s, True)]):
-            negate_bits(b, nxt, m - 1)
+            negate_bits(b, nxt, reach)
         b.flip(s, [(x, False) for x in a[q:]])
         b.flip(a[q], [(z, True)])
         b.flip(nxt[q], [(anc1, True)])  # frozen chain carries the sentinel
@@ -417,8 +492,40 @@ def _cot_step_widths(bound: int, q: int) -> tuple[int, int]:
     return bound.bit_length(), ((bound * bound + (1 << 2 * q)).bit_length() + 1) // 2
 
 
+# cot_increment_reach's pass stops at a step that reads more states
+REACH_STATES = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def cot_increment_reach(lay: Layout, n: int, cap: int) -> tuple[int, ...]:
+    """(r_0, r_1, ..) for the a^2 + 1 increment of cot's steps i < n
+    (fact e).  Step i reads one of the states after i absorb steps, at
+    most one per digit prefix: {spec.init} at i = 0, then spec.absorb of
+    each under digit 0 and 1, one breadth-first pass.  The increment
+    adds 1.0 to a^2 at 2q frac bits, so its carry runs through the
+    trailing ones of the integer part a^2 >> 2q, and r is one more than
+    the most of them over the states: bits[:r] of that part are never
+    all ones, and the carry ends inside them.  A step that reads more
+    than cap states, and every step after it, is left out and takes the
+    whole cascade: the tuple ends before it."""
+    spec = get_spec(SYNTH_SPEC["cot"])
+    q, states, reach = lay.frac_bits, {spec.init(lay)}, []
+    for i in range(n):
+        if len(states) > cap:
+            break
+        ints = {a * a >> 2 * q for a, _ in states}
+        reach.append(max((x + 1 & ~x).bit_length() for x in ints))
+        if i + 1 < n:
+            states = {spec.absorb(st, v, i, lay) for st in states for v in (0, 1)}
+    return tuple(reach)
+
+
 def _cot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, table):
+    """cot: every digit string is a valid input, and each step's a^2 + 1
+    increment runs on the bits cot_increment_reach gives (fact e), or on
+    the whole a^2 >> 2q where the pass stops at REACH_STATES states."""
     m, q = cfg.m, lay.frac_bits
+    carries = cot_increment_reach(lay, cfg.n, REACH_STATES)
     # each step squares and roots only the bits its chain value can
     # reach (cot_chain_bounds derives the bound), and its scratch holds
     # just those bits.  a^2 + 1 < 4^s, so the square and the root walk
@@ -441,11 +548,12 @@ def _cot(b: Builder, cfg: SynthConfig, lay: Layout, steps: range, spec, digits, 
 
     def step(i, a, nxt, v):
         w, rt, (k, s) = sqs[i], roots[i], widths[i]
+        carry = carries[i] if i < len(carries) else 2 * (s - q)
         # only the write-back into nxt waits for the latch: the blocks
         # around it write scratch or restore a, C(V.W.V') = V.C(W).V'
         with b.compute() as mk:
             square(b, cfg.square_method, a[:k], w, rt[:k], car)
-            increment(b, w[2 * q:2 * s])  # a^2 + 1, exact at 2q frac
+            increment(b, w[2 * q:2 * q + carry])  # a^2 + 1, exact at 2q frac
             sqrt_stages(b, w[:2 * s + 1], rt[:s], s)
         with b.controls([(anc1, False)]):
             copy_bits(b, rt[:min(s, m)], nxt)  # the register keeps root mod 2^m

@@ -1,12 +1,14 @@
 """Reversible arithmetic blocks against the classical fixed-point layer."""
 
 import hashlib
+import itertools
 import math
 import random
 
 import pytest
 
 from fbe.blocks import (
+    SQUARE_TOPS,
     Builder,
     add_into,
     build_absolute,
@@ -650,15 +652,38 @@ def test_sqrt_stages_cost_is_closed_form():
 
 def test_square_into_cost_is_closed_form():
     # no mcx, 3k^2 - k - 1 gates and (k-1)(2k+1) Toffolis as the
-    # docstring derives: 4 per source bit of each add under src[j]
-    for k in range(1, 13):
+    # docstring derives: 4 per source bit of each add under src[j].  The
+    # signed top stage costs the same, and the known-set one 2k - 1
+    # Toffolis less from k = 2
+    for top, k in itertools.product(SQUARE_TOPS, range(1, 13)):
         b = Builder()
         src, dst, anc = b.alloc(k), b.alloc(2 * k), b.alloc(1)[0]
-        square_into(b, src, dst, anc)
+        square_into(b, src, dst, anc, top)
         rc = b.finish().resource_count()
-        assert rc["by_kind"]["mcx"] == 0, k
-        assert rc["gates"] == 3 * k * k - k - 1, k
-        assert rc["toffoli_equivalent"] == (k - 1) * (2 * k + 1), k
+        less = (2 * k - 1) * (k > 1) if top == "set" else 0
+        assert rc["by_kind"]["mcx"] == 0, (top, k)
+        assert rc["gates"] == 3 * k * k - k - 1, (top, k)
+        assert rc["toffoli_equivalent"] == (k - 1) * (2 * k + 1) - less, (top, k)
+
+
+def test_square_into_top_stages():
+    # every k-bit word: "signed" squares it as two's complement, its top
+    # bit weighted -2^(k-1), and "set" squares it with the top bit
+    # taken as 1, so a word with that bit clear gets (src + 2^(k-1))^2;
+    # src is kept and anc ends at 0 either way
+    for top, k in itertools.product(SQUARE_TOPS, range(1, 9)):
+        b = Builder()
+        src, dst, anc = b.alloc(k), b.alloc(2 * k), b.alloc(1)[0]
+        square_into(b, src, dst, anc, top)
+        c = b.finish()
+        half = 1 << k - 1
+        for a, out in enumerate(c.simulate_batch(range(1 << k))):
+            v = {"plain": a, "signed": a - 2 * (a & half), "set": a | half}[top]
+            assert out == a | v * v << k, (top, k, a)
+    with pytest.raises(CircuitError, match="^unknown square top stage 'low'$"):
+        square_into(Builder(), (0,), (1, 2), 3, "low")
+    with pytest.raises(CircuitError, match="^the reversed root walk squares unsigned words only$"):
+        square(Builder(), "reversed_sqrt", (0,), (1, 2), (3,), None, "signed")
 
 
 @pytest.mark.parametrize("k", range(5))

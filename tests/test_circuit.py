@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fbe import circuit, codegen, ripple
+from fbe import checks, circuit, codegen, ripple
 from fbe.circuit import (
     _ADD,
     _BLK,
@@ -806,6 +806,22 @@ def test_generated_kernel_refuses_h(monkeypatch):
         assert all(abs(got[k] - want[k]) < 1e-12 for k in want), s
 
 
+def test_assigned_gates_drop_the_compiled_program():
+    # assigning circuit.gates drops the compiled program and the run
+    # count, as add does: arccot (4, 8) run once through every input,
+    # then five gates short, runs the new list, as a fresh circuit with
+    # that list does, not the held program of the old one
+    sc = synthesize(SynthConfig("arccot", 4, 8))
+    assert checks.exhaustive(sc) == (0, 0, True, None)
+    assert sc.circuit._program is not None and sc.circuit._runs > 0
+    sc.circuit.gates = sc.circuit.gates[:-5]
+    assert sc.circuit._program is sc.circuit._generated is None and sc.circuit._runs == 0
+    fresh = synthesize(SynthConfig("arccot", 4, 8))
+    fresh.circuit.gates = fresh.circuit.gates[:-5]
+    assert checks.exhaustive(sc) == checks.exhaustive(fresh)
+    assert checks.exhaustive(fresh)[:3] == (129, 0, True)
+
+
 def test_lazy_modules_wait_for_the_compiled_program():
     # in a fresh interpreter, neither import fbe nor basis and sparse
     # runs that stay below _COMPILE_AFTER, which run term by term
@@ -935,7 +951,7 @@ def test_sparse_edge_behaviour():
 def test_fused_program_is_smaller():
     c = synthesize(SynthConfig("cot", n=6, m=10, policy="clean")).circuit
     # exact pins of the gate count and of the flat program's entries
-    assert len(c.gates) == 2705
+    assert len(c.gates) == 2687
     assert len(c._prepared(0)) == 1996
 
 
@@ -1236,7 +1252,7 @@ def pin_mutant(rng, lines, n_qubits):
 
 
 # SHA-256 over the import_text outcomes of test_import_outcomes_are_pinned
-IMPORT_OUTCOMES_DIGEST = "3b1a17a4291d1cd17cfa0778348270689f06f4be8fba0ca44ae0924963323a30"
+IMPORT_OUTCOMES_DIGEST = "a361b587884732b1c3d5c82bebab92d0adb3b2233028a3a14169b98a42f561b2"
 
 
 def test_import_outcomes_are_pinned():

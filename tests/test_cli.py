@@ -156,7 +156,7 @@ def test_synth_report_is_pinned(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == (
-        "274b350a80a26aa7e4ac075b39f9c0b59d273a289f23649aabb686c55f780112")
+        "90ff62b83697897a4e2c0b860a85d39d8069291a13298688df042884251cdb15")
 
 
 def test_synth_report_names_no_square_for_exp_and_cos(capsys):

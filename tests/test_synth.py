@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from fbe import checks, circuit, synth
-from fbe.blocks import Builder, negate_bits
+from fbe.blocks import Builder, increment, negate_bits, square
 from fbe.circuit import CircuitError, Gate, export_text, import_text
 from fbe.expansion import (
     DigitString,
+    _absorb_raw,
+    _expand_raw,
     fbe_expand_trace,
     get_spec,
     ifbe_evaluate,
@@ -441,9 +443,10 @@ def test_negation_reach_keeps_every_whole_state(monkeypatch, fn, n, m):
     # sign and step 0's restore, arccot's frame and u_{i+1}, cos's 1 +- a)
     # ends every valid input on the very state, garbage frames included,
     # that whole negations give; checks.exhaustive reads outputs, chain
-    # registers and clean ancillas only
-    for policy, square in itertools.product(("garbage", "clean"),
-                                            [sq for f, sq in VARIANTS if f == fn]):
+    # registers and clean ancillas only.  Shift-add arccos squares u
+    # signed and negates nothing, so arccos runs reversed-sqrt alone
+    for policy, square in itertools.product(("garbage", "clean"), [
+            sq for f, sq in VARIANTS if f == fn and (fn, sq) != ("arccos", "shift_add")]):
         shipped, full = whole_negations(monkeypatch, SynthConfig(fn, n, m, policy, square))
         assert shipped == full, (policy, square)
 
@@ -489,7 +492,8 @@ def test_dropped_digit_fold_or_input_restore_is_caught(monkeypatch, fn):
     # each digit i >= 1 takes sign(u_i) xor d_{i-1} (arccot's only while
     # Anc1 is clear): without that gate the digits go wrong.  Step 0
     # alone restores RegI0 from |x|: without it every digit stays right,
-    # and the chain check names RegI0
+    # and the chain check names RegI0.  Shift-add arccos never makes
+    # |x|, so it has no restore to drop
     n, m = 4, 8
     for policy, square in itertools.product(("garbage", "clean"), SQUARE_METHODS):
         config = SynthConfig(fn, n, m, policy, square)
@@ -500,6 +504,8 @@ def test_dropped_digit_fold_or_input_restore_is_caught(monkeypatch, fn):
         assert len(fold) == n - 1, (policy, square)
         sc.circuit.gates = [g for g in sc.circuit.gates if g not in fold]
         assert checks.exhaustive(sc)[0] > 0, (policy, square)
+        if (fn, square) == ("arccos", "shift_add"):
+            continue
 
         calls = itertools.count()
 
@@ -515,6 +521,139 @@ def test_dropped_digit_fold_or_input_restore_is_caught(monkeypatch, fn):
         mismatches, dirty, inverse, witness = checks.exhaustive(unrestored)
         assert (mismatches, dirty, inverse) == (0, 0, True), (policy, square)
         assert witness.split(": ")[1].startswith("step 0, RegI0 wanted raw "), witness
+
+
+def forward_traces(sc):
+    """(raw, trace a_0 .. a_{n-1}, digits) for every valid input of a
+    forward evaluator, from the raw-int recurrence."""
+    for raw in checks.valid_raws(sc):
+        trace = [raw]
+        digits = _expand_raw(sc.spec, (raw, 0), sc.config.n, sc.layout, trace)
+        yield raw, trace[:sc.config.n], digits
+
+
+def test_arccos_chain_words_read_signed_from_their_low_bits():
+    # fact (a): every word an arccos chain register holds is u_k in
+    # [-1, 1], and its low m - 1 bits, bit q weighted -2^q, read as u_k,
+    # or as -1 where u_k = 1, so the signed top stage squares them to
+    # u_k^2.  Every valid input, m = 4 .. 12
+    for m in range(4, 13):
+        sc = synthesize(SynthConfig("arccos", 4, m))
+        q, low = sc.layout.frac_bits, (1 << m - 1) - 1
+        for raw, trace, digits in forward_traces(sc):
+            held, ends = checks.chain_words(sc, trace, digits)
+            assert held == ends, (m, raw)
+            for word in held:
+                u = word - (word >> m - 1 << m)
+                v = (word & low) - 2 * (word & 1 << q)
+                assert -1 << q <= u <= 1 << q, (m, raw, word)
+                assert v == (-u if u == 1 << q else u), (m, raw, word)
+
+
+def test_arccos_zero_rule_matches_enumeration():
+    # fact (b): one isqrt says whether a step can write u = 0, against a
+    # step from every magnitude (the sign only negates the next value),
+    # at every m up to 20; no zero at m = 5 .. 17
+    spec = get_spec("arccos")
+    zeros = {}
+    for m in range(spec.min_width, 21):
+        lay = spec.layout(m)
+        q = lay.frac_bits
+        zeros[m] = any(not spec.step((r, 0), lay)[1][0] for r in range((1 << q) + 1))
+        assert synth.arccos_zero_after_step0(q) == zeros[m], m
+    assert [m for m in zeros if zeros[m]] == [4, 18, 19, 20]
+
+
+def test_log_halved_register_has_bit_q_set():
+    # fact (c): on every valid log input, m = 4 .. 12, each chain value,
+    # halved where its digit (bit q + 1) is set, has bit q set: the top
+    # bit of the window the known-set top stage squares
+    for m in range(4, 13):
+        sc = synthesize(SynthConfig("log", 6, m))
+        q = sc.layout.frac_bits
+        for raw, trace, _ in forward_traces(sc):
+            for a in trace:
+                assert (a >> (a >> q + 1 & 1)) >> q & 1, (m, raw, a)
+
+
+def test_arccot_quotient_reach_matches_every_input():
+    # fact (d): past step 0 every negative word an arccot chain register
+    # holds is a -Q, from a step with 0 < |a| < 1, and has fewer than T
+    # trailing zeros; some input reaches T - 1.  Every valid input,
+    # m = 4 .. 12
+    for m in range(4, 13):
+        sc = synthesize(SynthConfig("arccot", 4, m))
+        reach, most = synth.arccot_quotient_reach(sc.layout), 0
+        for raw, trace, digits in forward_traces(sc):
+            for word in checks.chain_words(sc, trace, digits)[0][1:]:
+                if word >> m - 1:
+                    most = max(most, (word & -word).bit_length() - 1)
+        assert most == reach - 1, m
+
+
+def test_cot_increment_reach_matches_every_digit_string():
+    # fact (e): step i's increment width is one more than the most
+    # trailing ones of a^2 >> 2q over the words step i reads, across
+    # every digit string, m = 4 .. 12 at n = 8
+    spec, n = get_spec("cot"), 8
+    for m in range(spec.min_width, 13):
+        lay = spec.layout(m, n)
+        q, most = lay.frac_bits, [0] * n
+        for bits in itertools.product((0, 1), repeat=n):
+            trace = [spec.init(lay)[0]]
+            _absorb_raw(spec, spec.init(lay), bits, lay, trace)
+            for i, a in enumerate(trace[:n]):
+                x = a * a >> 2 * q
+                most[i] = max(most[i], (x + 1 & ~x).bit_length())
+        assert synth.cot_increment_reach(lay, n, synth.REACH_STATES) == tuple(most), m
+
+
+def test_cot_increment_cap_brings_back_the_whole_cascade(monkeypatch):
+    # with fact (e)'s pass capped at one state per step, every computed
+    # step's a^2 + 1 increment runs on the whole a^2 >> 2q, 2(s - q) bits,
+    # and every digit string ends on the state the shipped circuit gives
+    n, m = 8, 10
+    lay = get_spec("cot").layout(m, n)
+    q, bounds = lay.frac_bits, synth.cot_chain_bounds(lay, n)
+    steps = range(synth.TABLE_DIGITS, n)
+    whole = [2 * (synth._cot_step_widths(bounds[i - 1], q)[1] - q) for i in steps]
+    reach = synth.cot_increment_reach(lay, n, synth.REACH_STATES)
+    assert all(reach[i] < w for i, w in zip(steps, whole)), (reach, whole)
+
+    def build(config, cap):
+        widths = []
+        with monkeypatch.context() as patched:
+            patched.setattr(synth, "REACH_STATES", cap)
+            patched.setattr(synth, "increment",
+                            lambda b, bits: (widths.append(len(bits)), increment(b, bits)))
+            sc = synthesize(config)
+        return widths, sc.circuit.simulate_batch(checks._starts(sc))
+
+    for policy in ("garbage", "clean"):
+        config = SynthConfig("cot", n, m, policy)
+        widths, ends = build(config, synth.REACH_STATES)
+        assert widths == [reach[i] for i in steps], policy
+        assert build(config, 1) == (whole, ends), policy
+
+
+def test_arccos_unsigned_top_stage_is_caught(monkeypatch):
+    # shift-add arccos negates no u: its square's top stage subtracts.
+    # Put back on add_into, it squares a negative u as its low m - 1
+    # bits unsigned, and the chain check names the first wrong register
+    calls = []
+    monkeypatch.setattr(synth, "negate_bits", lambda *a: calls.append(a))
+    for policy in ("garbage", "clean"):
+        assert checks.exhaustive(synthesize(SynthConfig("arccos", 4, 8, policy))) == (
+            0, 0, True, None)
+    assert calls == []
+
+    def unsigned(b, method, src, dst, root_tmp, anc, top="plain"):
+        square(b, method, src, dst, root_tmp, anc, "plain" if top == "signed" else top)
+
+    monkeypatch.setattr(synth, "square", unsigned)
+    for policy in ("garbage", "clean"):
+        assert checks.exhaustive(synthesize(SynthConfig("arccos", 4, 8, policy))) == (
+            81, 0, True, "input 3/32: step 2, RegI2 wanted raw 60, got 68"), policy
 
 
 @pytest.mark.parametrize("fn", INVERSE)
@@ -645,7 +784,7 @@ def test_synthesis_is_deterministic():
 
 # SHA-256 of the concatenated export_text of the 288 circuits below.  A
 # change that alters circuits on purpose updates it and says so.
-BUILDER_DIGEST = "e232d14698445913bf9dc86638ebac99813d94859f36ad3f88a6d94cd6664813"
+BUILDER_DIGEST = "939ba823e063feacf79dfc675cafc8da8250665217dc95dee0b580d9d5c39abb"
 
 
 def test_builder_circuits_digest_and_gate_checks():
@@ -672,7 +811,7 @@ def test_builder_circuits_digest_and_gate_checks():
 # SHA-256 of the concatenated export() of the 48 circuits below: past
 # the digit tables, where exp, cos and cot run computed steps.  A change
 # that alters circuits on purpose updates it and says so.
-COMPUTED_STEPS_DIGEST = "4c779d75f87d33f03372a53b7485042f15567f1decae86f7ce82888dddfba039"
+COMPUTED_STEPS_DIGEST = "8b703f83b7481fa9fb9f5b48a603c8b74b776eefd8462d8f8845e6ac9bbb68af"
 
 
 def test_computed_steps_text_is_pinned():
