@@ -14,16 +14,13 @@ the compiled program: the list fused again with one more entry, the
 register add: each MAJ/UMA ripple adder of blocks.add_into (about 6w
 gates, none of which fuse; found by fbe.ripple) becomes one entry
 dst <- dst + src + anc, and its reversed replay one dst <- dst - src -
-anc, each a few big-int operations.  Synthesis applies each block under
-the digit that chooses it, so most entries share one or two context
-controls: _nest then folds each run of entries that share a context into
-one block entry, tested once per state, and nests again inside it.
-The program's stage picks the kernel.  The flat program runs through
-the interpreter _run, one state or term at a time, in both modes.  The
-compiled one runs in basis mode as the Python code fbe.codegen writes
-out, each entry an if statement on s with its op inline, and in sparse
-mode bit-sliced through _run_planes at any term count, one int per
-touched qubit with a bit per term.  Every entry but h maps basis states
+anc, each a few big-int operations.  Both programs are flat lists of
+entries of one shape.  The program's stage picks the kernel.  The flat
+program runs through the interpreter _run, one state or term at a time,
+in both modes.  The compiled one runs in basis mode as the Python code
+fbe.codegen writes out, each entry an if statement on s with its op
+inline, and in sparse mode bit-sliced through _run_planes at any term
+count, one int per touched qubit with a bit per term.  Every entry but h maps basis states
 one to one, so the sparse mode runs each h-free stretch as a permutation
 of its terms, with amplitudes following their terms, and splits
 amplitudes only at the h entries between stretches (_split, the one
@@ -33,8 +30,8 @@ with no amplitudes.  A stretch's first bit-sliced batch goes through
 the interpreter _planes, later ones as the Python code fbe.codegen
 writes out over the planes.  Compile keeps masks only for the qubits gates
 touch, so its memory does not grow with the declared qubit count.  Gate
-lists, resource counts and the text form never see the fusion, the
-nesting or the generated code.
+lists, resource counts and the text form never see the fusion or the
+generated code.
 
 A gate is a Gate record: a tuple (kind, targets, controls, neg_mask)
 whose fields read by name as well.  Its checks run where gates come from
@@ -65,18 +62,20 @@ from typing import Iterable, Optional
 from .fixedpoint import _shown
 
 X_KINDS = ("x", "cx", "ccx", "mcx")
-# ops of the compiled program's entries, see _fuse, ripple.find and _nest
-_XOR, _ADD, _SWAP, _H, _BLK, _RADD = 0, 1, 2, 3, 4, 5
+# ops of the program entries, see _fuse and ripple.find
+_XOR, _ADD, _SWAP, _H, _RADD = 0, 1, 2, 3, 4
 # states and terms a circuit runs through its flat program after its
 # last change; the run that reaches it builds the compiled program (see
 # Circuit._prepared).  On the 20 sweep-exhaustive circuits the build
-# costs 14-67 flat runs, generating its code 20-71, and each later state
-# runs 3.1-10.9x faster.  Over N = 1, 2, 4, ..., 4096 runs, 65 has the
-# lowest mean ratio to the best cost knowing N above 50 (1.22-1.23; 64:
-# 1.29, 128: 1.36), 33 the lowest of all (1.19-1.20), but at 33 the 50
-# states per circuit of acceptance criterion 5 take 25 % longer
-# (BENCH_two_stages.json).  superposition's first round call, 1 + 64
-# terms, crosses it; synth-grid's 3 states per circuit do not.
+# costs 10-15 flat runs, generating its code 24-55, and each later state
+# runs 3.0-6.8x faster (BENCH_flat_program.json).  With the figures of
+# the nested program that came before (BENCH_two_stages.json), over
+# N = 1, 2, 4, ..., 4096 runs, 65 has the lowest mean ratio to the best
+# cost knowing N above 50 (1.22-1.23; 64: 1.29, 128: 1.36), 33 the
+# lowest of all (1.19-1.20), but at 33 the 50 states per circuit of
+# acceptance criterion 5 take 25 % longer.  superposition's first round
+# call, 1 + 64 terms, crosses it; synth-grid's 3 states per circuit do
+# not.
 _COMPILE_AFTER = 65
 ROLES = ("input", "output", "ancilla-clean", "garbage")
 # largest qubits header import_text accepts
@@ -207,51 +206,6 @@ class Register:
         return (state & ~mask) | ((raw & ((1 << self.size) - 1)) << self.start)
 
 
-def _nest(prog) -> list:
-    """Nest the fused entries by shared context, in one pass.  A run of
-    two or more consecutive entries whose conditions share control bits
-    (same qubits, same polarity) becomes one block entry (ctx_m, ctx_v,
-    _BLK, run, 0): the context is the bits its first two entries share,
-    the run goes on while the next entry holds all of them, and inside
-    the block the run nests again on the bits not yet shared, its
-    entries' conditions stripped of the contexts around them.  The
-    context holds for the whole block, as no entry's targets lie in its
-    own condition.  h entries have no controls, so no block holds one.
-    Flattening the blocks, each context ORed back into the conditions
-    inside it, gives prog back in order."""
-    # shared[i]: the control bits entries i and i + 1 share
-    shared = [a[0] & b[0] & ~(a[1] ^ b[1]) for a, b in zip(prog, prog[1:])]
-    return _nest_level(prog, shared, {}, 0, len(prog), 0)
-
-
-def _nest_level(prog, shared, seen, lo, hi, outer) -> list:
-    """_nest over prog[lo:hi] inside the contexts `outer`.  seen holds
-    each stripped entry and condition once: a block replayed under
-    another context strips to the same entries."""
-    out = []
-    i = lo
-    while i < hi:
-        ctx = shared[i] & ~outer if i + 1 < hi else 0
-        if ctx:
-            # entry j + 1 holds ctx when entry j does and they share it
-            j = i + 1
-            while j + 1 < hi and shared[j] & ctx == ctx:
-                j += 1
-            out.append((ctx, prog[i][1] & ctx, _BLK,
-                        _nest_level(prog, shared, seen, i, j + 1, outer | ctx), 0))
-            i = j + 1
-            continue
-        e = prog[i]
-        if outer:
-            cm, cv, op, mask, step = e
-            cm, cv = cm & ~outer, cv & ~outer
-            e = (seen.setdefault(cm, cm), seen.setdefault(cv, cv), op, mask, step)
-            e = seen.setdefault(e, e)
-        out.append(e)
-        i += 1
-    return out
-
-
 def _read(g, bit, conds: dict) -> tuple:
     """Gate g read as (cm, cv, first target's mask, its own entry unless
     X-family), bit mapping a qubit to its mask, and stored in conds under
@@ -358,13 +312,11 @@ def _run(prog, s: int) -> int:
 
 
 def _touched(prog) -> int:
-    """The OR of every cm | mask, through the blocks; a register add
-    touches the qubits it reads as well as its field."""
+    """The OR of every cm | mask; a register add touches the qubits it
+    reads as well as its field."""
     touched = 0
     for cm, _, op, mask, _ in prog:
-        if op == _BLK:
-            mask = _touched(mask)
-        elif op == _RADD:
+        if op == _RADD:
             mask = mask[0] | mask[1] | 1 << mask[3]
         touched |= cm | mask
     return touched
@@ -375,15 +327,15 @@ def _run_planes(prog, states, qubits=None, touched=None, kernel=None) -> list[in
     compiled stretch at once, bit-sliced (Biham, FSE 1997): one int per
     touched qubit whose bit k is that qubit in states[k].  An entry's
     condition is the AND of its control planes, negative controls
-    complemented, within the condition of the blocks around it: a block
-    whose condition is empty is skipped whole.  _XOR flips its target
+    complemented, within the terms' condition, and an entry whose
+    condition is empty is skipped.  _XOR flips its target
     planes under the condition, _ADD ripples a carry (step > 0) or a
     borrow up the field from its lowest qubit until the plane empties,
     dropping what leaves the top so that the field wraps, _RADD does the
     same with a full adder or subtractor per src qubit, anc's plane the
     carry or borrow in, and _SWAP exchanges its two planes under it.
-    Only the touched qubits, the OR of every cm | mask through the blocks
-    (a register add's src and anc too), are packed and unpacked; a qubit
+    Only the touched qubits, the OR of every cm | mask (a register add's
+    src and anc too), are packed and unpacked; a qubit
     equal in every term gets a constant plane, and untouched bits pass
     through.  The pack writes the varying qubits of every term as one
     term-major string and reads each plane off it with a strided slice,
@@ -432,7 +384,7 @@ def _run_planes(prog, states, qubits=None, touched=None, kernel=None) -> list[in
 
 def _planes(prog, planes, within, qs):
     """The entry loop of _run_planes: run prog on the planes under the
-    condition `within` of the blocks around it."""
+    condition `within`, the plane of the terms it runs."""
     for cm, cv, op, mask, step in prog:
         cond = within
         for q in qs[cv]:
@@ -445,8 +397,6 @@ def _planes(prog, planes, within, qs):
         if op == _XOR:
             for q in qs[mask]:
                 planes[q] ^= cond
-        elif op == _BLK:
-            _planes(mask, planes, cond, qs)
         elif op == _ADD:  # cond ripples on as the carry or the borrow
             for q in qs[mask]:
                 p = planes[q]
@@ -536,11 +486,10 @@ class Circuit:
         The run that reaches _COMPILE_AFTER drops it and builds the
         compiled program in its place, with no flat compile first when
         it is the first run: the gate list fused with each MAJ/UMA ripple
-        adder as one register-add entry (_fuse_adders), then nested
-        (_nest).  That takes 0.7-2.4 flat compiles on the sweep circuits,
-        which a circuit run only a few times, such as one just imported
-        to be checked, does not win back.  Circuit.add drops the program
-        and the count."""
+        adder as one register-add entry (_fuse_adders).  That takes
+        1.0-1.6 flat compiles on the sweep circuits, which a circuit run
+        only a few times, such as one just imported to be checked, does
+        not win back.  Circuit.add drops the program and the count."""
         runs = self._runs
         self._runs = runs + states
         if runs + states < _COMPILE_AFTER:
@@ -550,21 +499,20 @@ class Circuit:
         elif runs < _COMPILE_AFTER:
             # drop the flat program before its successor is built
             self._program = self._stretches = None
-            self._program = _nest(_fuse_adders(self.gates))
+            self._program = _fuse_adders(self.gates)
         return self._program
 
     def _split(self, prog):
         """The program split at its h entries, the one place that handles
         h: one [entries, touched, kernel, h] list per h-free stretch, h
         the mask of the h entry that ends the stretch, 0 after the last
-        one.  h entries sit only at the top level (_nest), so no stretch
-        holds one, and no kernel checks for h.  touched, the OR of the
-        entries' cm | mask through the blocks (_touched), is None until
-        the stretch of the compiled program first runs bit-sliced.
+        one, so no stretch holds one, and no kernel checks for h.
+        touched, the OR of the entries' cm | mask (_touched), is None
+        until the stretch of the compiled program first runs bit-sliced.
         kernel, the stretch as generated code (codegen.planes), is None
         until it runs bit-sliced a second time.  Made on the first run of
-        each program, flat or nested, that needs it, and dropped when the
-        program is."""
+        each program, flat or compiled, that needs it, and dropped when
+        the program is."""
         if self._stretches is None:
             self._stretches = []
             lo = 0

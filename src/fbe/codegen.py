@@ -1,46 +1,43 @@
-"""Translate a nested compiled program into Python source and compile it.
+"""Translate a compiled program into Python source and compile it.
 
 Two writers share one chunker, and both take h-free programs: h is
 handled by Circuit._split alone.  kernel(prog) returns a function of one
 basis state that runs the compiled program on it: each entry is written
-out as `if s & cm == cv:` and its op inline, a block as an indented
-body, so a state pays for a few big-int operations per entry and no
-tuple unpacking or op dispatch.  Circuit.simulate_basis runs every state
-through it once the circuit holds its compiled program (see
-circuit._COMPILE_AFTER).  planes(prog, order, qubits) returns a function
-of a list of bit-sliced planes, plane i being qubit order[i], and the
-condition of the terms it runs, that does what circuit._planes does on
-them: each entry is written out as `c1 = c0 & P[3] & ~P[7]` and
-`if c1:`, its op inline on the planes, a block as an indented body under
-its own condition variable.  Circuit._run_stretch, shared by
-simulate_sparse and simulate_batch, runs each compiled stretch through
-it from its second bit-sliced run on.  The source holds only ints (the
-basis writer's masks as :#x, plane indices in decimal) and fixed text.
+out as `if s & cm == cv:` and its op inline, so a state pays for a few
+big-int operations per entry and no tuple unpacking or op dispatch.
+Circuit.simulate_basis runs every state through it once the circuit
+holds its compiled program (see circuit._COMPILE_AFTER).  planes(prog,
+order, qubits) returns a function of a list of bit-sliced planes, plane
+i being qubit order[i], and the condition c0 of the terms it runs, that
+does what circuit._planes does on them: each entry is written out as
+`c1 = c0 & P[3] & ~P[7]` and `if c1:`, its op inline on the planes.
+Circuit._run_stretch, shared by simulate_sparse and simulate_batch, runs
+each compiled stretch through it from its second bit-sliced run on.
+The source holds only ints (the basis writer's masks as :#x, plane
+indices in decimal) and fixed text.
 
 Compile's transient memory grows with the source it parses, so the
-source is compiled in functions of at most CHUNK_LINES lines each:
-a longer run of entries is cut between entries into functions called in
-turn, and a block whose body would not fit, or would nest deeper than
-MAX_DEPTH levels, becomes a call to the functions holding its body.
-This module is loaded on the first generation, so a process whose
-circuits never run that many states or terms never compiles it.
+source is compiled in functions of at most CHUNK_LINES lines each: a
+longer run of entries is cut between entries into functions called in
+turn.  An entry is its condition and its op, so no line of a function
+sits more than three levels deeper than its body.  This module is
+loaded on the first generation, so a process whose circuits never run
+that many states or terms never compiles it.
 """
 
 from __future__ import annotations
 
-from .circuit import _ADD, _BLK, _RADD, _SWAP, _XOR
+from .circuit import _ADD, _RADD, _SWAP, _XOR
 
 # source lines per compiled function: kernel() on cot clean reversed-sqrt
 # at n=6 m=10 peaks at 15.2 MB traced as one function, at 1.9 MB in
 # functions of at most 400 lines (Python 3.11)
 CHUNK_LINES = 400
-# indentation levels within one function; Python's tokenizer stops at 100
-MAX_DEPTH = 40
 
 
 def _op(op, mask, step) -> list[str]:
-    """The lines of one non-block entry's op, _XOR, _ADD and _SWAP as
-    _run does them."""
+    """The lines of one entry's op, _XOR, _ADD and _SWAP as _run does
+    them, _RADD as ripple.find describes it."""
     if op == _XOR:
         return [f"s ^= {mask:#x}"] if mask else []
     if op == _ADD:
@@ -68,22 +65,25 @@ def _cond(cm: int, cv: int) -> str:
     return f"if s & {cm:#x} == {cv:#x}:"
 
 
+def _under(head: list[str], body: list[str]) -> list[str]:
+    """body indented under the lines head ends with, or as it is when
+    there is no head; no lines when body is empty."""
+    if not (head and body):
+        return body
+    return head + [f"    {line}" for line in body]
+
+
 class _Basis:
     """The basis writer: functions of the state s."""
 
+    params = "s"
     tail = "return s"
 
-    def params(self, level) -> str:
-        return "s"
-
-    def call(self, name, level) -> str:
+    def call(self, name) -> str:
         return f"s = {name}(s)"
 
-    def cond(self, cm, cv, level) -> tuple[list[str], int]:
-        return ([_cond(cm, cv)] if cm else []), level
-
-    def op(self, op, mask, step, level) -> tuple[list[str], int]:
-        return _op(op, mask, step), op == _SWAP
+    def entry(self, cm, cv, op, mask, step) -> list[str]:
+        return _under([_cond(cm, cv)] if cm else [], _op(op, mask, step))
 
 
 def _ripple(planes, up: bool) -> list[str]:
@@ -96,8 +96,9 @@ def _ripple(planes, up: bool) -> list[str]:
 
 class _Planes:
     """The planes writer: functions of the plane list P and the
-    condition c<level> of the blocks around them."""
+    condition c0 of the terms; an entry's own condition is c1."""
 
+    params = "P, c0"
     tail = "return"
 
     def __init__(self, order, qubits):
@@ -107,26 +108,23 @@ class _Planes:
     def planes(self, mask) -> list[int]:
         return [self.index[q] for q in self.qubits[mask]]
 
-    def params(self, level) -> str:
-        return f"P, c{level}"
+    def call(self, name) -> str:
+        return f"{name}(P, c0)"
 
-    def call(self, name, level) -> str:
-        return f"{name}(P, c{level})"
-
-    def cond(self, cm, cv, level) -> tuple[list[str], int]:
+    def entry(self, cm, cv, op, mask, step) -> list[str]:
         if not cm:
-            return [], level
-        terms = ([f"c{level}"] + [f"P[{i}]" for i in self.planes(cv)]
+            return self.op(op, mask, step, "c0")
+        terms = (["c0"] + [f"P[{i}]" for i in self.planes(cv)]
                  + [f"~P[{i}]" for i in self.planes(cm ^ cv)])
-        return [f"c{level + 1} = {' & '.join(terms)}", f"if c{level + 1}:"], level + 1
+        return _under([f"c1 = {' & '.join(terms)}", "if c1:"], self.op(op, mask, step, "c1"))
 
-    def op(self, op, mask, step, level) -> tuple[list[str], int]:
-        c = f"c{level}"
+    def op(self, op, mask, step, c) -> list[str]:
+        """The lines of one entry's op under the condition variable c."""
         if op == _XOR:
-            return [f"P[{i}] ^= {c}" for i in self.planes(mask)], 0
+            return [f"P[{i}] ^= {c}" for i in self.planes(mask)]
         if op == _ADD:
             # the condition is the carry into the field's lowest qubit
-            return [f"k = {c}"] + _ripple(self.planes(mask), step > 0), 2
+            return [f"k = {c}"] + _ripple(self.planes(mask), step > 0)
         if op == _RADD:
             # a full adder or subtractor per source qubit, anc's plane
             # the carry or the borrow in, then the carry's ripple on
@@ -140,10 +138,10 @@ class _Planes:
                 lines += [f"x = P[{j}] & {c}", f"t = P[{i}] ^ x", f"P[{i}] = t ^ k",
                           f"k = {carry}"]
             if len(dst) == len(src):  # no carry out: the field wraps
-                return lines[:-1], 0
-            return lines + _ripple(dst[len(src):], step > 0), 2
+                return lines[:-1]
+            return lines + _ripple(dst[len(src):], step > 0)
         a, b = self.planes(mask)  # _SWAP
-        return [f"k = (P[{a}] ^ P[{b}]) & {c}", f"P[{a}] ^= k", f"P[{b}] ^= k"], 0
+        return [f"k = (P[{a}] ^ P[{b}]) & {c}", f"P[{a}] ^= k", f"P[{b}] ^= k"]
 
 
 class _Kernel:
@@ -155,57 +153,45 @@ class _Kernel:
         self.ns = {}
         self.defined = 0
 
-    def define(self, lines: list[str], level: int) -> str:
+    def define(self, lines: list[str]) -> str:
         """Compile lines as the body of a new function of the writer's
-        parameters at this level; its name."""
+        parameters; its name."""
         name = f"_f{self.defined}"
         self.defined += 1
-        src = "".join([f"def {name}({self.write.params(level)}):\n"]
+        src = "".join([f"def {name}({self.write.params}):\n"]
                       + [f"    {line}\n" for line in lines] + [f"    {self.write.tail}\n"])
         exec(compile(src, "<fbe kernel>", "exec"), self.ns)
         return name
 
-    def calls(self, chunks: list[list[str]], level: int) -> list[str]:
+    def calls(self, chunks: list[list[str]]) -> list[str]:
         """Each chunk compiled as a function, the calls in order; packed
         into functions again while they run past CHUNK_LINES."""
         call = self.write.call
-        calls = [call(self.define(c, level), level) for c in chunks]
+        calls = [call(self.define(c)) for c in chunks]
         while len(calls) > CHUNK_LINES:
-            calls = [call(self.define(calls[i:i + CHUNK_LINES], level), level)
+            calls = [call(self.define(calls[i:i + CHUNK_LINES]))
                      for i in range(0, len(calls), CHUNK_LINES)]
         return calls
 
-    def body(self, prog, level: int = 0) -> tuple[list[str], int]:
-        """(lines, depth): prog's entries as at most CHUNK_LINES
-        lines at indentation 0, nesting at most MAX_DEPTH levels, inside
-        the blocks of condition level `level`."""
-        chunks, lines, depth = [], [], 0
-        for cm, cv, op, mask, step in prog:
-            head, inner = self.write.cond(cm, cv, level)
-            if op == _BLK:
-                stmt, d = self.body(mask, inner)
-                if d >= MAX_DEPTH or len(stmt) >= CHUNK_LINES:
-                    stmt, d = self.calls([stmt], inner), 0
-            else:
-                stmt, d = self.write.op(op, mask, step, inner)
-            if not stmt:
-                continue
-            if head:
-                stmt = head + [f"    {line}" for line in stmt]
-                d += 1
+    def body(self, prog) -> list[str]:
+        """prog's entries as lines run in turn: those themselves while
+        they fit in CHUNK_LINES, else cut between entries into functions
+        and the calls to them."""
+        chunks, lines = [], []
+        for e in prog:
+            stmt = self.write.entry(*e)
             if lines and len(lines) + len(stmt) > CHUNK_LINES:
                 chunks.append(lines)
-                lines, depth = [], 0
+                lines = []
             lines += stmt
-            depth = max(depth, d)
         if not chunks:
-            return lines, depth
-        return self.calls(chunks + [lines] if lines else chunks, level), 0
+            return lines
+        return self.calls(chunks + [lines] if lines else chunks)
 
 
 def _compiled(writer, prog):
     k = _Kernel(writer)
-    return k.ns[k.define(k.body(prog)[0], 0)]
+    return k.ns[k.define(k.body(prog))]
 
 
 def kernel(prog):

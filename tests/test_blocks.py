@@ -35,7 +35,7 @@ from fbe.blocks import (
     sub_from,
 )
 from fbe import circuit, codegen
-from fbe.circuit import _BLK, _RADD, CircuitError, export_text
+from fbe.circuit import _RADD, CircuitError, export_text
 from fbe.fixedpoint import Layout, add as fp_add, make, sqrt_nonrestoring
 from fbe.fixedpoint import square as fp_square
 
@@ -560,10 +560,7 @@ def test_divider_wider_frames(shift):
 
 def compiled_adds(c):
     """The register-add entries of c's compiled program."""
-    def flat(prog):
-        for e in prog:
-            yield from flat(e[3]) if e[2] == _BLK else [e]
-    return sum(e[2] == _RADD for e in flat(c._prepared(circuit._COMPILE_AFTER)))
+    return sum(e[2] == _RADD for e in c._prepared(circuit._COMPILE_AFTER))
 
 
 def test_each_add_fuses():

@@ -16,7 +16,6 @@ import pytest
 from fbe import checks, circuit, codegen, ripple
 from fbe.circuit import (
     _ADD,
-    _BLK,
     _H,
     _RADD,
     _SWAP,
@@ -34,21 +33,18 @@ from fbe.cli import main
 from fbe.synth import SynthConfig, synthesize
 
 
-def ref_apply(gate, s, n):
-    # independent bit-list reference for the gate semantics
-    bits = [(s >> i) & 1 for i in range(n)]
-    for i, q in enumerate(gate.controls):
-        want = 0 if (gate.neg_mask >> i) & 1 else 1
-        if bits[q] != want:
+def ref_apply(gate, s):
+    # independent reference for the gate semantics, one qubit at a time
+    kind, targets, controls, neg = gate
+    for i, q in enumerate(controls):
+        if (s >> q & 1) == (neg >> i & 1):
             return s
-    if gate.kind in ("x", "cx", "ccx", "mcx"):
-        bits[gate.targets[0]] ^= 1
-    elif gate.kind in ("swap", "cswap"):
-        a, b = gate.targets
-        bits[a], bits[b] = bits[b], bits[a]
-    else:
+    if kind in ("x", "cx", "ccx", "mcx"):
+        return s ^ 1 << targets[0]
+    if kind not in ("swap", "cswap"):
         raise AssertionError("reference only handles permutation gates")
-    return sum(b << i for i, b in enumerate(bits))
+    a, b = targets
+    return s ^ (1 << a | 1 << b) if (s >> a ^ s >> b) & 1 else s
 
 
 def random_circuit(rng, n, length, with_h=False):
@@ -185,23 +181,13 @@ def context_circuit(rng, n, runs, with_h=False):
     return c
 
 
-def flatten(prog, cm0=0, cv0=0):
-    """The entries of a nested program, each block's context ORed back
-    into the conditions inside it."""
-    for cm, cv, op, mask, step in prog:
-        if op == _BLK:
-            yield from flatten(mask, cm0 | cm, cv0 | cv)
-        else:
-            yield cm0 | cm, cv0 | cv, op, mask, step
-
-
 def ref_sparse(c, s):
     # gate-by-gate sparse reference from a basis state or an amplitude
     # dict; h as in the textbook, no fusion
     amps = {s: 1.0 + 0j} if isinstance(s, int) else dict(s)
     for g in c.gates:
         if g.kind != "h":
-            amps = {ref_apply(g, t, c.n_qubits): a for t, a in amps.items()}
+            amps = {ref_apply(g, t): a for t, a in amps.items()}
             continue
         m = 1 << g.targets[0]
         nxt = {}
@@ -222,14 +208,14 @@ def test_fused_program_matches_gate_by_gate():
         for s in range(1 << n):
             want = s
             for g in c.gates:
-                want = ref_apply(g, want, n)
+                want = ref_apply(g, want)
             assert c.simulate_basis(s) == want, (trial, s)
             if s % 7 == 0:
                 assert c.simulate_sparse(s) == {want: 1.0 + 0j}, (trial, s)
         # every state has run through the program, so from n = 6 on (74
         # states and terms or more) it holds the compiled one
         ops |= {(op, (step > 0) - (step < 0), op == _XOR and bin(mask).count("1") > 1)
-                for _, _, op, mask, step in flatten(c._prepared(0))}
+                for _, _, op, mask, step in c._prepared(0)}
         hc = fusable_circuit(rng, n, 10, with_h=True)
         for s in rng.sample(range(1 << n), 4):
             got, want = hc.simulate_sparse(s), ref_sparse(hc, s)
@@ -272,14 +258,13 @@ def shifted(gates, by):
 
 def planes_kernels(prog, monkeypatch):
     """prog as generated planes code (codegen.planes), whole and cut into
-    functions of at most 6 lines and 2 levels, so that runs of entries
-    are split between functions and blocks hoisted into their own."""
+    functions of at most 6 lines, so that runs of entries are split
+    between functions."""
     qs = circuit._Memo(circuit._qubits_of)
     order = qs[circuit._touched(prog)]
     whole = codegen.planes(prog, order, qs)
     with monkeypatch.context() as m:
         m.setattr(codegen, "CHUNK_LINES", 6)
-        m.setattr(codegen, "MAX_DEPTH", 2)
         cut = codegen.planes(prog, order, qs)
     return whole, cut
 
@@ -298,10 +283,9 @@ def test_sparse_planes_match_term_by_term(monkeypatch):
             c = Circuit(n + 5)
             c.extend(shifted(fusable_circuit(rng, n, 16).gates, 2))
             prog = c._prepared(0)
-            nested = circuit._nest(prog)
-            adders = circuit._nest(circuit._fuse_adders(c.gates))
+            adders = circuit._fuse_adders(c.gates)
             ops |= {(op, (step > 0) - (step < 0), bin(cm ^ cv).count("1") > 0)
-                    for cm, cv, op, _, step in flatten(adders)}
+                    for cm, cv, op, _, step in adders}
             free = [q for q in range(n + 5) if q not in (2, n + 1)]
             keys = set()
             while len(keys) < size:
@@ -310,7 +294,6 @@ def test_sparse_planes_match_term_by_term(monkeypatch):
             start = {s: complex(i + 1, -2 * i) for i, s in enumerate(states)}
             want = [circuit._run(prog, s) for s in states]
             assert circuit._run_planes(prog, states) == want
-            assert circuit._run_planes(nested, states) == want
             assert circuit._run_planes(adders, states) == want
             for run in planes_kernels(adders, monkeypatch):
                 assert circuit._run_planes(adders, states, kernel=run) == want
@@ -406,77 +389,10 @@ def test_sparse_stage_picks_the_kernel(monkeypatch):
         assert kernels(terms) == {"_run"}, terms
     assert c._runs < circuit._COMPILE_AFTER <= c._runs + 65
     assert kernels(65) == {"_planes"}  # each stretch's first batch
-    assert check_blocks(c._prepared(0)) >= 1
+    compiled = c._prepared(0)
+    assert compiled == circuit._fuse_adders(c.gates) and _RADD in [e[2] for e in compiled]
     for terms in (1, 5, 64):
         assert kernels(terms) == {"planes"}, terms
-
-
-def check_blocks(prog, outm=0, outv=0):
-    """Check the shape _nest promises, level by level, with conditions
-    taken whole (every context around them ORed in): a block's context
-    is the control bits its first two entries share outside the
-    contexts around it, the entry after the block does not hold all of
-    it, and no block holds h.  Returns the deepest nesting."""
-    deepest = 0
-    for k, e in enumerate(prog):
-        if e[2] != _BLK:
-            continue
-        ctx, v, run = e[0], e[1], e[3]
-        (am, av, *_), (bm, bv, *_) = list(flatten(run, outm | ctx, outv | v))[:2]
-        assert ctx == am & bm & ~(av ^ bv) & ~outm and v == av & ctx
-        assert _H not in [f[2] for f in flatten(run)]
-        if k + 1 < len(prog):
-            cm, cv = next(flatten(prog[k + 1:k + 2], outm, outv))[:2]
-            assert not (cm & ctx == ctx and cv & ctx == v)
-        deepest = max(deepest, 1 + check_blocks(run, outm | ctx, outv | v))
-    return deepest
-
-
-def test_nest_keeps_program_order_and_results():
-    # runs under shared 1-2 bit contexts nest to depth 2 and more; the
-    # blocks flatten back to the fused program, and on every basis state
-    # the nested program as generated code, the flat one through _run and
-    # the gate list agree
-    rng = random.Random(61)
-    depths = []
-    for trial in range(16):
-        n = rng.randrange(7, 10)
-        c = context_circuit(rng, n, 10, with_h=trial % 2 == 1)
-        flat = c._prepared(0)
-        nested = circuit._nest(flat)
-        assert list(flatten(nested)) == flat, trial
-        assert len(nested) < len(flat)
-        depths.append(check_blocks(nested))
-        if trial % 2:
-            # h entries stay at the top level, so sparse stretches split alike
-            assert [e for e in nested if e[2] == _H] == [e for e in flat if e[2] == _H]
-            for s in rng.sample(range(1 << n), 3):
-                got, want = c.simulate_sparse(s), ref_sparse(c, s)
-                assert got.keys() == want.keys(), (trial, s)
-                assert all(abs(got[k] - want[k]) < 1e-12 for k in want), (trial, s)
-            continue
-        run = codegen.kernel(nested)
-        for s in range(1 << n):
-            want = s
-            for g in c.gates:
-                want = ref_apply(g, want, n)
-            assert run(s) == circuit._run(flat, s) == want, (trial, s)
-    assert max(depths) >= 2 and min(depths) >= 1
-
-
-def test_nested_planes_match_flat():
-    # 2, 64 and 257 terms bit-sliced through nested and flat programs
-    rng = random.Random(67)
-    n = 10
-    for size in (2, 64, 257):
-        for _ in range(3):
-            c = context_circuit(rng, n, 12)
-            flat = c._prepared(0)
-            nested = circuit._nest(flat)
-            states = rng.sample(range(1 << n), size)
-            want = [circuit._run(flat, s) for s in states]
-            assert circuit._run_planes(nested, states) == want, size
-            assert circuit._run_planes(flat, states) == want, size
 
 
 def ripple_layout(rng, w, wd, ctx_pos, gap=False):
@@ -503,34 +419,32 @@ def ripple_layout(rng, w, wd, ctx_pos, gap=False):
     return src, dst, anc, ctx, q
 
 
-def gate_by_gate(gates, n):
+def gate_by_gate(gates, states):
+    """Each of states through the gate list, one gate at a time."""
     out = []
-    for s in range(1 << n):
+    for s in states:
         for g in gates:
-            s = ref_apply(g, s, n)
+            s = ref_apply(g, s)
         out.append(s)
     return out
 
 
 def adder_program_runs(gates, n):
-    """Every basis state through the adder-fused program, flat (generated
-    code) and nested (generated code and _run_planes), and through
-    simulate_sparse, each against the gate list applied gate by gate;
-    returns the flat program."""
-    want = gate_by_gate(gates, n)
+    """Every basis state through the adder-fused program (generated code
+    and _run_planes) and through simulate_sparse, each against the gate
+    list applied gate by gate; returns the program."""
+    want = gate_by_gate(gates, range(1 << n))
     c = Circuit(n)
     c.extend(gates)
-    flat = circuit._fuse_adders(c.gates)
-    nested = circuit._nest(flat)
+    prog = circuit._fuse_adders(c.gates)
     states = list(range(1 << n))
-    assert list(map(codegen.kernel(flat), states)) == want
-    assert list(map(codegen.kernel(nested), states)) == want
-    assert circuit._run_planes(nested, states) == want
+    assert list(map(codegen.kernel(prog), states)) == want
+    assert circuit._run_planes(prog, states) == want
     start = {s: complex(s + 1, -s) for s in states}
     assert c.simulate_sparse(start) == {t: start[s] for s, t in zip(states, want)}
     if len(states) >= circuit._COMPILE_AFTER:  # the sparse run built it
-        assert c._prepared(0) == nested
-    return flat
+        assert c._prepared(0) == prog
+    return prog
 
 
 def test_register_add_matches_gate_by_gate():
@@ -603,45 +517,29 @@ def test_register_add_scan_names_no_gates_the_list_lacks(monkeypatch):
     assert _RADD not in [e[2] for e in circuit._fuse_adders(c.gates)]
 
 
-def test_nest_contexts_polarity_and_rejoin():
-    # one context qubit of opposite polarity shares nothing; a run goes
-    # on under its first two entries' context and ends at the first
-    # entry without all of it
-    a, b, t, u = 1, 2, 4, 8
-    flat = [(a | b, a | b, _XOR, t, 0), (a | b, a | b, _XOR, u, 0),
-            (a, a, _XOR, t, 0), (a, a, _XOR, u, 0),
-            (a, 0, _XOR, t, 0), (a | b, b, _XOR, u, 0)]
-    assert circuit._nest(flat) == [
-        (a | b, a | b, _BLK, [(0, 0, _XOR, t, 0), (0, 0, _XOR, u, 0)], 0),
-        (a, a, _BLK, [(0, 0, _XOR, t, 0), (0, 0, _XOR, u, 0)], 0),
-        (a, 0, _BLK, [(0, 0, _XOR, t, 0), (b, b, _XOR, u, 0)], 0)]
-    assert circuit._nest([flat[0], (a | b, 0, _XOR, u, 0)]) == [
-        flat[0], (a | b, 0, _XOR, u, 0)]
-
-
-def test_circuit_nests_at_the_threshold():
+def test_circuit_compiles_at_the_threshold():
     # the program runs flat until _COMPILE_AFTER states or terms have
     # gone through it since the last change; the run that reaches it
-    # builds _nest(_fuse_adders(gates)) in its place, which basis runs
-    # call as generated code from then on; add drops both and the count
+    # builds _fuse_adders(gates) in its place, which basis runs call as
+    # generated code from then on; add drops both and the count
     rng = random.Random(71)
     n = 8
     c = context_circuit(rng, n, 8)
     g = xgate(0, [(1, True)])
     for added in (False, True):
         flat = c._prepared(0)
-        assert check_blocks(flat) == 0
+        assert _RADD not in [e[2] for e in flat]
         for s in range(circuit._COMPILE_AFTER - 1):
             assert c.simulate_basis(s) == circuit._run(flat, s)
             assert c._prepared(0) is flat and c._generated is None
         c.simulate_basis(s + 1)
-        nested = c._prepared(0)
-        assert nested == circuit._nest(circuit._fuse_adders(c.gates))
-        assert check_blocks(nested) >= 1
+        compiled = c._prepared(0)
+        assert compiled == circuit._fuse_adders(c.gates)
+        assert _RADD in [e[2] for e in compiled]
         generated = c._generated
         assert generated is not None
         assert all(c.simulate_basis(s) == circuit._run(flat, s) for s in range(1 << n))
-        assert c._prepared(0) is nested and c._generated is generated
+        assert c._prepared(0) is compiled and c._generated is generated
         if not added:
             c.add(g)
             assert c._program is c._generated is None and c._runs == 0
@@ -653,9 +551,9 @@ def test_circuit_nests_at_the_threshold():
     d.extend(c.gates)
     start = {s: 1.0 + 0j for s in range(circuit._COMPILE_AFTER - 1)}
     assert d.simulate_sparse(start) == ref_sparse(d, start)
-    assert check_blocks(d._prepared(0)) == 0
+    assert _RADD not in [e[2] for e in d._prepared(0)]
     assert d.simulate_sparse(3) == ref_sparse(d, 3)
-    assert d._prepared(0) == circuit._nest(circuit._fuse_adders(d.gates))
+    assert d._prepared(0) == circuit._fuse_adders(d.gates)
     start = {s: 1.0 + 0j for s in range(1 << n)}
     assert d.simulate_sparse(start) == ref_sparse(d, start)
     assert d._generated is None
@@ -677,7 +575,7 @@ def test_first_run_past_the_threshold_fuses_no_flat_program(monkeypatch):
     for s, a in start.items():
         t = s
         for gate in c.gates:
-            t = ref_apply(gate, t, c.n_qubits)
+            t = ref_apply(gate, t)
         want[t] = a
     fused = []
     fuse = circuit._fuse
@@ -690,74 +588,98 @@ def test_first_run_past_the_threshold_fuses_no_flat_program(monkeypatch):
     assert c.simulate_sparse(start) == want
     assert fused and len(c.gates) not in fused
     assert len(start) >= circuit._COMPILE_AFTER
-    assert _RADD in [e[2] for e in flatten(c._prepared(0))]
+    assert _RADD in [e[2] for e in c._prepared(0)]
 
 
 def generated_cases(rng):
     """Seeded fusable circuits and context circuits, forward and
-    inverted: their gates, qubit count and every basis state through the
-    gate list, gate by gate."""
+    inverted, on every basis state, then arccot (4, 8) garbage and cot
+    (6, 10) clean on every valid input: their gates, the states and
+    each state through the gate list, gate by gate."""
     for trial in range(12):
         n = rng.randrange(6, 9)
         c = fusable_circuit(rng, n, 14) if trial % 3 == 0 else context_circuit(rng, n, 8)
         if trial % 3 == 2:
             c = c.inverse()
-        yield c.gates, n, gate_by_gate(c.gates, n)
+        states = list(range(1 << n))
+        yield c.gates, states, gate_by_gate(c.gates, states)
+    for cfg in (SynthConfig("arccot", 4, 8), SynthConfig("cot", 6, 10, "clean")):
+        sc = synthesize(cfg)
+        states = list(checks._starts(sc))
+        yield sc.circuit.gates, states, gate_by_gate(sc.circuit.gates, states)
+
+
+def compiled_sources(monkeypatch) -> list[str]:
+    """The list that each source fbe.codegen compiles from now on is
+    appended to."""
+    sources = []
+    monkeypatch.setattr(codegen, "compile", lambda src, *rest: sources.append(src)
+                        or compile(src, *rest), raising=False)
+    return sources
+
+
+def deepest(sources) -> int:
+    """The most levels any line of the functions in sources sits below
+    its function's body."""
+    return max((len(line) - len(line.lstrip())) // 4 - 1
+               for src in sources for line in src.splitlines()[1:])
 
 
 def test_generated_kernel_matches_gate_by_gate(monkeypatch):
-    # the nested register-add program as generated code, basis and
-    # planes, equals _planes on it and the gate list on every basis
-    # state, whole and cut into functions of at most 6 lines and 2
-    # levels, so that runs of entries are split between functions and
-    # blocks hoisted into their own
+    # the register-add program as generated code, basis and planes,
+    # equals _planes on it and the gate list on every state, whole and
+    # cut into functions of at most 6 lines, so that runs of entries are
+    # split between functions; an entry is its condition and its op, so
+    # no line sits more than 3 levels below its function's body
     rng = random.Random(97)
     ops, negs, functions = set(), set(), []
-    for gates, n, want in generated_cases(rng):
-        nested = circuit._nest(circuit._fuse_adders(gates))
-        states = list(range(1 << n))
-        assert circuit._run_planes(nested, states) == want
-        whole = codegen.kernel(nested)
+    sources = compiled_sources(monkeypatch)
+    for gates, states, want in generated_cases(rng):
+        prog = circuit._fuse_adders(gates)
+        assert circuit._run_planes(prog, states) == want
+        whole = codegen.kernel(prog)
         with monkeypatch.context() as m:
             m.setattr(codegen, "CHUNK_LINES", 6)
-            m.setattr(codegen, "MAX_DEPTH", 2)
-            cut = codegen.kernel(nested)
+            cut = codegen.kernel(prog)
         for run in (whole, cut):
             assert list(map(run, states)) == want
-        sliced = planes_kernels(nested, monkeypatch)
+        sliced = planes_kernels(prog, monkeypatch)
         for run in sliced:
-            assert circuit._run_planes(nested, states, kernel=run) == want
-        ops |= {(op, (step > 0) - (step < 0), cm != 0)
-                for cm, cv, op, _, step in flatten(nested)}
-        negs |= {op for cm, cv, op, _, _ in flatten(nested) if cm != cv}
-        # each function's source: its def line, at most 6 lines of body
-        # and its return line; a planes entry may alone run longer (a
-        # register add writes 4 lines per source qubit)
+            assert circuit._run_planes(prog, states, kernel=run) == want
+        ops |= {(op, (step > 0) - (step < 0), cm != 0) for cm, cv, op, _, step in prog}
+        negs |= {op for cm, cv, op, _, _ in prog if cm != cv}
+        # each function's source: its def line, at most CHUNK_LINES
+        # lines of body and its return line; a planes entry may alone run
+        # longer (a register add writes 4 lines per source qubit).  The
+        # whole kernel is one function when its entries fit in one
         qs = circuit._Memo(circuit._qubits_of)
-        write = codegen._Planes(qs[circuit._touched(nested)], qs)
-        longest = max(len(write.cond(cm, cv, 0)[0] + write.op(op, mask, step, 1)[0])
-                      for cm, cv, op, mask, step in flatten(nested))
-        for (whole, cut), most in (((whole, cut), 6), (sliced, max(6, longest))):
-            assert sum(k.startswith("_f") for k in whole.__globals__) == 1
-            defined = [f for k, f in cut.__globals__.items() if k.startswith("_f")]
-            functions.append(len(defined))
-            assert all(max(line for *_, line in f.__code__.co_lines() if line) <= most + 2
-                       for f in defined)
+        writers = codegen._Basis(), codegen._Planes(qs[circuit._touched(prog)], qs)
+        for (whole, cut), write in zip(((whole, cut), sliced), writers):
+            sizes = [len(write.entry(*e)) for e in prog]
+            defined = {}
+            for run, most in ((whole, codegen.CHUNK_LINES), (cut, 6)):
+                defined[run] = [f for k, f in run.__globals__.items() if k.startswith("_f")]
+                assert all(max(line for *_, line in f.__code__.co_lines() if line)
+                           <= max(most, *sizes) + 2 for f in defined[run])
+            assert (len(defined[whole]) == 1) == (sum(sizes) <= codegen.CHUNK_LINES)
+            functions.append(len(defined[cut]))
     # swaps and cswaps, +-1 cascades, register adds and subtracts, each
     # under a condition, and negative controls on each kind
     assert {(_XOR, 0, True), (_SWAP, 0, False), (_SWAP, 0, True), (_ADD, 1, True),
             (_ADD, -1, True), (_RADD, 1, True), (_RADD, -1, True)} <= ops
     assert {_XOR, _SWAP, _ADD, _RADD} <= negs
     assert min(functions) > 1
+    assert deepest(sources) == 3
 
 
-def test_generated_kernel_nests_deep(monkeypatch):
-    # a staircase of gate pairs under controls {0}, {0, 1}, .. {0..129}
-    # nests 129 blocks deep, past the 100 indentation levels Python
-    # reads: the generated code, basis and planes, calls functions for
-    # the deep blocks.  Pair k flips qubits 130 and 131 when qubits 0..k
-    # are all set, so a state's pairs fire as often as its low 130 qubits
-    # have trailing ones
+def test_generated_kernel_needs_no_depth_limit(monkeypatch):
+    # a staircase of gate pairs under controls {0}, {0, 1}, .. {0..129},
+    # whose conditions nest 130 deep, past the 100 indentation levels
+    # Python reads: the generated code, basis and planes, whole and cut,
+    # writes each entry under its own condition alone, so no line sits
+    # more than 3 levels below its function's body.  Pair k flips qubits
+    # 130 and 131 when qubits 0..k are all set, so a state's pairs fire
+    # as often as its low 130 qubits have trailing ones
     n = 132
 
     def by_gates(s):
@@ -768,17 +690,18 @@ def test_generated_kernel_nests_deep(monkeypatch):
     for k in range(130):
         ctl = [(q, True) for q in range(k + 1)]
         c.extend([xgate(130, ctl), xgate(131, ctl)])
-    nested = circuit._nest(circuit._fuse_adders(c.gates))
-    assert check_blocks(nested) >= 129
-    run = codegen.kernel(nested)
+    prog = circuit._fuse_adders(c.gates)
+    sources = compiled_sources(monkeypatch)
+    run = codegen.kernel(prog)
     rng = random.Random(101)
     for j in range(n):
         s = (1 << j) - 1 | rng.randrange(4) << 130 if j < 130 else rng.randrange(1 << n)
         assert run(s) == circuit._run(c._prepared(0), s) == by_gates(s), j
     states = sorted({(1 << j) - 1 | rng.randrange(4) << 130 for j in range(131)})
     want = list(map(by_gates, states))
-    for run in planes_kernels(nested, monkeypatch):
-        assert circuit._run_planes(nested, states, kernel=run) == want
+    for run in planes_kernels(prog, monkeypatch):
+        assert circuit._run_planes(prog, states, kernel=run) == want
+    assert len(sources) > 3 and deepest(sources) <= 3
 
 
 def test_generated_kernel_refuses_h(monkeypatch):
@@ -798,7 +721,7 @@ def test_generated_kernel_refuses_h(monkeypatch):
     for s in range(circuit._COMPILE_AFTER + 1):
         with pytest.raises(CircuitError, match=message):
             c.simulate_basis(s % 128)
-    assert c._prepared(0) == circuit._nest(circuit._fuse_adders(c.gates))
+    assert c._prepared(0) == circuit._fuse_adders(c.gates)
     assert not ran and c._generated is None
     for s in (0, 5):
         got, want = c.simulate_sparse(s), ref_sparse(c, s)
@@ -861,7 +784,7 @@ def test_lazy_modules_wait_for_the_compiled_program():
 
 def test_sparse_split_once_per_program(monkeypatch):
     # the stretches between h entries are cut on the first sparse run of
-    # a program, flat or nested, and reused by later runs.  The flat
+    # a program, flat or compiled, and reused by later runs.  The flat
     # program runs term by term, so it needs neither touched masks nor
     # planes code; on the compiled one a stretch's touched mask is walked
     # for once, on its first bit-sliced run, and its planes code generated
@@ -912,7 +835,8 @@ def test_sparse_split_once_per_program(monkeypatch):
     assert not builds and all(t is None and k is None for _, t, k, _ in split)
     start = {s: 1.0 + 0j for s in range(circuit._COMPILE_AFTER)}
     assert walked(start)  # the compiled program gets its own split
-    assert check_blocks(c._prepared(0)) >= 1
+    assert c._prepared(0) == circuit._fuse_adders(c.gates)
+    assert _RADD in [e[2] for e in c._prepared(0)]
     split = check_split(c._prepared(0))
     assert all(t is not None for st, t, _, _ in split if st)
     # the first bit-sliced run goes through _planes, with no code yet
@@ -987,7 +911,7 @@ def test_basis_sim_matches_reference_exhaustive():
         for s in range(1 << n):
             want = s
             for g in c.gates:
-                want = ref_apply(g, want, n)
+                want = ref_apply(g, want)
             assert c.simulate_basis(s) == want, trial
 
 
